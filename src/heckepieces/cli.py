@@ -24,7 +24,9 @@ Cache format
 ------------
 
 A Kazhdan-Lusztig cache is a UTF-8 text file.  The first line is
-``klcache v1 <type_tag>``; every further line is one stored polynomial::
+``klcache v1 <type_tag>``, followed for ``matrix`` groups by the Coxeter
+matrix as JSON without spaces (``klcache v1 matrix [[1,3],[3,1]]``); every
+further line is one stored polynomial::
 
     <y-word> TAB <w-word> TAB <comma-separated q-coefficients>
 
@@ -85,6 +87,15 @@ def _from_q_coefficients(coeffs: list[int]) -> Laurent:
     return Laurent({2 * i: c for i, c in enumerate(coeffs) if c})
 
 
+def _cache_header(group: CoxeterGroup) -> str:
+    """``klcache v1 <type_tag>``; a ``matrix`` tag says nothing about the
+    group, so the Coxeter matrix follows it as compact JSON."""
+    header = f"{CACHE_MAGIC} {CACHE_VERSION} {group.type_tag}"
+    if group.type_tag == "matrix":
+        header += " " + json.dumps(group.matrix, separators=(",", ":"))
+    return header
+
+
 def save_kl_cache(table: KLTable, path: str) -> None:
     group = table.group
     records = []
@@ -92,7 +103,7 @@ def save_kl_cache(table: KLTable, path: str) -> None:
         coeffs = ",".join(str(c) for c in _q_coefficients(p))
         records.append((group.word_str(w), group.word_str(y), coeffs))
     records.sort()
-    lines = [f"{CACHE_MAGIC} {CACHE_VERSION} {group.type_tag}"]
+    lines = [_cache_header(group)]
     lines.extend(f"{y}\t{w}\t{coeffs}" for w, y, coeffs in records)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -101,9 +112,10 @@ def save_kl_cache(table: KLTable, path: str) -> None:
 def load_kl_cache(path: str, group: CoxeterGroup) -> KLTable:
     """Load a cache written by ``save_kl_cache``, failing closed.
 
-    The header must carry the expected magic, version and group tag; the
-    records must be sorted, parseable, and satisfy the constant-term and
-    degree-bound invariants of the stored polynomials.
+    The header must carry the expected magic, version and group tag, and
+    for a ``matrix`` group the same Coxeter matrix; the records must be
+    sorted, parseable, and satisfy the constant-term and degree-bound
+    invariants of the stored polynomials.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -115,8 +127,7 @@ def load_kl_cache(path: str, group: CoxeterGroup) -> KLTable:
     lines.pop()
     if not lines:
         raise CliError("cache is empty")
-    header = lines[0].split(" ")
-    if header != [CACHE_MAGIC, CACHE_VERSION, group.type_tag]:
+    if lines[0] != _cache_header(group):
         raise CliError(f"bad cache header {lines[0]!r}")
 
     parse_cache: dict[str, object] = {}
@@ -542,10 +553,6 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def console_main() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -8,12 +8,13 @@ Two backends share one interface:
   position 1; s_i for i >= 2 swaps positions i-1 and i.  Length, descents and
   products are computed directly from the window notation.
 
-* ``GenericCoxeterGroup`` — any finite Coxeter matrix, handled by word
-  rewriting: two reduced words represent the same element iff they are
-  connected by braid moves, and a non-reduced word can always be braided
-  until two equal letters become adjacent and cancel.  The whole group is
-  enumerated eagerly (with a hard cap), so only genuinely small groups
-  should use this backend.
+* ``GenericCoxeterGroup`` — any finite Coxeter matrix.  The constructor
+  enumerates the whole group (with a hard cap) one length at a time and
+  stores its right Cayley table and right descent sets; products, inverses
+  and descents are then table lookups.  Which words name the same element
+  is decided by a rank-2 coset rule that needs only the matrix entries
+  m(s, t), so groups with tens of thousands of elements (H4, E6) enumerate
+  directly.
 
 Elements of the generic backend are canonical reduced words (tuples of
 generator indices); elements of the signed backend are window tuples.  In
@@ -503,13 +504,15 @@ class GenericCoxeterGroup(CoxeterGroup):
     """A finite Coxeter group enumerated from its matrix.
 
     Elements are canonical (lexicographically least) reduced words.  The
-    constructor runs a breadth-first enumeration, computing for each known
-    element the set of all its reduced words (the closure under braid
-    moves); multiplication walks the resulting Cayley table.
+    constructor builds the right Cayley table and the right descent sets
+    one length at a time (``_build_tables``); every operation then reads
+    those tables.
 
     >>> W = GenericCoxeterGroup([[1, 4], [4, 1]])
     >>> len(W.elements())
     8
+    >>> W.right_descents((1, 2, 1)), W.right_descents((1, 2, 1, 2))
+    (frozenset({1}), frozenset({1, 2}))
     """
 
     def __init__(self, matrix: Sequence[Sequence[int]], type_tag: str = "matrix",
@@ -518,73 +521,61 @@ class GenericCoxeterGroup(CoxeterGroup):
         self.matrix = _validate_matrix(matrix)
         self.rank = len(self.matrix)
         self.type_tag = type_tag
-        self._closure_cache: dict[Word, frozenset] = {}
         self._build_tables(cap)
 
-    # braid closure: all words reachable by substituting sts... <-> tst...
-
-    def _braid_closure(self, word: Word) -> frozenset:
-        cached = self._closure_cache.get(word)
-        if cached is not None:
-            return cached
-        seen = {word}
-        frontier = [word]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for p in range(len(u) - 1):
-                    a, b = u[p], u[p + 1]
-                    if a == b:
-                        continue
-                    m = self.m(a, b)
-                    if p + m > len(u):
-                        continue
-                    seg = u[p:p + m]
-                    alt_ab = tuple(a if k % 2 == 0 else b for k in range(m))
-                    if seg == alt_ab:
-                        alt_ba = tuple(b if k % 2 == 0 else a for k in range(m))
-                        w2 = u[:p] + alt_ba + u[p + m:]
-                        if w2 not in seen:
-                            seen.add(w2)
-                            nxt.append(w2)
-            frontier = nxt
-        result = frozenset(seen)
-        for u in result:
-            self._closure_cache[u] = result
-        return result
-
     def _build_tables(self, cap: int) -> None:
-        ident: Word = ()
-        self._table: dict[tuple[Word, int], Word] = {}
-        levels = [[ident]]
-        known = {ident}
-        while levels[-1]:
-            nxt = set()
-            for u in levels[-1]:
-                closure = self._braid_closure(u)
+        """Fill the right Cayley table and right descent sets by length.
+
+        An element y of length l is z·s for some z of length l-1 with s not
+        a right descent of z.  For t != s write z = u·x with u minimal in
+        z·W_{s,t} and x in W_{s,t} (Björner–Brenti, Combinatorics of Coxeter
+        Groups, §2.4); x is the alternating word of length k = l(z) - l(u)
+        ending in t, peeled off by walking down from z by t, s, t, ... while
+        the next letter is a right descent.  Then t is also a right descent
+        of y iff k + 1 = m(s, t), and y = z'·t for z' = u·(the alternating
+        word of length m - 1 ending in s).  So the pairs naming y are (z, s) and
+        these (z', t), and their letters are y's right descents.  Candidates
+        are visited in lex order of z + (s,), so the first pair met for y
+        gives its lex-least word.
+        """
+        table: dict[tuple[Word, int], Word] = {}
+        descents: dict[Word, frozenset] = {(): frozenset()}
+        level: list[Word] = [()]
+        elements: list[Word] = [()]
+        while level:
+            nxt = []
+            for z in level:
                 for s in self.generators():
-                    down = None
-                    for word in closure:
-                        if word and word[-1] == s:
-                            down = word[:-1]
-                            break
-                    if down is not None:
-                        self._table[(u, s)] = min(self._braid_closure(down))
-                    else:
-                        us = min(self._braid_closure(u + (s,)))
-                        self._table[(u, s)] = us
-                        if us not in known:
-                            known.add(us)
-                            nxt.add(us)
-                            if len(known) > cap:
-                                raise ValueError(
-                                    f"group exceeds enumeration cap {cap}; "
-                                    "matrix may define an infinite group"
-                                )
-            levels.append(sorted(nxt))
-        self._elements_cache = tuple(
-            w for level in levels for w in sorted(level)
-        )
+                    if s in descents[z] or (z, s) in table:
+                        continue
+                    y = z + (s,)
+                    pairs = [(z, s)]
+                    for t in self.generators():
+                        if t == s:
+                            continue
+                        m = self.m(s, t)
+                        u, letter = z, t
+                        while letter in descents[u]:
+                            u, letter = table[(u, letter)], s + t - letter
+                        if len(z) - len(u) + 1 == m:
+                            for i in range(m - 1):
+                                u = table[(u, s if (m - 1 - i) % 2 else t)]
+                            pairs.append((u, t))
+                    for x, r in pairs:
+                        table[(x, r)] = y
+                        table[(y, r)] = x
+                    descents[y] = frozenset(r for _, r in pairs)
+                    nxt.append(y)
+                    if len(elements) + len(nxt) > cap:
+                        raise ValueError(
+                            f"group exceeds enumeration cap {cap}; "
+                            "matrix may define an infinite group"
+                        )
+            elements.extend(nxt)
+            level = nxt
+        self._table = table
+        self._descents = descents
+        self._elements_cache = tuple(elements)
 
     # -- interface ------------------------------------------------------------
 
@@ -610,16 +601,13 @@ class GenericCoxeterGroup(CoxeterGroup):
         return acc
 
     def inverse(self, w: Word) -> Word:
-        return min(self._braid_closure(tuple(reversed(w))))
+        return self.from_word(reversed(w))
 
     def length(self, w: Word) -> int:
         return len(w)
 
     def right_descents(self, w: Word) -> frozenset:
-        return frozenset(word[-1] for word in self._braid_closure(w) if word)
-
-    def left_descents(self, w: Word) -> frozenset:
-        return frozenset(word[0] for word in self._braid_closure(w) if word)
+        return self._descents[w]
 
     def reduced_word(self, w: Word) -> Word:
         return w

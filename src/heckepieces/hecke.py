@@ -173,6 +173,9 @@ class HeckeAlgebra:
         self.weight = weight
         self._quad = quad
         self._bar_basis: dict[Element, HeckeElement] = {}
+        # Memo of ``pieces.mu_J`` on basis elements; held here so that it
+        # is freed together with the algebra.
+        self.mu_cache: dict[tuple, HeckeElement] = {}
 
     def quad_coeffs(self, s: int) -> tuple[Laurent, Laurent]:
         """(a_s, b_s) with T_s^2 = a_s T_s + b_s."""
@@ -332,7 +335,7 @@ def kl_table(group: CoxeterGroup) -> KLTable:
 
     the sum over y <= z <= sw with sz < z."""
     e = group.identity()
-    elements = sorted(group.elements(), key=group.sort_key)
+    elements = group.elements()
     P: dict[tuple[Element, Element], Laurent] = {}
     mu_lists: dict[Element, tuple[tuple[Element, int], ...]] = {}
 
@@ -435,7 +438,7 @@ def canonical_basis(algebra: HeckeAlgebra, validate: bool = True) -> CanonicalBa
     group = algebra.group
     weight = algebra.weight
     vectors: dict[Element, HeckeElement] = {}
-    for z in sorted(group.elements(), key=group.sort_key):
+    for z in group.elements():
         if z == group.identity():
             vectors[z] = algebra.unit()
             continue

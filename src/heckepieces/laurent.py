@@ -82,6 +82,9 @@ class Laurent:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # Constants compare equal to ints, so they must hash like them.
+        if not self._terms.keys() - {0}:
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "Laurent":

@@ -28,7 +28,6 @@ Bruhat order for some u in W_J.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .coxeter import CoxeterGroup, DiagramAutomorphism, Element
@@ -314,15 +313,17 @@ def piece_dimension(group: CoxeterGroup, J: Iterable[int], w: Element,
 # -- Hecke operators ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _mu_on_basis(algebra: HeckeAlgebra, Jf: frozenset,
                  delta: DiagramAutomorphism, y: Element) -> HeckeElement:
-    group = algebra.group
-    dJ = delta.on_set(Jf)
-    y_min, y_par = group.right_quotient(y, dJ)
-    return algebra.multiply(
-        algebra.basis(delta.apply_inv(y_par)), algebra.basis(y_min)
-    )
+    key = (Jf, delta, y)
+    cached = algebra.mu_cache.get(key)
+    if cached is None:
+        y_min, y_par = algebra.group.right_quotient(y, delta.on_set(Jf))
+        cached = algebra.multiply(
+            algebra.basis(delta.apply_inv(y_par)), algebra.basis(y_min)
+        )
+        algebra.mu_cache[key] = cached
+    return cached
 
 
 def mu_J(h: HeckeElement, J: Iterable[int], delta: DiagramAutomorphism) -> HeckeElement:

@@ -178,6 +178,25 @@ def test_cache_rejects_wrong_group(b2_cache, capsys):
     assert "bad cache header" in capsys.readouterr().err
 
 
+def test_matrix_cache_names_its_matrix(tmp_path, capsys):
+    a2 = tmp_path / "a2.json"
+    a2.write_text("[[1, 3], [3, 1]]", encoding="utf-8")
+    i25 = tmp_path / "i25.json"
+    i25.write_text("[[1, 5], [5, 1]]", encoding="utf-8")
+    cache = tmp_path / "a2.klcache"
+    assert main(["kl", "--type", f"matrix:{a2}", "--cache", str(cache)]) == 0
+    assert cache.read_text(encoding="utf-8").startswith(
+        "klcache v1 matrix [[1,3],[3,1]]\n")
+    assert main(["kl", "--type", f"matrix:{a2}", "--cache", str(cache),
+                 "--pair", "∅", "121"]) == 0
+    capsys.readouterr()
+    argv = ["kl", "--type", f"matrix:{i25}", "--pair", "∅", "12121"]
+    assert main(argv + ["--cache", str(cache)]) == 2
+    assert "bad cache header" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
 @pytest.mark.parametrize("mangle,message", [
     (lambda t: t.rstrip("\n"), "truncated"),
     (lambda t: "", "empty"),

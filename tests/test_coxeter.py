@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from heckepieces.coxeter import (
     coxeter_group,
     type_b_matrix,
 )
+from heckepieces.hecke import kl_table
 
 A3_MATRIX = ((1, 3, 2), (3, 1, 3), (2, 3, 1))
 
@@ -55,13 +57,73 @@ def test_defining_relations(rank):
             assert w == e
 
 
-@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("rank", [2, 3, 4])
 def test_backends_agree_on_canonical_words(rank):
     signed = SignedPermutationGroup(rank)
     generic = GenericCoxeterGroup(type_b_matrix(rank), type_tag=f"B{rank}")
-    signed_words = sorted(signed.reduced_word(w) for w in signed.elements())
-    generic_words = sorted(generic.reduced_word(w) for w in generic.elements())
-    assert signed_words == generic_words
+    word = signed.reduced_word
+    assert [word(w) for w in signed.elements()] == list(generic.elements())
+    for w in signed.elements():
+        g = word(w)
+        assert generic.right_descents(g) == signed.right_descents(w)
+        assert generic.left_descents(g) == signed.left_descents(w)
+        assert generic.inverse(g) == word(signed.inverse(w))
+        for s in signed.generators():
+            assert generic.right_mult_gen(g, s) == word(signed.right_mult_gen(w, s))
+            assert generic.left_mult_gen(s, g) == word(signed.left_mult_gen(s, w))
+
+
+def test_matrix_b4_kl_table_matches_signed(b4, b4_kl):
+    generic = GenericCoxeterGroup(type_b_matrix(4))
+    generic_kl = kl_table(generic)
+    word = b4.reduced_word
+    assert generic_kl.table == {
+        (word(y), word(w)): p for (y, w), p in b4_kl.table.items()}
+
+
+def _coxeter_matrix(rank, edges):
+    """The Coxeter matrix with m = 2 off the listed (i, j, m) edges."""
+    m = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
+    for i, j, label in edges:
+        m[i - 1][j - 1] = m[j - 1][i - 1] = label
+    return m
+
+
+CENSUS_CASES = {
+    "A5": (_coxeter_matrix(5, [(1, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3)]),
+           (2, 3, 4, 5, 6)),
+    "D4": (_coxeter_matrix(4, [(1, 2, 3), (2, 3, 3), (2, 4, 3)]), (2, 4, 4, 6)),
+    "F4": (_coxeter_matrix(4, [(1, 2, 3), (2, 3, 4), (3, 4, 3)]), (2, 6, 8, 12)),
+    "H3": (_coxeter_matrix(3, [(1, 2, 5), (2, 3, 3)]), (2, 6, 10)),
+    "H4": (_coxeter_matrix(4, [(1, 2, 5), (2, 3, 3), (3, 4, 3)]), (2, 12, 20, 30)),
+    "I2(8)": (_coxeter_matrix(2, [(1, 2, 8)]), (2, 8)),
+    "I2(7)xA1": (_coxeter_matrix(3, [(1, 2, 7)]), (2, 7, 2)),
+    "E6": (_coxeter_matrix(6, [(1, 3, 3), (3, 4, 3), (4, 5, 3), (5, 6, 3), (2, 4, 3)]),
+           (2, 5, 6, 8, 9, 12)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_CASES))
+def test_length_census_is_poincare_polynomial(name):
+    """The length generating function of a finite Coxeter group is
+    prod_i (1 + q + ... + q^(d_i - 1)) over its degrees d_i."""
+    matrix, degrees = CENSUS_CASES[name]
+    expected = [1]
+    for d in degrees:
+        expected = [sum(expected[k - j] for j in range(d) if 0 <= k - j < len(expected))
+                    for k in range(len(expected) + d - 1)]
+    census = Counter(len(w) for w in GenericCoxeterGroup(matrix).elements())
+    assert [census[k] for k in range(len(expected))] == expected
+    assert sum(census.values()) == sum(expected)
+
+
+@pytest.mark.parametrize("group", [
+    SignedPermutationGroup(3),
+    GenericCoxeterGroup(CENSUS_CASES["D4"][0]),
+], ids=["B3", "matrix:D4"])
+def test_elements_come_in_sort_key_order(group):
+    elements = group.elements()
+    assert list(elements) == sorted(elements, key=group.sort_key)
 
 
 def test_signed_permutation_arithmetic(b3):

@@ -98,6 +98,14 @@ def test_from_int():
     assert from_int(-2) == poly((-2, 0))
 
 
+def test_constants_hash_like_ints():
+    assert hash(Laurent({0: 3})) == hash(3)
+    assert hash(ZERO) == hash(0)
+    assert hash(from_int(-2)) == hash(-2)
+    assert {3: "three"}[Laurent({0: 3})] == "three"
+    assert Laurent({0: 3}) in {3}
+
+
 # -- properties -------------------------------------------------------------
 
 @given(laurents, laurents, laurents)

@@ -1,7 +1,9 @@
 """Piece indexing: stabilization sequences, closure order, dimensions,
 and the contraction/projection operators on the Hecke algebra."""
 
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -253,6 +255,15 @@ def test_mu_is_linear(b4):
     h2 = algebra.basis(b4.parse_word("431"))
     assert mu_J(h1 + h2, J, delta) == \
         mu_J(h1, J, delta) + mu_J(h2, J, delta)
+
+
+def test_mu_cache_dies_with_its_algebra(b2):
+    algebra = HeckeAlgebra(b2)
+    mu_J(algebra.basis(b2.parse_word("21")), {1}, b2.automorphism())
+    ref = weakref.ref(algebra)
+    del algebra
+    gc.collect()
+    assert ref() is None
 
 
 def test_projection_selects_coset(b4, b4_data):
