@@ -33,15 +33,20 @@ further line is one stored polynomial::
 with coefficients ascending from the constant term and no trailing
 zeros.  Records are sorted lexicographically by (w-word, y-word) and
 loading validates the header, the sort order, parseability of every
-record, and the classical degree bound, refusing the file otherwise.
+record, the classical degree bound, and that the records for each w are
+exactly the pairs (y, w) with y <= w in Bruhat order, refusing the file
+otherwise.  A cache is written to a temporary file and then renamed over
+the target, so an interrupted write leaves no partial file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import os
 import sys
 
 from .coxeter import CoxeterGroup, DiagramAutomorphism, coxeter_group
@@ -97,6 +102,8 @@ def _cache_header(group: CoxeterGroup) -> str:
 
 
 def save_kl_cache(table: KLTable, path: str) -> None:
+    """Write the cache to a temporary file beside ``path``, then move it
+    into place, so a failed write never leaves a partial cache behind."""
     group = table.group
     records = []
     for (y, w), p in table.table.items():
@@ -105,8 +112,17 @@ def save_kl_cache(table: KLTable, path: str) -> None:
     records.sort()
     lines = [_cache_header(group)]
     lines.extend(f"{y}\t{w}\t{coeffs}" for w, y, coeffs in records)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        os.replace(temporary, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(temporary)
+        if isinstance(exc, OSError):
+            raise CliError(f"cannot write cache {path}: {exc}") from exc
+        raise
 
 
 def load_kl_cache(path: str, group: CoxeterGroup) -> KLTable:
@@ -115,7 +131,8 @@ def load_kl_cache(path: str, group: CoxeterGroup) -> KLTable:
     The header must carry the expected magic, version and group tag, and
     for a ``matrix`` group the same Coxeter matrix; the records must be
     sorted, parseable, and satisfy the constant-term and degree-bound
-    invariants of the stored polynomials.
+    invariants of the stored polynomials; and for each w the y with a
+    record must be exactly the Bruhat ideal {y : y <= w}.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -145,6 +162,7 @@ def load_kl_cache(path: str, group: CoxeterGroup) -> KLTable:
         return got
 
     table: dict[tuple, Laurent] = {}
+    records_of: dict = {}
     previous: tuple[str, str] | None = None
     for line in lines[1:]:
         fields = line.split("\t")
@@ -162,10 +180,10 @@ def load_kl_cache(path: str, group: CoxeterGroup) -> KLTable:
         if len(coeffs) > 1 and coeffs[-1] == 0:
             raise CliError(f"trailing zero coefficient in {line!r}")
         y, w = parse(y_word), parse(w_word)
+        if y not in group.bruhat_lower(w):
+            raise CliError(f"record {line!r} is not a Bruhat pair y <= w")
         p = _from_q_coefficients(coeffs)
         gap = group.length(w) - group.length(y)
-        if gap < 0:
-            raise CliError(f"length-decreasing pair in {line!r}")
         if gap == 0:
             if y != w or p != ONE:
                 raise CliError(f"bad diagonal record {line!r}")
@@ -175,18 +193,17 @@ def load_kl_cache(path: str, group: CoxeterGroup) -> KLTable:
         if (y, w) in table:
             raise CliError(f"duplicate record {line!r}")
         table[(y, w)] = p
+        records_of[w] = records_of.get(w, 0) + 1
+    for w in group.elements():
+        if records_of.get(w, 0) != len(group.bruhat_lower(w)):
+            raise CliError(f"missing records: some y <= {group.word_str(w)} "
+                           "have none")
     return KLTable(group=group, table=table)
 
 
 def _obtain_kl(group: CoxeterGroup, cache: str | None) -> KLTable:
-    if cache is not None:
-        try:
-            with open(cache, "r", encoding="utf-8"):
-                exists = True
-        except OSError:
-            exists = False
-        if exists:
-            return load_kl_cache(cache, group)
+    if cache is not None and os.path.isfile(cache):
+        return load_kl_cache(cache, group)
     table = kl_table(group)
     if cache is not None:
         save_kl_cache(table, cache)

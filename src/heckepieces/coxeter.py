@@ -1,25 +1,22 @@
 """Finite Coxeter groups with exact element arithmetic.
 
-Two backends share one interface:
+One table-driven core with two labellings.  ``CoxeterGroup`` enumerates a
+group once, from its Coxeter matrix alone, one length at a time, and stores
+for every element its length, canonical reduced word, both descent sets,
+both one-generator products and its inverse.  Every structural question is
+then a lookup.  A subclass only chooses how elements are labelled:
 
-* ``SignedPermutationGroup`` — the hyperoctahedral group of rank n (type B_n),
-  whose elements are tuples (w(1), ..., w(n)) of signed integers with
-  |w(1)|, ..., |w(n)| a permutation of 1..n.  Generator s_1 flips the sign in
-  position 1; s_i for i >= 2 swaps positions i-1 and i.  Length, descents and
-  products are computed directly from the window notation.
+* ``SignedPermutationGroup`` — the hyperoctahedral group of rank n (type
+  B_n), labelled by windows (w(1), ..., w(n)) of signed integers with
+  |w(1)|, ..., |w(n)| a permutation of 1..n.  Generator s_1 flips the sign
+  in position 1; s_i for i >= 2 swaps positions i-1 and i.
 
-* ``GenericCoxeterGroup`` — any finite Coxeter matrix.  The constructor
-  enumerates the whole group (with a hard cap) one length at a time and
-  stores its right Cayley table and right descent sets; products, inverses
-  and descents are then table lookups.  Which words name the same element
-  is decided by a rank-2 coset rule that needs only the matrix entries
-  m(s, t), so groups with tens of thousands of elements (H4, E6) enumerate
-  directly.
+* ``GenericCoxeterGroup`` — any finite Coxeter matrix, labelled by canonical
+  (lexicographically least) reduced words, tuples of generator indices.
 
-Elements of the generic backend are canonical reduced words (tuples of
-generator indices); elements of the signed backend are window tuples.  In
-both cases elements are hashable values, and all structural questions go
-through the owning group object.
+Labels are hashable, and every question goes through the owning group.  The
+constructor first computes the order from the Coxeter graph
+(``coxeter_order``) and refuses infinite groups and groups above the cap.
 
 Generators are indexed 1..rank throughout.  Reduced words serialize as digit
 strings ("32123"), with "∅" for the identity — ranks above 9 would need a
@@ -34,7 +31,7 @@ different serialization and are rejected by the parser.
 
 from __future__ import annotations
 
-import itertools
+from math import factorial
 from typing import Hashable, Iterable, Sequence
 
 Element = Hashable
@@ -73,48 +70,202 @@ def type_b_matrix(rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in m)
 
 
+def coxeter_order(matrix: Sequence[Sequence[int]]) -> int | None:
+    """The order of the Coxeter group of ``matrix``, or None if it is infinite.
+
+    Each connected component of the Coxeter graph (edges where m >= 3) must
+    be of finite type A_n, B_n, D_n, E_6-8, F_4, H_3, H_4 or I_2(m); the
+    order is the product of the components' orders.
+
+    >>> coxeter_order(type_b_matrix(4)), coxeter_order([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
+    (384, None)
+    """
+    rows = _validate_matrix(matrix)
+    edges = [{j: m for j, m in enumerate(row) if m > 2} for row in rows]
+    order, unseen = 1, set(range(len(rows)))
+    while unseen:
+        component = [unseen.pop()]
+        for i in component:
+            new = edges[i].keys() & unseen
+            unseen -= new
+            component.extend(new)
+        factor = _irreducible_order(component, edges)
+        if factor is None:
+            return None
+        order *= factor
+    return order
+
+
+def _irreducible_order(nodes: list[int], edges: list[dict[int, int]]) -> int | None:
+    """The order of a connected Coxeter graph, or None if it is infinite."""
+    k = len(nodes)
+    if sum(len(edges[i]) for i in nodes) != 2 * (k - 1):
+        return None  # a cycle
+    if k <= 2:
+        return 2 * max([1, *edges[nodes[0]].values()])  # A_1 or I_2(m)
+
+    def walk(prev: int, cur: int) -> list[int]:
+        """The path from the edge prev-cur to a leaf, as its nodes."""
+        path = [cur]
+        while len(edges[cur]) == 2:
+            prev, cur = cur, next(j for j in edges[cur] if j != prev)
+            path.append(cur)
+        return path
+
+    branches = [i for i in nodes if len(edges[i]) >= 3]
+    if branches:
+        if (len(branches) > 1 or len(edges[branches[0]]) > 3
+                or any(m != 3 for i in nodes for m in edges[i].values())):
+            return None
+        arms = tuple(sorted(len(walk(branches[0], j)) for j in edges[branches[0]]))
+        if arms[:2] == (1, 1):
+            return 2 ** (k - 1) * factorial(k)  # D_k
+        return {(1, 2, 2): 51840, (1, 2, 3): 2903040, (1, 2, 4): 696729600}.get(arms)
+    leaf = next(i for i in nodes if len(edges[i]) == 1)
+    path = [leaf, *walk(leaf, next(iter(edges[leaf])))]
+    labels = tuple(edges[a][b] for a, b in zip(path, path[1:]))
+    labels = max(labels, labels[::-1])
+    if set(labels) == {3}:
+        return factorial(k + 1)  # A_k
+    if set(labels[1:]) == {3} and labels[0] == 4:
+        return 2 ** k * factorial(k)  # B_k
+    if set(labels[1:]) == {3} and labels[0] == 5 and k <= 4:
+        return {3: 120, 4: 14400}[k]  # H_3, H_4
+    return 1152 if labels == (3, 4, 3) else None  # F_4
+
+
 class CoxeterGroup:
-    """Shared interface and derived operations for both backends."""
+    """A finite Coxeter group, enumerated once from its Coxeter matrix.
 
-    rank: int
-    matrix: tuple[tuple[int, ...], ...]
-    type_tag: str
+    A subclass supplies the labels: ``identity()`` and ``_step(x, s, word)``,
+    the label of x·s, where s is not a right descent of x and ``word`` is the
+    canonical reduced word of x·s.  ``_step`` is called once per element.
+    """
 
-    def __init__(self) -> None:
-        self._word_cache: dict[Element, Word] = {}
+    def __init__(self, matrix: Sequence[Sequence[int]], type_tag: str = "matrix",
+                 cap: int = _ENUM_CAP):
+        self.matrix = _validate_matrix(matrix)
+        self.rank = len(self.matrix)
+        self.type_tag = type_tag
+        order = coxeter_order(self.matrix)
+        if order is None:
+            raise ValueError("Coxeter matrix defines an infinite group")
+        if order > cap:
+            raise ValueError(f"group order {order} exceeds enumeration cap {cap}")
         self._lower_cache: dict[Element, frozenset] = {}
-        self._elements_cache: tuple[Element, ...] | None = None
         self._parabolic_cache: dict[frozenset, tuple[Element, ...]] = {}
+        self._build_tables()
 
-    # -- primitives each backend provides ------------------------------------
+    def _build_tables(self) -> None:
+        """Enumerate the group by length and fill every table.
 
-    def identity(self) -> Element:
-        raise NotImplementedError
+        An element y of length l is z·s for some z of length l-1 with s not
+        a right descent of z.  For t != s write z = u·x with u minimal in
+        z·W_{s,t} and x in W_{s,t} (Björner–Brenti, Combinatorics of Coxeter
+        Groups, §2.4); x is the alternating word of length k = l(z) - l(u)
+        ending in t, peeled off by walking down from z by t, s, t, ... while
+        the next letter is a right descent.  Then t is also a right descent
+        of y iff k + 1 = m(s, t), and y = z'·t for z' = u·(the alternating
+        word of length m - 1 ending in s).  So the pairs naming y are (z, s) and
+        these (z', t), and their letters are y's right descents.  Candidates
+        are visited in lex order of z + (s,), so the first pair met for y
+        gives its lex-least word.
 
-    def generator(self, i: int) -> Element:
-        raise NotImplementedError
+        Left products and inverses follow by length: if y = z·r for the last
+        letter r of y's word, then s·y = (s·z)·r and y⁻¹ = r·z⁻¹, and every
+        entry read on the right is indexed by an element shorter than y.
+        """
+        gens = self.generators()
+        e = self.identity()
+        rmul: dict[int, dict] = {s: {} for s in gens}
+        length, words, rdesc = {e: 0}, {e: ()}, {e: frozenset()}
+        level, elements = [e], [e]
+        while level:
+            nxt = []
+            for z in level:
+                for s in gens:
+                    if s in rdesc[z] or z in rmul[s]:
+                        continue
+                    pairs = [(z, s)]
+                    for t in gens:
+                        if t == s:
+                            continue
+                        m = self.m(s, t)
+                        u, letter = z, t
+                        while letter in rdesc[u]:
+                            u, letter = rmul[letter][u], s + t - letter
+                        if length[z] - length[u] + 1 == m:
+                            for i in range(m - 1):
+                                u = rmul[s if (m - 1 - i) % 2 else t][u]
+                            pairs.append((u, t))
+                    word = words[z] + (s,)
+                    y = self._step(z, s, word)
+                    for x, r in pairs:
+                        rmul[r][x] = y
+                        rmul[r][y] = x
+                    length[y], words[y] = len(word), word
+                    rdesc[y] = frozenset(r for _, r in pairs)
+                    nxt.append(y)
+            elements.extend(nxt)
+            level = nxt
+        lmul: dict[int, dict] = {s: {e: rmul[s][e]} for s in gens}
+        inv = {e: e}
+        for y in elements[1:]:
+            r = words[y][-1]
+            z = rmul[r][y]
+            for s in gens:
+                lmul[s][y] = rmul[r][lmul[s][z]]
+            inv[y] = lmul[r][inv[z]]
+        self._elements, self._words, self._length = tuple(elements), words, length
+        self._rmul, self._lmul, self._inv, self._rdesc = rmul, lmul, inv, rdesc
+        self._ldesc = {y: rdesc[inv[y]] for y in elements}
 
-    def right_mult_gen(self, w: Element, i: int) -> Element:
-        raise NotImplementedError
-
-    def left_mult_gen(self, i: int, w: Element) -> Element:
-        raise NotImplementedError
-
-    def product(self, *ws: Element) -> Element:
-        raise NotImplementedError
-
-    def inverse(self, w: Element) -> Element:
-        raise NotImplementedError
-
-    def length(self, w: Element) -> int:
-        raise NotImplementedError
-
-    def right_descents(self, w: Element) -> frozenset:
-        raise NotImplementedError
+    # -- table lookups ---------------------------------------------------------
 
     def elements(self) -> tuple[Element, ...]:
         """All group elements, sorted by (length, reduced word)."""
-        raise NotImplementedError
+        return self._elements
+
+    def length(self, w: Element) -> int:
+        return self._length[w]
+
+    def reduced_word(self, w: Element) -> Word:
+        """The lexicographically least reduced word for w."""
+        return self._words[w]
+
+    def right_descents(self, w: Element) -> frozenset:
+        return self._rdesc[w]
+
+    def left_descents(self, w: Element) -> frozenset:
+        return self._ldesc[w]
+
+    def inverse(self, w: Element) -> Element:
+        return self._inv[w]
+
+    def right_mult_gen(self, w: Element, i: int) -> Element:
+        try:
+            return self._rmul[i][w]
+        except KeyError:
+            raise ValueError(f"no generator {i} or no element {w!r}") from None
+
+    def left_mult_gen(self, i: int, w: Element) -> Element:
+        try:
+            return self._lmul[i][w]
+        except KeyError:
+            raise ValueError(f"no generator {i} or no element {w!r}") from None
+
+    def generator(self, i: int) -> Element:
+        return self.right_mult_gen(self._elements[0], i)
+
+    def product(self, *ws: Element) -> Element:
+        """w_1·w_2···, by right multiplication along reduced words."""
+        if not ws:
+            return self._elements[0]
+        acc = ws[0]
+        for b in ws[1:]:
+            for s in self._words[b]:
+                acc = self._rmul[s][acc]
+        return acc
 
     # -- words ---------------------------------------------------------------
 
@@ -123,29 +274,6 @@ class CoxeterGroup:
 
     def generators(self) -> range:
         return range(1, self.rank + 1)
-
-    def left_descents(self, w: Element) -> frozenset:
-        return self.right_descents(self.inverse(w))
-
-    def reduced_word(self, w: Element) -> Word:
-        """The lexicographically least reduced word for w.
-
-        Greedy: the first letters of reduced words of w are exactly the left
-        descents, so peeling the smallest left descent at each step yields
-        the lex-least word.
-        """
-        cached = self._word_cache.get(w)
-        if cached is not None:
-            return cached
-        word = []
-        u = w
-        while u != self.identity():
-            s = min(self.left_descents(u))
-            word.append(s)
-            u = self.left_mult_gen(s, u)
-        result = tuple(word)
-        self._word_cache[w] = result
-        return result
 
     def from_word(self, word: Iterable[int]) -> Element:
         w = self.identity()
@@ -184,7 +312,7 @@ class CoxeterGroup:
         return set(self.reduced_word(w)) <= self._check_subset(J)
 
     def longest_element(self) -> Element:
-        return self.longest_in_parabolic(frozenset(self.generators()))
+        return self._elements[-1]
 
     # -- Bruhat order ----------------------------------------------------------
 
@@ -317,13 +445,9 @@ class CoxeterGroup:
 
     def double_coset_reps(self, K: Iterable[int], J: Iterable[int]) -> tuple[Element, ...]:
         """All minimal double coset representatives ^K W^J, sorted."""
-        Kf = self._check_subset(K)
-        Jf = self._check_subset(J)
-        return tuple(
-            w
-            for w in self.elements()
-            if self.is_left_min(w, Kf) and self.is_right_min(w, Jf)
-        )
+        Kf, Jf = self._check_subset(K), self._check_subset(J)
+        return tuple(w for w in self._elements
+                     if self.is_left_min(w, Kf) and self.is_right_min(w, Jf))
 
     # -- diagram automorphisms ---------------------------------------------------
 
@@ -389,7 +513,7 @@ class DiagramAutomorphism:
 
 
 class SignedPermutationGroup(CoxeterGroup):
-    """Type B_n as signed permutations in window notation.
+    """Type B_n labelled by signed permutations in window notation.
 
     An element is the tuple (w(1), ..., w(n)); w(-i) = -w(i) is implicit.
     Right multiplication by s_i permutes positions, left multiplication
@@ -400,6 +524,8 @@ class SignedPermutationGroup(CoxeterGroup):
     (-1, 2)
     >>> W.right_mult_gen((1, 2), 2)
     (2, 1)
+    >>> W.left_mult_gen(2, (-1, 2))
+    (-2, 1)
     >>> W.length((-2, -1))
     3
     """
@@ -407,106 +533,21 @@ class SignedPermutationGroup(CoxeterGroup):
     def __init__(self, rank: int):
         if rank < 1:
             raise ValueError("rank must be >= 1")
-        super().__init__()
-        self.rank = rank
-        self.matrix = type_b_matrix(rank)
-        self.type_tag = f"B{rank}"
+        super().__init__(type_b_matrix(rank), f"B{rank}")
 
-    def identity(self) -> Word:
+    def identity(self) -> tuple[int, ...]:
         return tuple(range(1, self.rank + 1))
 
-    def generator(self, i: int):
-        return self.right_mult_gen(self.identity(), i)
-
-    def right_mult_gen(self, w, i: int):
-        if i == 1:
-            return (-w[0],) + w[1:]
-        if not 2 <= i <= self.rank:
-            raise ValueError(f"no generator {i}")
-        lst = list(w)
-        lst[i - 2], lst[i - 1] = lst[i - 1], lst[i - 2]
-        return tuple(lst)
-
-    def left_mult_gen(self, i: int, w):
-        # s_i * w changes values: s_1 negates ±1, s_i swaps values ±(i-1), ±i
-        if i == 1:
-            return tuple(-x if abs(x) == 1 else x for x in w)
-        if not 2 <= i <= self.rank:
-            raise ValueError(f"no generator {i}")
-        a, b = i - 1, i
-        out = []
-        for x in w:
-            if abs(x) == a:
-                out.append(b if x > 0 else -b)
-            elif abs(x) == b:
-                out.append(a if x > 0 else -a)
-            else:
-                out.append(x)
-        return tuple(out)
-
-    def product(self, *ws):
-        """Composition (a·b)(j) = a(b(j)), folded left to right."""
-        if not ws:
-            return self.identity()
-        acc = ws[0]
-        for b in ws[1:]:
-            acc = tuple(
-                acc[x - 1] if x > 0 else -acc[-x - 1]
-                for x in b
-            )
-        return acc
-
-    def inverse(self, w):
-        out = [0] * self.rank
-        for pos, val in enumerate(w, start=1):
-            if val > 0:
-                out[val - 1] = pos
-            else:
-                out[-val - 1] = -pos
-        return tuple(out)
-
-    def length(self, w) -> int:
-        """inv(w) + neg(w) + nsp(w) — inversions, negative entries, and
-        pairs summing negative — the Coxeter length for this generator set."""
-        n = self.rank
-        inv = neg = nsp = 0
-        for i in range(n):
-            if w[i] < 0:
-                neg += 1
-            for j in range(i + 1, n):
-                if w[i] > w[j]:
-                    inv += 1
-                if w[i] + w[j] < 0:
-                    nsp += 1
-        return inv + neg + nsp
-
-    def right_descents(self, w) -> frozenset:
-        ds = set()
-        if w[0] < 0:
-            ds.add(1)
-        for i in range(2, self.rank + 1):
-            if w[i - 2] > w[i - 1]:
-                ds.add(i)
-        return frozenset(ds)
-
-    def elements(self):
-        if self._elements_cache is None:
-            n = self.rank
-            elems = []
-            for perm in itertools.permutations(range(1, n + 1)):
-                for signs in itertools.product((1, -1), repeat=n):
-                    elems.append(tuple(p * s for p, s in zip(perm, signs)))
-            self._elements_cache = tuple(sorted(elems, key=self.sort_key))
-        return self._elements_cache
+    def _step(self, x: tuple[int, ...], s: int, word: Word) -> tuple[int, ...]:
+        """The window of x·s: s_1 negates w(1), s_i swaps w(i-1) and w(i)."""
+        if s == 1:
+            return (-x[0],) + x[1:]
+        return x[:s - 2] + (x[s - 1], x[s - 2]) + x[s:]
 
 
 class GenericCoxeterGroup(CoxeterGroup):
-    """A finite Coxeter group enumerated from its matrix.
-
-    Elements are canonical (lexicographically least) reduced words.  The
-    constructor builds the right Cayley table and the right descent sets
-    one length at a time (``_build_tables``); every operation then reads
-    those tables.
+    """A finite Coxeter group labelled by its canonical reduced words; the
+    label is the stored word itself, so each word is kept once.
 
     >>> W = GenericCoxeterGroup([[1, 4], [4, 1]])
     >>> len(W.elements())
@@ -515,105 +556,11 @@ class GenericCoxeterGroup(CoxeterGroup):
     (frozenset({1}), frozenset({1, 2}))
     """
 
-    def __init__(self, matrix: Sequence[Sequence[int]], type_tag: str = "matrix",
-                 cap: int = _ENUM_CAP):
-        super().__init__()
-        self.matrix = _validate_matrix(matrix)
-        self.rank = len(self.matrix)
-        self.type_tag = type_tag
-        self._build_tables(cap)
-
-    def _build_tables(self, cap: int) -> None:
-        """Fill the right Cayley table and right descent sets by length.
-
-        An element y of length l is z·s for some z of length l-1 with s not
-        a right descent of z.  For t != s write z = u·x with u minimal in
-        z·W_{s,t} and x in W_{s,t} (Björner–Brenti, Combinatorics of Coxeter
-        Groups, §2.4); x is the alternating word of length k = l(z) - l(u)
-        ending in t, peeled off by walking down from z by t, s, t, ... while
-        the next letter is a right descent.  Then t is also a right descent
-        of y iff k + 1 = m(s, t), and y = z'·t for z' = u·(the alternating
-        word of length m - 1 ending in s).  So the pairs naming y are (z, s) and
-        these (z', t), and their letters are y's right descents.  Candidates
-        are visited in lex order of z + (s,), so the first pair met for y
-        gives its lex-least word.
-        """
-        table: dict[tuple[Word, int], Word] = {}
-        descents: dict[Word, frozenset] = {(): frozenset()}
-        level: list[Word] = [()]
-        elements: list[Word] = [()]
-        while level:
-            nxt = []
-            for z in level:
-                for s in self.generators():
-                    if s in descents[z] or (z, s) in table:
-                        continue
-                    y = z + (s,)
-                    pairs = [(z, s)]
-                    for t in self.generators():
-                        if t == s:
-                            continue
-                        m = self.m(s, t)
-                        u, letter = z, t
-                        while letter in descents[u]:
-                            u, letter = table[(u, letter)], s + t - letter
-                        if len(z) - len(u) + 1 == m:
-                            for i in range(m - 1):
-                                u = table[(u, s if (m - 1 - i) % 2 else t)]
-                            pairs.append((u, t))
-                    for x, r in pairs:
-                        table[(x, r)] = y
-                        table[(y, r)] = x
-                    descents[y] = frozenset(r for _, r in pairs)
-                    nxt.append(y)
-                    if len(elements) + len(nxt) > cap:
-                        raise ValueError(
-                            f"group exceeds enumeration cap {cap}; "
-                            "matrix may define an infinite group"
-                        )
-            elements.extend(nxt)
-            level = nxt
-        self._table = table
-        self._descents = descents
-        self._elements_cache = tuple(elements)
-
-    # -- interface ------------------------------------------------------------
-
     def identity(self) -> Word:
         return ()
 
-    def generator(self, i: int) -> Word:
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"no generator {i}")
-        return (i,)
-
-    def right_mult_gen(self, w: Word, i: int) -> Word:
-        return self._table[(w, i)]
-
-    def left_mult_gen(self, i: int, w: Word) -> Word:
-        return self.product((i,), w)
-
-    def product(self, *ws: Word) -> Word:
-        acc: Word = ()
-        for b in ws:
-            for s in b:
-                acc = self._table[(acc, s)]
-        return acc
-
-    def inverse(self, w: Word) -> Word:
-        return self.from_word(reversed(w))
-
-    def length(self, w: Word) -> int:
-        return len(w)
-
-    def right_descents(self, w: Word) -> frozenset:
-        return self._descents[w]
-
-    def reduced_word(self, w: Word) -> Word:
-        return w
-
-    def elements(self) -> tuple[Word, ...]:
-        return self._elements_cache
+    def _step(self, x: Word, s: int, word: Word) -> Word:
+        return word
 
 
 def coxeter_group(spec: str | Sequence[Sequence[int]], cap: int = _ENUM_CAP) -> CoxeterGroup:

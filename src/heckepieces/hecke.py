@@ -219,28 +219,6 @@ class HeckeAlgebra:
                 add(ws, c * b)
         return HeckeElement(self, out)
 
-    def left_mult_gen(self, s: int, h: HeckeElement) -> HeckeElement:
-        """T_s · h."""
-        group = self.group
-        a, b = self._quad[s]
-        out: dict[Element, Laurent] = {}
-
-        def add(w, c):
-            t = out.get(w, ZERO) + c
-            if t:
-                out[w] = t
-            else:
-                out.pop(w, None)
-
-        for w, c in h.terms.items():
-            sw = group.left_mult_gen(s, w)
-            if group.length(sw) > group.length(w):
-                add(sw, c)
-            else:
-                add(w, c * a)
-                add(sw, c * b)
-        return HeckeElement(self, out)
-
     def multiply(self, x: HeckeElement, y: HeckeElement) -> HeckeElement:
         """x · y, by folding generator multiplications along reduced words."""
         if x.algebra is not self or y.algebra is not self:
@@ -253,13 +231,6 @@ class HeckeAlgebra:
                 h = self.right_mult_gen(h, s)
             out = out + h.scale(c)
         return out
-
-    def product_of_gens(self, word: Iterable[int]) -> HeckeElement:
-        """T_{s_1} T_{s_2} ··· for an arbitrary (possibly non-reduced) word."""
-        h = self.unit()
-        for s in word:
-            h = self.right_mult_gen(h, s)
-        return h
 
     # -- bar involution ----------------------------------------------------------
 

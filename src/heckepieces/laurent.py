@@ -39,13 +39,6 @@ class Laurent:
                     cleaned[int(e)] = int(c)
         self._terms = cleaned
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def monomial(coeff: int, exp: int) -> "Laurent":
-        """coeff * v^exp."""
-        return Laurent({exp: coeff})
-
     # -- container-ish access ----------------------------------------------
 
     def coeff(self, exp: int) -> int:

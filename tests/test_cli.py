@@ -1,9 +1,11 @@
 """Command-line interface: output formats, cache handling, exit codes."""
 
+import errno
 import json
 
 import pytest
 
+from heckepieces import cli
 from heckepieces.cli import load_kl_cache, main, save_kl_cache
 
 B2_GROUP_TEXT = (
@@ -195,6 +197,64 @@ def test_matrix_cache_names_its_matrix(tmp_path, capsys):
     assert "bad cache header" in capsys.readouterr().err
     assert main(argv) == 0
     assert capsys.readouterr().out == "1\n"
+
+
+def _edit_b3_cache(tmp_path, edit):
+    """A B3 cache whose record lines went through ``edit``, re-sorted."""
+    path = tmp_path / "b3.klcache"
+    assert main(["kl", "--type", "B3", "--cache", str(path)]) == 0
+    header, *records = path.read_text(encoding="utf-8").splitlines()
+    records = sorted(edit(records), key=lambda r: r.split("\t")[1::-1])
+    path.write_text("\n".join([header, *records]) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("edit,pair,value,message", [
+    (lambda rs: [r for r in rs if r != "12\t2123\t1"], ("12", "2123"), "1\n",
+     "missing records"),
+    (lambda rs: rs + ["3\t12\t1"], ("3", "12"), "0\n", "not a Bruhat pair"),
+], ids=["missing record", "incomparable pair"])
+def test_cache_must_hold_exactly_the_bruhat_pairs(tmp_path, capsys, edit, pair, value,
+                                                  message):
+    path = _edit_b3_cache(tmp_path, edit)
+    argv = ["kl", "--type", "B3", "--pair", *pair]
+    assert main(argv + ["--cache", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert main(argv) == 0
+    assert capsys.readouterr().out == value
+
+
+class _DiskFullHandle:
+    """A file handle that writes half of what it is given, then fails."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, text):
+        self.handle.write(text[: len(text) // 2])
+        self.handle.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_cache_write_leaves_no_file(tmp_path, b2, monkeypatch):
+    from heckepieces.hecke import kl_table
+    table = kl_table(b2)
+    good = tmp_path / "good.klcache"
+    save_kl_cache(table, str(good))
+    before = good.read_bytes()
+    monkeypatch.setattr(cli, "open", lambda *a, **k: _DiskFullHandle(open(*a, **k)),
+                        raising=False)
+    for target in (tmp_path / "new.klcache", good):
+        with pytest.raises(cli.CliError, match="cannot write cache"):
+            save_kl_cache(table, str(target))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["good.klcache"]
+    assert good.read_bytes() == before
 
 
 @pytest.mark.parametrize("mangle,message", [

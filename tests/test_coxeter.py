@@ -1,16 +1,20 @@
 """Coxeter groups: both backends, words, Bruhat order, parabolic machinery."""
 
+import functools
 import itertools
+import math
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from heckepieces.coxeter import (
     DiagramAutomorphism,
     GenericCoxeterGroup,
     SignedPermutationGroup,
     coxeter_group,
+    coxeter_order,
     type_b_matrix,
 )
 from heckepieces.hecke import kl_table
@@ -124,6 +128,145 @@ def test_length_census_is_poincare_polynomial(name):
 def test_elements_come_in_sort_key_order(group):
     elements = group.elements()
     assert list(elements) == sorted(elements, key=group.sort_key)
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_CASES))
+def test_order_of_census_cases(name):
+    matrix = CENSUS_CASES[name][0]
+    assert coxeter_order(matrix) == len(GenericCoxeterGroup(matrix).elements())
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_order_of_type_b(rank):
+    assert coxeter_order(type_b_matrix(rank)) == len(SignedPermutationGroup(rank).elements())
+
+
+AFFINE_CASES = {
+    "A~2": _coxeter_matrix(3, [(1, 2, 3), (2, 3, 3), (1, 3, 3)]),
+    "C~2": _coxeter_matrix(3, [(1, 2, 4), (2, 3, 4)]),
+    "G~2": _coxeter_matrix(3, [(1, 2, 6), (2, 3, 3)]),
+    "F~4": _coxeter_matrix(5, [(1, 2, 3), (2, 3, 3), (3, 4, 4), (4, 5, 3)]),
+    "D~4": _coxeter_matrix(5, [(1, 5, 3), (2, 5, 3), (3, 5, 3), (4, 5, 3)]),
+    "E~6": _coxeter_matrix(7, [(1, 2, 3), (2, 7, 3), (3, 4, 3), (4, 7, 3),
+                               (5, 6, 3), (6, 7, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AFFINE_CASES))
+def test_infinite_groups_are_refused_up_front(name):
+    matrix = AFFINE_CASES[name]
+    assert coxeter_order(matrix) is None
+    with pytest.raises(ValueError, match="infinite"):
+        coxeter_group(matrix)
+
+
+def test_groups_above_the_cap_are_refused_up_front():
+    with pytest.raises(ValueError, match="exceeds enumeration cap"):
+        coxeter_group("B8")
+    with pytest.raises(ValueError, match="exceeds enumeration cap"):
+        coxeter_group("B12")
+
+
+@pytest.mark.parametrize("group", [
+    SignedPermutationGroup(3),
+    GenericCoxeterGroup(A3_MATRIX),
+], ids=["B3", "matrix:A3"])
+@pytest.mark.parametrize("bad", [0, -1, 4])
+def test_generators_outside_the_range_raise(group, bad):
+    w = group.elements()[5]
+    with pytest.raises(ValueError):
+        group.right_mult_gen(w, bad)
+    with pytest.raises(ValueError):
+        group.left_mult_gen(bad, w)
+    with pytest.raises(ValueError):
+        group.generator(bad)
+
+
+# -- the window formulas of type B, kept as an oracle for the table core -----
+
+def window_length(w):
+    """inv(w) + neg(w) + nsp(w): inversions, negative entries, and pairs
+    summing negative."""
+    pairs = list(itertools.combinations(w, 2))
+    return (sum(a > b for a, b in pairs) + sum(x < 0 for x in w)
+            + sum(a + b < 0 for a, b in pairs))
+
+
+def window_right_descents(w):
+    return frozenset(([1] if w[0] < 0 else [])
+                     + [i for i in range(2, len(w) + 1) if w[i - 2] > w[i - 1]])
+
+
+def window_right_mult(w, i):
+    """w·s_i permutes positions: s_1 negates w(1), s_i swaps w(i-1), w(i)."""
+    if i == 1:
+        return (-w[0],) + w[1:]
+    lst = list(w)
+    lst[i - 2], lst[i - 1] = lst[i - 1], lst[i - 2]
+    return tuple(lst)
+
+
+def window_left_mult(i, w):
+    """s_i·w permutes values: s_1 negates ±1, s_i swaps ±(i-1) and ±i."""
+    swap = {1: -1} if i == 1 else {i - 1: i, i: i - 1}
+    return tuple(swap.get(abs(x), abs(x)) * (1 if x > 0 else -1) for x in w)
+
+
+def window_product(a, b):
+    """Composition (a·b)(j) = a(b(j))."""
+    return tuple(a[x - 1] if x > 0 else -a[-x - 1] for x in b)
+
+
+def window_inverse(w):
+    out = [0] * len(w)
+    for pos, val in enumerate(w, start=1):
+        out[abs(val) - 1] = pos if val > 0 else -pos
+    return tuple(out)
+
+
+def _check_against_windows(group, w):
+    gens = group.generators()
+    assert group.length(w) == window_length(w)
+    assert group.right_descents(w) == window_right_descents(w)
+    assert group.left_descents(w) == window_right_descents(window_inverse(w))
+    assert group.inverse(w) == window_inverse(w)
+    assert [group.right_mult_gen(w, s) for s in gens] == [window_right_mult(w, s) for s in gens]
+    assert [group.left_mult_gen(s, w) for s in gens] == [window_left_mult(s, w) for s in gens]
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_table_core_matches_window_formulas(rank):
+    group = SignedPermutationGroup(rank)
+    elements = group.elements()
+    assert len(set(elements)) == 2 ** rank * math.factorial(rank)
+    for w in elements:
+        _check_against_windows(group, w)
+    for a, b in itertools.product(elements, repeat=2):
+        assert group.product(a, b) == window_product(a, b)
+
+
+@functools.cache
+def _b5():
+    return SignedPermutationGroup(5)
+
+
+def _window_of(word):
+    w = tuple(range(1, 6))
+    for s in word:
+        w = window_right_mult(w, s)
+    return w
+
+
+b5_words = st.lists(st.integers(1, 5), max_size=30)
+
+
+@given(b5_words, b5_words)
+def test_b5_table_core_matches_window_formulas(word_a, word_b):
+    group = _b5()
+    a, b = group.from_word(word_a), group.from_word(word_b)
+    assert (a, b) == (_window_of(word_a), _window_of(word_b))
+    _check_against_windows(group, a)
+    assert group.product(a, b) == window_product(a, b)
 
 
 def test_signed_permutation_arithmetic(b3):
