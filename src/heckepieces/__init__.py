@@ -2,7 +2,7 @@
 piece indexing, Hecke-algebra operators, and unequal-parameter canonical
 bases, with an end-to-end rank-4 verification pipeline."""
 
-from .coxeter import CoxeterGroup, DiagramAutomorphism, SignedPermutationGroup, coxeter_group
+from .coxeter import CoxeterGroup, DiagramAutomorphism, coxeter_group
 from .hecke import (
     CanonicalBasis,
     HeckeAlgebra,

@@ -52,7 +52,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .coxeter import Element, SignedPermutationGroup, coxeter_group
+from .coxeter import CoxeterGroup, Element, coxeter_group
 from .hecke import (
     CanonicalBasis,
     HeckeAlgebra,
@@ -188,7 +188,7 @@ class B4Context:
     the inverse KL data of W_J, the twisted normalizer with its dihedral
     mirror, weights, signs, and canonical basis coefficients."""
 
-    group: SignedPermutationGroup
+    group: CoxeterGroup
     J: frozenset
     WJ: tuple[Element, ...]
     kl: KLTable
@@ -197,7 +197,7 @@ class B4Context:
     name_of: dict[Element, str]
     by_name: dict[str, Element]
     dihedral_word: dict[Element, str]      # words in the atoms e, f
-    mirror: SignedPermutationGroup         # abstract dihedral copy
+    mirror: CoxeterGroup                   # abstract dihedral copy
     to_mirror: dict[Element, Element]
     pbasis: CanonicalBasis
     weight_L: dict[Element, int]
@@ -254,7 +254,7 @@ def build_context(kl: KLTable | None = None) -> B4Context:
     if set(order) != set(N_raw) or len(set(order)) != 8:
         raise AssertionError("normalizer is not dihedral on the two atoms")
 
-    mirror = SignedPermutationGroup(2)
+    mirror = coxeter_group("B2")
     letter = {"e": 1, "f": 2}
     to_mirror = {
         z: mirror.from_word(letter[ch] for ch in dihedral_word[z]) for z in order
@@ -576,7 +576,7 @@ def restrictions_as_dict(ctx: B4Context) -> dict:
             entry["restrictions"][word] = {
                 "classes": {
                     group.word_str(u2): laurent_json(c)
-                    for u2, c in sorted(coeffs.items(), key=lambda kv: group.sort_key(kv[0]))
+                    for u2, c in sorted(coeffs.items())
                 },
                 "normalized": cs_json(normalized_restriction(ctx, t, z, u)),
             }

@@ -229,15 +229,14 @@ def _load_matrix(path: str) -> list[list[int]]:
 def _make_group(type_spec: str) -> CoxeterGroup:
     if type_spec.startswith("matrix:"):
         spec = _load_matrix(type_spec[len("matrix:"):])
+        if len(spec) > 9:
+            raise CliError("word serialization supports ranks up to 9")
     else:
         spec = type_spec
     try:
-        group = coxeter_group(spec)
+        return coxeter_group(spec)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    if group.rank > 9:
-        raise CliError("word serialization supports ranks up to 9")
-    return group
 
 
 def _parse_J(text: str, group: CoxeterGroup) -> frozenset:

@@ -1,21 +1,16 @@
 """Finite Coxeter groups with exact element arithmetic.
 
-One table-driven core with two labellings.  ``CoxeterGroup`` enumerates a
-group once, from its Coxeter matrix alone, one length at a time, and stores
-for every element its length, canonical reduced word, both descent sets,
-both one-generator products and its inverse.  Every structural question is
-then a lookup.  A subclass only chooses how elements are labelled:
+``CoxeterGroup`` enumerates a group once, from its Coxeter matrix alone, one
+length at a time.  Its elements are the integers 0, 1, ..., |W| - 1 in
+(length, lexicographically least reduced word) order: 0 is the identity, the
+last element is the longest, and integer order is ``sort_key`` order.  For
+every element the group stores its length, canonical reduced word, both
+descent sets, both one-generator products and its inverse in lists indexed
+by the element, so every structural question is a lookup.  Type B_n is
+built from its Coxeter matrix (``type_b_matrix``), like any other group.
 
-* ``SignedPermutationGroup`` — the hyperoctahedral group of rank n (type
-  B_n), labelled by windows (w(1), ..., w(n)) of signed integers with
-  |w(1)|, ..., |w(n)| a permutation of 1..n.  Generator s_1 flips the sign
-  in position 1; s_i for i >= 2 swaps positions i-1 and i.
-
-* ``GenericCoxeterGroup`` — any finite Coxeter matrix, labelled by canonical
-  (lexicographically least) reduced words, tuples of generator indices.
-
-Labels are hashable, and every question goes through the owning group.  The
-constructor first computes the order from the Coxeter graph
+Elements mean nothing without their group, so every question goes through
+it.  The constructor first computes the order from the Coxeter graph
 (``coxeter_order``) and refuses infinite groups and groups above the cap.
 
 Generators are indexed 1..rank throughout.  Reduced words serialize as digit
@@ -23,8 +18,10 @@ strings ("32123"), with "∅" for the identity — ranks above 9 would need a
 different serialization and are rejected by the parser.
 
 >>> W = coxeter_group("B2")
->>> sorted(W.word_str(w) for w in W.elements())
-['1', '12', '121', '1212', '2', '21', '212', '∅']
+>>> W.elements()
+range(0, 8)
+>>> [W.word_str(w) for w in W.elements()]
+['∅', '1', '2', '12', '21', '121', '212', '1212']
 >>> W.length(W.longest_element())
 4
 """
@@ -32,9 +29,9 @@ different serialization and are rejected by the parser.
 from __future__ import annotations
 
 from math import factorial
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-Element = Hashable
+Element = int
 Word = tuple[int, ...]
 
 EMPTY_WORD_GLYPH = "∅"
@@ -137,9 +134,14 @@ def _irreducible_order(nodes: list[int], edges: list[dict[int, int]]) -> int | N
 class CoxeterGroup:
     """A finite Coxeter group, enumerated once from its Coxeter matrix.
 
-    A subclass supplies the labels: ``identity()`` and ``_step(x, s, word)``,
-    the label of x·s, where s is not a right descent of x and ``word`` is the
-    canonical reduced word of x·s.  ``_step`` is called once per element.
+    Elements are the integers ``range(order)``, numbered by length and then
+    by lex-least reduced word:
+
+    >>> W = CoxeterGroup([[1, 4], [4, 1]])
+    >>> W.right_mult_gen(W.identity(), 2), W.left_mult_gen(2, 1), W.reduced_word(4)
+    (2, 4, (2, 1))
+    >>> W.right_descents(5), W.right_descents(7)
+    (frozenset({1}), frozenset({1, 2}))
     """
 
     def __init__(self, matrix: Sequence[Sequence[int]], type_tag: str = "matrix",
@@ -154,9 +156,9 @@ class CoxeterGroup:
             raise ValueError(f"group order {order} exceeds enumeration cap {cap}")
         self._lower_cache: dict[Element, frozenset] = {}
         self._parabolic_cache: dict[frozenset, tuple[Element, ...]] = {}
-        self._build_tables()
+        self._build_tables(order)
 
-    def _build_tables(self) -> None:
+    def _build_tables(self, order: int) -> None:
         """Enumerate the group by length and fill every table.
 
         An element y of length l is z·s for some z of length l-1 with s not
@@ -169,23 +171,27 @@ class CoxeterGroup:
         word of length m - 1 ending in s).  So the pairs naming y are (z, s) and
         these (z', t), and their letters are y's right descents.  Candidates
         are visited in lex order of z + (s,), so the first pair met for y
-        gives its lex-least word.
+        gives its lex-least word, and numbering elements as they are met
+        numbers them in (length, word) order.
 
         Left products and inverses follow by length: if y = z·r for the last
         letter r of y's word, then s·y = (s·z)·r and y⁻¹ = r·z⁻¹, and every
         entry read on the right is indexed by an element shorter than y.
+
+        There are at most 2^rank distinct descent sets, so each is stored once.
         """
         gens = self.generators()
-        e = self.identity()
-        rmul: dict[int, dict] = {s: {} for s in gens}
-        length, words, rdesc = {e: 0}, {e: ()}, {e: frozenset()}
-        level, elements = [e], [e]
+        rmul = {s: [-1] * order for s in gens}  # -1: product not met yet
+        length, words = [0] * order, [()] * order
+        rdesc = [frozenset()] * order
+        interned: dict[frozenset, frozenset] = {}
+        n, level = 1, range(1)
         while level:
-            nxt = []
             for z in level:
                 for s in gens:
-                    if s in rdesc[z] or z in rmul[s]:
+                    if s in rdesc[z] or rmul[s][z] >= 0:
                         continue
+                    y, n = n, n + 1
                     pairs = [(z, s)]
                     for t in gens:
                         if t == s:
@@ -198,33 +204,37 @@ class CoxeterGroup:
                             for i in range(m - 1):
                                 u = rmul[s if (m - 1 - i) % 2 else t][u]
                             pairs.append((u, t))
-                    word = words[z] + (s,)
-                    y = self._step(z, s, word)
                     for x, r in pairs:
                         rmul[r][x] = y
                         rmul[r][y] = x
-                    length[y], words[y] = len(word), word
-                    rdesc[y] = frozenset(r for _, r in pairs)
-                    nxt.append(y)
-            elements.extend(nxt)
-            level = nxt
-        lmul: dict[int, dict] = {s: {e: rmul[s][e]} for s in gens}
-        inv = {e: e}
-        for y in elements[1:]:
+                    length[y], words[y] = length[z] + 1, words[z] + (s,)
+                    descents = frozenset(r for _, r in pairs)
+                    rdesc[y] = interned.setdefault(descents, descents)
+            level = range(level.stop, n)
+        if n != order:
+            raise AssertionError(f"enumerated {n} elements, expected {order}")
+        lmul = {s: [0] * order for s in gens}
+        inv = [0] * order
+        for s in gens:
+            lmul[s][0] = rmul[s][0]
+        for y in range(1, order):
             r = words[y][-1]
             z = rmul[r][y]
             for s in gens:
                 lmul[s][y] = rmul[r][lmul[s][z]]
             inv[y] = lmul[r][inv[z]]
-        self._elements, self._words, self._length = tuple(elements), words, length
-        self._rmul, self._lmul, self._inv, self._rdesc = rmul, lmul, inv, rdesc
-        self._ldesc = {y: rdesc[inv[y]] for y in elements}
+        self._words, self._length, self._rmul, self._lmul = words, length, rmul, lmul
+        self._inv, self._rdesc = inv, rdesc
+        self._ldesc = [rdesc[x] for x in inv]
 
     # -- table lookups ---------------------------------------------------------
 
-    def elements(self) -> tuple[Element, ...]:
-        """All group elements, sorted by (length, reduced word)."""
-        return self._elements
+    def elements(self) -> range:
+        """All group elements: ``range(|W|)``, in (length, reduced word) order."""
+        return range(len(self._length))
+
+    def identity(self) -> Element:
+        return 0
 
     def length(self, w: Element) -> int:
         return self._length[w]
@@ -243,24 +253,28 @@ class CoxeterGroup:
         return self._inv[w]
 
     def right_mult_gen(self, w: Element, i: int) -> Element:
-        try:
-            return self._rmul[i][w]
-        except KeyError:
-            raise ValueError(f"no generator {i} or no element {w!r}") from None
+        return self._mult_gen(self._rmul, i, w)
 
     def left_mult_gen(self, i: int, w: Element) -> Element:
+        return self._mult_gen(self._lmul, i, w)
+
+    def _mult_gen(self, table: dict[int, list[int]], i: int, w: Element) -> Element:
+        """table[i][w], refusing what is not a generator or an element (a
+        bare list index would read -1 as the longest element)."""
         try:
-            return self._lmul[i][w]
-        except KeyError:
-            raise ValueError(f"no generator {i} or no element {w!r}") from None
+            if 0 <= w < len(self._length):
+                return table[i][w]
+        except (KeyError, TypeError):
+            pass
+        raise ValueError(f"no generator {i} or no element {w!r}")
 
     def generator(self, i: int) -> Element:
-        return self.right_mult_gen(self._elements[0], i)
+        return self.right_mult_gen(0, i)
 
     def product(self, *ws: Element) -> Element:
         """w_1·w_2···, by right multiplication along reduced words."""
         if not ws:
-            return self._elements[0]
+            return 0
         acc = ws[0]
         for b in ws[1:]:
             for s in self._words[b]:
@@ -309,10 +323,10 @@ class CoxeterGroup:
     def in_parabolic(self, w: Element, J: Iterable[int]) -> bool:
         """Whether w lies in the standard parabolic subgroup W_J (its
         reduced words then use only letters from J)."""
-        return set(self.reduced_word(w)) <= self._check_subset(J)
+        return self._check_subset(J).issuperset(self._words[w])
 
     def longest_element(self) -> Element:
-        return self._elements[-1]
+        return len(self._length) - 1
 
     # -- Bruhat order ----------------------------------------------------------
 
@@ -323,17 +337,15 @@ class CoxeterGroup:
         the running element u (initially y) by su whenever that shortens it;
         y <= w iff u ends at the identity.
         """
-        if self.length(y) > self.length(w):
+        if self._length[y] > self._length[w]:
             return False
         u = y
-        e = self.identity()
-        for s in self.reduced_word(w):
-            if u == e:
+        for s in self._words[w]:
+            if u == 0:
                 return True
-            su = self.left_mult_gen(s, u)
-            if self.length(su) < self.length(u):
-                u = su
-        return u == e
+            if s in self._ldesc[u]:
+                u = self._lmul[s][u]
+        return u == 0
 
     def bruhat_lower(self, w: Element) -> frozenset:
         """The set {y : y <= w}, built by the recursion
@@ -341,12 +353,13 @@ class CoxeterGroup:
         cached = self._lower_cache.get(w)
         if cached is not None:
             return cached
-        if w == self.identity():
+        if w == 0:
             result = frozenset([w])
         else:
-            s = min(self.left_descents(w))
-            below = self.bruhat_lower(self.left_mult_gen(s, w))
-            result = frozenset(below | {self.left_mult_gen(s, x) for x in below})
+            s = min(self._ldesc[w])
+            sx = self._lmul[s]
+            below = self.bruhat_lower(sx[w])
+            result = below.union([sx[x] for x in below])
         self._lower_cache[w] = result
         return result
 
@@ -359,38 +372,18 @@ class CoxeterGroup:
         return Jf
 
     def parabolic_elements(self, J: Iterable[int]) -> tuple[Element, ...]:
-        """All elements of the standard parabolic subgroup W_J, sorted."""
+        """All elements of the standard parabolic subgroup W_J, sorted: those
+        whose reduced word uses only letters from J."""
         Jf = self._check_subset(J)
         cached = self._parabolic_cache.get(Jf)
-        if cached is not None:
-            return cached
-        seen = {self.identity()}
-        frontier = [self.identity()]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for s in Jf:
-                    ws = self.right_mult_gen(w, s)
-                    if ws not in seen:
-                        seen.add(ws)
-                        nxt.append(ws)
-            frontier = nxt
-        result = tuple(sorted(seen, key=self.sort_key))
-        self._parabolic_cache[Jf] = result
-        return result
+        if cached is None:
+            cached = self._parabolic_cache[Jf] = tuple(
+                w for w in self.elements() if Jf.issuperset(self._words[w]))
+        return cached
 
     def longest_in_parabolic(self, J: Iterable[int]) -> Element:
-        """The longest element of W_J, by greedy ascent."""
-        Jf = self._check_subset(J)
-        u = self.identity()
-        while True:
-            for s in Jf:
-                us = self.right_mult_gen(u, s)
-                if self.length(us) > self.length(u):
-                    u = us
-                    break
-            else:
-                return u
+        """The longest element of W_J, the last in sorted order."""
+        return self.parabolic_elements(J)[-1]
 
     def right_quotient(self, w: Element, J: Iterable[int]) -> tuple[Element, Element]:
         """The unique factorization w = a·b with a of minimal length in its
@@ -446,7 +439,7 @@ class CoxeterGroup:
     def double_coset_reps(self, K: Iterable[int], J: Iterable[int]) -> tuple[Element, ...]:
         """All minimal double coset representatives ^K W^J, sorted."""
         Kf, Jf = self._check_subset(K), self._check_subset(J)
-        return tuple(w for w in self._elements
+        return tuple(w for w in self.elements()
                      if self.is_left_min(w, Kf) and self.is_right_min(w, Jf))
 
     # -- diagram automorphisms ---------------------------------------------------
@@ -512,57 +505,6 @@ class DiagramAutomorphism:
         return hash((id(self.group), frozenset(self.perm.items())))
 
 
-class SignedPermutationGroup(CoxeterGroup):
-    """Type B_n labelled by signed permutations in window notation.
-
-    An element is the tuple (w(1), ..., w(n)); w(-i) = -w(i) is implicit.
-    Right multiplication by s_i permutes positions, left multiplication
-    permutes values:
-
-    >>> W = SignedPermutationGroup(2)
-    >>> W.right_mult_gen((1, 2), 1)
-    (-1, 2)
-    >>> W.right_mult_gen((1, 2), 2)
-    (2, 1)
-    >>> W.left_mult_gen(2, (-1, 2))
-    (-2, 1)
-    >>> W.length((-2, -1))
-    3
-    """
-
-    def __init__(self, rank: int):
-        if rank < 1:
-            raise ValueError("rank must be >= 1")
-        super().__init__(type_b_matrix(rank), f"B{rank}")
-
-    def identity(self) -> tuple[int, ...]:
-        return tuple(range(1, self.rank + 1))
-
-    def _step(self, x: tuple[int, ...], s: int, word: Word) -> tuple[int, ...]:
-        """The window of x·s: s_1 negates w(1), s_i swaps w(i-1) and w(i)."""
-        if s == 1:
-            return (-x[0],) + x[1:]
-        return x[:s - 2] + (x[s - 1], x[s - 2]) + x[s:]
-
-
-class GenericCoxeterGroup(CoxeterGroup):
-    """A finite Coxeter group labelled by its canonical reduced words; the
-    label is the stored word itself, so each word is kept once.
-
-    >>> W = GenericCoxeterGroup([[1, 4], [4, 1]])
-    >>> len(W.elements())
-    8
-    >>> W.right_descents((1, 2, 1)), W.right_descents((1, 2, 1, 2))
-    (frozenset({1}), frozenset({1, 2}))
-    """
-
-    def identity(self) -> Word:
-        return ()
-
-    def _step(self, x: Word, s: int, word: Word) -> Word:
-        return word
-
-
 def coxeter_group(spec: str | Sequence[Sequence[int]], cap: int = _ENUM_CAP) -> CoxeterGroup:
     """Build a group from a type string ("B4") or an explicit Coxeter matrix.
 
@@ -574,6 +516,9 @@ def coxeter_group(spec: str | Sequence[Sequence[int]], cap: int = _ENUM_CAP) -> 
     if isinstance(spec, str):
         tag = spec.strip()
         if tag.startswith("B") and tag[1:].isdigit():
-            return SignedPermutationGroup(int(tag[1:]))
+            rank = int(tag[1:])
+            if rank < 1:
+                raise ValueError("rank must be >= 1")
+            return CoxeterGroup(type_b_matrix(rank), f"B{rank}", cap=cap)
         raise ValueError(f"unknown group type {tag!r} (expected B<rank> or a matrix)")
-    return GenericCoxeterGroup(spec, cap=cap)
+    return CoxeterGroup(spec, cap=cap)

@@ -90,7 +90,7 @@ class HeckeElement:
         return self.terms.get(w, ZERO)
 
     def support(self) -> tuple[Element, ...]:
-        return tuple(sorted(self.terms, key=self.algebra.group.sort_key))
+        return tuple(sorted(self.terms))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -292,8 +292,7 @@ class KLTable:
         return self.get(y, w).coeff(d - 1)
 
     def pairs(self) -> list[tuple[Element, Element]]:
-        key = self.group.sort_key
-        return sorted(self.table, key=lambda p: (key(p[1]), key(p[0])))
+        return sorted(self.table, key=lambda p: (p[1], p[0]))
 
 
 def kl_table(group: CoxeterGroup) -> KLTable:
@@ -318,7 +317,7 @@ def kl_table(group: CoxeterGroup) -> KLTable:
         s = min(group.left_descents(w))
         sw = group.left_mult_gen(s, w)
         lw = group.length(w)
-        column = sorted(group.bruhat_lower(w), key=group.sort_key, reverse=True)
+        column = sorted(group.bruhat_lower(w), reverse=True)
         lower_of = group.bruhat_lower
         for y in column:
             if y == w:
@@ -355,7 +354,7 @@ def inverse_kl(table: KLTable, support: Iterable[Element]) -> dict[tuple[Element
     (the inverse of a unitriangular matrix needs the whole lower set).
     """
     group = table.group
-    supp = sorted(set(support), key=group.sort_key)
+    supp = sorted(set(support))
     supp_set = set(supp)
     for w in supp:
         if not group.bruhat_lower(w) <= supp_set:
@@ -420,11 +419,8 @@ def canonical_basis(algebra: HeckeAlgebra, validate: bool = True) -> CanonicalBa
         })
         x = algebra.multiply(c_s, vectors[group.left_mult_gen(s, z)])
         while True:
-            worst = None
-            for t, coeff in x.terms.items():
-                if t != z and not coeff.in_v_minus_strict():
-                    if worst is None or group.sort_key(t) > group.sort_key(worst):
-                        worst = t
+            worst = max((t for t, coeff in x.terms.items()
+                         if t != z and not coeff.in_v_minus_strict()), default=None)
             if worst is None:
                 break
             gamma = bar_symmetric_head(x.terms[worst])

@@ -7,6 +7,7 @@ import pytest
 
 from heckepieces import cli
 from heckepieces.cli import load_kl_cache, main, save_kl_cache
+from heckepieces.coxeter import type_b_matrix
 
 B2_GROUP_TEXT = (
     "type: B2\n"
@@ -112,6 +113,24 @@ def test_group_matrix_rejects_bad_content(tmp_path, capsys):
     path.write_text(json.dumps([[1, 3], [3, 1, 3]]))
     assert main(["group", "--type", f"matrix:{path}"]) == 2
     capsys.readouterr()
+
+
+def test_matrix_rank_is_checked_before_enumerating(tmp_path, capsys, monkeypatch):
+    """A rank-10 matrix (B5 × A1⁵, 122,880 elements) is refused from its
+    size alone: words are digit strings, so ranks stop at 9."""
+    def enumerate_nothing(spec):
+        raise AssertionError("the group was built")
+
+    monkeypatch.setattr(cli, "coxeter_group", enumerate_nothing)
+    matrix = [[2] * 10 for _ in range(10)]
+    for i, row in enumerate(type_b_matrix(5)):
+        matrix[i][:5] = row
+    for i in range(10):
+        matrix[i][i] = 1
+    path = tmp_path / "rank10.json"
+    path.write_text(json.dumps(matrix))
+    assert main(["group", "--type", f"matrix:{path}"]) == 2
+    assert "ranks up to 9" in capsys.readouterr().err
 
 
 # -- kl ------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Coxeter groups: both backends, words, Bruhat order, parabolic machinery."""
+"""Coxeter groups: the table core, words, Bruhat order, parabolic machinery."""
 
 import functools
 import itertools
@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heckepieces.coxeter import (
+    CoxeterGroup,
     DiagramAutomorphism,
-    GenericCoxeterGroup,
-    SignedPermutationGroup,
     coxeter_group,
     coxeter_order,
     type_b_matrix,
@@ -63,26 +62,28 @@ def test_defining_relations(rank):
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_backends_agree_on_canonical_words(rank):
-    signed = SignedPermutationGroup(rank)
-    generic = GenericCoxeterGroup(type_b_matrix(rank), type_tag=f"B{rank}")
-    word = signed.reduced_word
-    assert [word(w) for w in signed.elements()] == list(generic.elements())
-    for w in signed.elements():
-        g = word(w)
-        assert generic.right_descents(g) == signed.right_descents(w)
-        assert generic.left_descents(g) == signed.left_descents(w)
-        assert generic.inverse(g) == word(signed.inverse(w))
-        for s in signed.generators():
-            assert generic.right_mult_gen(g, s) == word(signed.right_mult_gen(w, s))
-            assert generic.left_mult_gen(s, g) == word(signed.left_mult_gen(s, w))
+    """``B<rank>`` and the type-B matrix given as a matrix name the same
+    elements, with the same words, descents, inverses and products."""
+    typed = coxeter_group(f"B{rank}")
+    plain = coxeter_group(type_b_matrix(rank))
+    assert (typed.type_tag, plain.type_tag) == (f"B{rank}", "matrix")
+    assert typed.elements() == plain.elements()
+    for w in typed.elements():
+        assert plain.reduced_word(w) == typed.reduced_word(w)
+        assert plain.right_descents(w) == typed.right_descents(w)
+        assert plain.left_descents(w) == typed.left_descents(w)
+        assert plain.inverse(w) == typed.inverse(w)
+        for s in typed.generators():
+            assert plain.right_mult_gen(w, s) == typed.right_mult_gen(w, s)
+            assert plain.left_mult_gen(s, w) == typed.left_mult_gen(s, w)
 
 
 def test_matrix_b4_kl_table_matches_signed(b4, b4_kl):
-    generic = GenericCoxeterGroup(type_b_matrix(4))
+    generic = coxeter_group(type_b_matrix(4))
     generic_kl = kl_table(generic)
-    word = b4.reduced_word
-    assert generic_kl.table == {
-        (word(y), word(w)): p for (y, w), p in b4_kl.table.items()}
+    assert {(generic.word_str(y), generic.word_str(w)): p
+            for (y, w), p in generic_kl.table.items()} == {
+        (b4.word_str(y), b4.word_str(w)): p for (y, w), p in b4_kl.table.items()}
 
 
 def _coxeter_matrix(rank, edges):
@@ -116,14 +117,15 @@ def test_length_census_is_poincare_polynomial(name):
     for d in degrees:
         expected = [sum(expected[k - j] for j in range(d) if 0 <= k - j < len(expected))
                     for k in range(len(expected) + d - 1)]
-    census = Counter(len(w) for w in GenericCoxeterGroup(matrix).elements())
+    group = coxeter_group(matrix)
+    census = Counter(group.length(w) for w in group.elements())
     assert [census[k] for k in range(len(expected))] == expected
     assert sum(census.values()) == sum(expected)
 
 
 @pytest.mark.parametrize("group", [
-    SignedPermutationGroup(3),
-    GenericCoxeterGroup(CENSUS_CASES["D4"][0]),
+    coxeter_group("B3"),
+    coxeter_group(CENSUS_CASES["D4"][0]),
 ], ids=["B3", "matrix:D4"])
 def test_elements_come_in_sort_key_order(group):
     elements = group.elements()
@@ -133,12 +135,16 @@ def test_elements_come_in_sort_key_order(group):
 @pytest.mark.parametrize("name", sorted(CENSUS_CASES))
 def test_order_of_census_cases(name):
     matrix = CENSUS_CASES[name][0]
-    assert coxeter_order(matrix) == len(GenericCoxeterGroup(matrix).elements())
+    assert coxeter_order(matrix) == _distinct_words(CoxeterGroup(matrix))
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4, 5])
 def test_order_of_type_b(rank):
-    assert coxeter_order(type_b_matrix(rank)) == len(SignedPermutationGroup(rank).elements())
+    assert coxeter_order(type_b_matrix(rank)) == _distinct_words(coxeter_group(f"B{rank}"))
+
+
+def _distinct_words(group):
+    return len({group.reduced_word(w) for w in group.elements()})
 
 
 AFFINE_CASES = {
@@ -168,11 +174,13 @@ def test_groups_above_the_cap_are_refused_up_front():
 
 
 @pytest.mark.parametrize("group", [
-    SignedPermutationGroup(3),
-    GenericCoxeterGroup(A3_MATRIX),
+    coxeter_group("B3"),
+    coxeter_group(A3_MATRIX),
 ], ids=["B3", "matrix:A3"])
 @pytest.mark.parametrize("bad", [0, -1, 4])
 def test_generators_outside_the_range_raise(group, bad):
+    """Neither a generator outside 1..rank nor an element outside range(|W|)
+    is looked up; in particular element -1 must not wrap to the last one."""
     w = group.elements()[5]
     with pytest.raises(ValueError):
         group.right_mult_gen(w, bad)
@@ -180,6 +188,11 @@ def test_generators_outside_the_range_raise(group, bad):
         group.left_mult_gen(bad, w)
     with pytest.raises(ValueError):
         group.generator(bad)
+    for x in (-1, len(group.elements()), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            group.right_mult_gen(x, 1)
+        with pytest.raises(ValueError):
+            group.left_mult_gen(1, x)
 
 
 # -- the window formulas of type B, kept as an oracle for the table core -----
@@ -224,37 +237,47 @@ def window_inverse(w):
     return tuple(out)
 
 
+def window_of_word(rank, word):
+    """The window of s_{word[0]}···s_{word[-1]}, by right multiplications."""
+    w = tuple(range(1, rank + 1))
+    for s in word:
+        w = window_right_mult(w, s)
+    return w
+
+
+def _window(group, x):
+    return window_of_word(group.rank, group.reduced_word(x))
+
+
 def _check_against_windows(group, w):
     gens = group.generators()
-    assert group.length(w) == window_length(w)
-    assert group.right_descents(w) == window_right_descents(w)
-    assert group.left_descents(w) == window_right_descents(window_inverse(w))
-    assert group.inverse(w) == window_inverse(w)
-    assert [group.right_mult_gen(w, s) for s in gens] == [window_right_mult(w, s) for s in gens]
-    assert [group.left_mult_gen(s, w) for s in gens] == [window_left_mult(s, w) for s in gens]
+    window = functools.partial(_window, group)
+    win = window(w)
+    assert group.length(w) == window_length(win)
+    assert group.right_descents(w) == window_right_descents(win)
+    assert group.left_descents(w) == window_right_descents(window_inverse(win))
+    assert window(group.inverse(w)) == window_inverse(win)
+    assert ([window(group.right_mult_gen(w, s)) for s in gens]
+            == [window_right_mult(win, s) for s in gens])
+    assert ([window(group.left_mult_gen(s, w)) for s in gens]
+            == [window_left_mult(s, win) for s in gens])
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_table_core_matches_window_formulas(rank):
-    group = SignedPermutationGroup(rank)
+    group = coxeter_group(f"B{rank}")
     elements = group.elements()
-    assert len(set(elements)) == 2 ** rank * math.factorial(rank)
+    windows = [_window(group, w) for w in elements]
+    assert len(set(windows)) == len(elements) == 2 ** rank * math.factorial(rank)
     for w in elements:
         _check_against_windows(group, w)
     for a, b in itertools.product(elements, repeat=2):
-        assert group.product(a, b) == window_product(a, b)
+        assert windows[group.product(a, b)] == window_product(windows[a], windows[b])
 
 
 @functools.cache
 def _b5():
-    return SignedPermutationGroup(5)
-
-
-def _window_of(word):
-    w = tuple(range(1, 6))
-    for s in word:
-        w = window_right_mult(w, s)
-    return w
+    return coxeter_group("B5")
 
 
 b5_words = st.lists(st.integers(1, 5), max_size=30)
@@ -263,10 +286,11 @@ b5_words = st.lists(st.integers(1, 5), max_size=30)
 @given(b5_words, b5_words)
 def test_b5_table_core_matches_window_formulas(word_a, word_b):
     group = _b5()
+    window = functools.partial(_window, group)
     a, b = group.from_word(word_a), group.from_word(word_b)
-    assert (a, b) == (_window_of(word_a), _window_of(word_b))
+    assert (window(a), window(b)) == (window_of_word(5, word_a), window_of_word(5, word_b))
     _check_against_windows(group, a)
-    assert group.product(a, b) == window_product(a, b)
+    assert window(group.product(a, b)) == window_product(window(a), window(b))
 
 
 def test_signed_permutation_arithmetic(b3):

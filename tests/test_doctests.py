@@ -1,10 +1,14 @@
-"""Run the usage examples embedded in the module docstrings."""
+"""Run the usage examples embedded in the module docstrings and the README."""
 
 import doctest
+import re
+from pathlib import Path
 
 import pytest
 
 from heckepieces import coxeter, hecke, laurent
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.mark.parametrize("module", [laurent, coxeter, hecke],
@@ -12,4 +16,24 @@ from heckepieces import coxeter, hecke, laurent
 def test_doctests(module):
     result = doctest.testmod(module)
     assert result.attempted > 0
+    assert result.failed == 0
+
+
+def test_readme_quick_tour():
+    """Each fenced python block of the README runs as its own DocTest, in
+    order, and sees the names the blocks before it defined.  (doctest.testfile
+    would read every closing fence as expected output.)"""
+    text = README.read_text(encoding="utf-8")
+    parser, runner = doctest.DocTestParser(), doctest.DocTestRunner()
+    globs: dict = {}
+    blocks = 0
+    for match in re.finditer(r"^```python\n(.*?)^```$", text, re.M | re.S):
+        lineno = text.count("\n", 0, match.start(1))
+        test = parser.get_doctest(match.group(1), globs, f"README.md:{lineno + 1}",
+                                  str(README), lineno)
+        runner.run(test, clear_globs=False)
+        globs = test.globs
+        blocks += 1
+    result = runner.summarize(verbose=False)
+    assert blocks >= 5 and result.attempted > blocks
     assert result.failed == 0
