@@ -62,7 +62,7 @@ from .hecke import (
     inverse_kl,
     kl_table,
 )
-from .laurent import Laurent, ONE, ZERO, v_power
+from .laurent import Laurent, ONE, ZERO, add_into, v_power
 
 SYMBOLS = ("1", "rho", "sigma", "sigma'", "theta", "S")
 NONUNIT = ("rho", "sigma", "sigma'", "theta", "S")
@@ -114,21 +114,12 @@ class CSVector:
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other: "CSVector") -> "CSVector":
-        out = dict(self.coeffs)
-        for sym, c in other.coeffs.items():
-            s = out.get(sym, ZERO) + c
-            if s:
-                out[sym] = s
-            else:
-                out.pop(sym, None)
-        return CSVector(out)
+        return CSVector(add_into(dict(self.coeffs), other.coeffs.items()))
 
     def __sub__(self, other: "CSVector") -> "CSVector":
-        return self + other.scale(Laurent({0: -1}))
+        return CSVector(add_into(dict(self.coeffs), other.coeffs.items(), -1))
 
     def scale(self, c: Laurent | int) -> "CSVector":
-        if isinstance(c, int):
-            c = Laurent({0: c})
         return CSVector({sym: c * x for sym, x in self.coeffs.items()})
 
     def nonunit(self) -> dict[str, Laurent]:
@@ -305,10 +296,10 @@ def restriction_coefficients(ctx: B4Context, t: Element, z: Element,
 
 def piece_restriction(ctx: B4Context, t: Element, z: Element, u: Element) -> CSVector:
     """[z^{-1}u]_(t) pushed through the character-sheaf table."""
-    out = CSVector()
+    out: dict[str, Laurent] = {}
     for u2, c in restriction_coefficients(ctx, t, z, u).items():
-        out = out + ctx.cs_table[u2].scale(c)
-    return out
+        add_into(out, ctx.cs_table[u2].coeffs.items(), c)
+    return CSVector(out)
 
 
 def normalized_restriction(ctx: B4Context, t: Element, z: Element,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .coxeter import CoxeterGroup, Element
-from .laurent import Laurent, ONE, ZERO, bar_symmetric_head, v_power
+from .laurent import Laurent, ONE, ZERO, add_into, bar_symmetric_head, v_power
 
 Q = v_power(2)
 
@@ -104,24 +104,15 @@ class HeckeElement:
         return hash((id(self.algebra), frozenset(self.terms.items())))
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return HeckeElement(self.algebra, out)
+        return HeckeElement(self.algebra, add_into(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + other.scale(Laurent({0: -1}))
+        return HeckeElement(self.algebra, add_into(dict(self.terms), other.terms.items(), -1))
 
     def __neg__(self) -> "HeckeElement":
-        return self.scale(Laurent({0: -1}))
+        return HeckeElement(self.algebra, add_into({}, self.terms.items(), -1))
 
     def scale(self, c: Laurent | int) -> "HeckeElement":
-        if isinstance(c, int):
-            c = Laurent({0: c})
         return HeckeElement(self.algebra, {w: c * x for w, x in self.terms.items()})
 
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
@@ -197,40 +188,30 @@ class HeckeAlgebra:
 
     # -- multiplication --------------------------------------------------------
 
-    def right_mult_gen(self, h: HeckeElement, s: int) -> HeckeElement:
-        """h · T_s."""
+    def _times_gen(self, terms: Mapping[Element, Laurent], s: int) -> dict[Element, Laurent]:
+        """The terms of h · T_s, for h given by its terms."""
         group = self.group
         a, b = self._quad[s]
-        out: dict[Element, Laurent] = {}
-
-        def add(w, c):
-            t = out.get(w, ZERO) + c
-            if t:
-                out[w] = t
-            else:
-                out.pop(w, None)
-
-        for w, c in h.terms.items():
+        pairs = []
+        for w, c in terms.items():
             ws = group.right_mult_gen(w, s)
             if group.length(ws) > group.length(w):
-                add(ws, c)
+                pairs.append((ws, c))
             else:
-                add(w, c * a)
-                add(ws, c * b)
-        return HeckeElement(self, out)
+                pairs += ((w, c * a), (ws, c * b))
+        return add_into({}, pairs)
 
     def multiply(self, x: HeckeElement, y: HeckeElement) -> HeckeElement:
         """x · y, by folding generator multiplications along reduced words."""
         if x.algebra is not self or y.algebra is not self:
             raise ValueError("operands belong to a different algebra")
-        group = self.group
-        out = self.zero()
+        out: dict[Element, Laurent] = {}
         for w, c in y.terms.items():
-            h = x
-            for s in group.reduced_word(w):
-                h = self.right_mult_gen(h, s)
-            out = out + h.scale(c)
-        return out
+            terms = x.terms
+            for s in self.group.reduced_word(w):
+                terms = self._times_gen(terms, s)
+            add_into(out, terms.items(), c)
+        return HeckeElement(self, out)
 
     # -- bar involution ----------------------------------------------------------
 
@@ -259,10 +240,10 @@ class HeckeAlgebra:
 
     def bar(self, h: HeckeElement) -> HeckeElement:
         """The semilinear involution: bar(sum c_w T_w) = sum bar(c_w) bar(T_w)."""
-        out = self.zero()
+        out: dict[Element, Laurent] = {}
         for w, c in h.terms.items():
-            out = out + self._bar_of_basis(w).scale(c.bar())
-        return out
+            add_into(out, self._bar_of_basis(w).terms.items(), c.bar())
+        return HeckeElement(self, out)
 
 
 # -- Kazhdan-Lusztig tables ------------------------------------------------------
@@ -418,13 +399,14 @@ def canonical_basis(algebra: HeckeAlgebra, validate: bool = True) -> CanonicalBa
             group.identity(): v_power(-weight(s)),
         })
         x = algebra.multiply(c_s, vectors[group.left_mult_gen(s, z)])
+        terms = x.terms  # x is new, so its terms are corrected in place
         while True:
-            worst = max((t for t, coeff in x.terms.items()
+            worst = max((t for t, coeff in terms.items()
                          if t != z and not coeff.in_v_minus_strict()), default=None)
             if worst is None:
                 break
-            gamma = bar_symmetric_head(x.terms[worst])
-            x = x - vectors[worst].scale(gamma)
+            gamma = bar_symmetric_head(terms[worst])
+            add_into(terms, vectors[worst].terms.items(), -gamma)
         if validate:
             if x.coeff(z) != ONE:
                 raise AssertionError("canonical basis element lost its top term")

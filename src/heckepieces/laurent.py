@@ -20,7 +20,33 @@ poke at the internal dict.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
+
+
+def add_into(out: dict, pairs: Iterable[tuple], c=None) -> dict:
+    """Add c·x to out[k] for each (k, x) in pairs (x itself when c is None),
+    drop every key whose sum is zero, and return out.
+
+    This is the one sparse accumulation loop of the package: Laurent
+    polynomials, Hecke elements and character-sheaf vectors all keep sparse
+    maps without zero values and sum them here.  Values may be ints or
+    Laurent polynomials.
+
+    >>> add_into({1: 2, 2: 5}, [(1, -2), (3, 4)])
+    {2: 5, 3: 4}
+    >>> add_into({"a": ONE, "b": ONE}, [("a", v_power(1)), ("c", ONE)], -v_power(-1))
+    {'b': Laurent('1'), 'c': Laurent('-v^-1')}
+    """
+    for k, x in pairs:
+        if c is not None:
+            x = c * x
+        s = out.get(k)
+        s = x if s is None else s + x
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
 
 
 class Laurent:
@@ -88,15 +114,8 @@ class Laurent:
             other = Laurent({0: other})
         if not isinstance(other, Laurent):
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
         result = Laurent.__new__(Laurent)
-        result._terms = out
+        result._terms = add_into(dict(self._terms), other._terms.items())
         return result
 
     __radd__ = __add__
@@ -265,9 +284,6 @@ def bar_symmetric_head(p: Laurent) -> Laurent:
     """
     out: dict[int, int] = {}
     for e, c in p._terms.items():
-        if e == 0:
-            out[0] = out.get(0, 0) + c
-        elif e > 0:
-            out[e] = out.get(e, 0) + c
-            out[-e] = out.get(-e, 0) + c
+        if e >= 0:
+            out[e] = out[-e] = c
     return Laurent(out)

@@ -32,6 +32,7 @@ from typing import Iterable, Sequence
 
 from .coxeter import CoxeterGroup, DiagramAutomorphism, Element
 from .hecke import HeckeAlgebra, HeckeElement
+from .laurent import add_into
 
 
 def ad_indices(group: CoxeterGroup, w: Element, K: Iterable[int]) -> frozenset:
@@ -232,6 +233,13 @@ def twisted_normalizer(group: CoxeterGroup, J: Iterable[int],
 # -- closure order -----------------------------------------------------------
 
 
+def _twisted_orbit(group: CoxeterGroup, Jf: frozenset, delta: DiagramAutomorphism,
+                   w: Element) -> set:
+    """{δ(u) w u^{-1} : u in W_J}."""
+    return {group.product(delta.apply(u), w, group.inverse(u))
+            for u in group.parabolic_elements(Jf)}
+
+
 def closure_leq(group: CoxeterGroup, J: Iterable[int], delta: DiagramAutomorphism,
                 w1: Element, w2: Element) -> bool:
     """w1 ≤ w2 in the closure order: δ(u) w1 u^{-1} ≤ w2 (Bruhat) for some
@@ -239,39 +247,30 @@ def closure_leq(group: CoxeterGroup, J: Iterable[int], delta: DiagramAutomorphis
     Jf = group._check_subset(J)
     _validate_index(group, Jf, delta, w1)
     _validate_index(group, Jf, delta, w2)
-    w2_len = group.length(w2)
-    for u in group.parabolic_elements(Jf):
-        x = group.product(delta.apply(u), w1, group.inverse(u))
-        if group.length(x) <= w2_len and group.bruhat_leq(x, w2):
-            return True
-    return False
+    return any(group.bruhat_leq(x, w2) for x in _twisted_orbit(group, Jf, delta, w1))
 
 
 def closure_hasse(group: CoxeterGroup, J: Iterable[int],
                   delta: DiagramAutomorphism) -> tuple[tuple[Element, Element], ...]:
     """Covering pairs (a, b), a strictly below b with nothing between, of the
-    closure order on all piece indices.  Raises if the computed relation is
-    not antisymmetric (it is a partial order for genuine stabilization data)."""
-    idx = piece_indices(group, J, delta)
-    pos = {w: i for i, w in enumerate(idx)}
-    n = len(idx)
-    leq = [[False] * n for _ in range(n)]
-    for a in idx:
-        for b in idx:
-            if closure_leq(group, J, delta, a, b):
-                leq[pos[a]][pos[b]] = True
-    for i in range(n):
-        for j in range(n):
-            if i != j and leq[i][j] and leq[j][i]:
-                raise AssertionError("closure relation is not antisymmetric")
+    closure order on all piece indices, sorted by the positions of a and b.
+    Raises if the computed relation is not antisymmetric (it is a partial
+    order for genuine stabilization data)."""
+    Jf = group._check_subset(J)
+    idx = piece_indices(group, Jf, delta)
+    orbits = [_twisted_orbit(group, Jf, delta, w) for w in idx]
+    # below[j]: the positions i != j with idx[i] < idx[j]
+    below = [
+        {i for i, orbit in enumerate(orbits)
+         if i != j and any(group.bruhat_leq(x, w) for x in orbit)}
+        for j, w in enumerate(idx)
+    ]
     covers = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not leq[i][j]:
-                continue
-            if not any(leq[i][k] and leq[k][j] for k in range(n) if k != i and k != j):
-                covers.append((idx[i], idx[j]))
-    return tuple(covers)
+    for j, under in enumerate(below):
+        if any(j in below[i] for i in under):
+            raise AssertionError("closure relation is not antisymmetric")
+        covers += ((i, j) for i in under.difference(*(below[k] for k in under)))
+    return tuple((idx[i], idx[j]) for i, j in sorted(covers))
 
 
 # -- dimensions ----------------------------------------------------------------
@@ -332,25 +331,20 @@ def mu_J(h: HeckeElement, J: Iterable[int], delta: DiagramAutomorphism) -> Hecke
     """
     algebra = h.algebra
     Jf = algebra.group._check_subset(J)
-    out = algebra.zero()
+    out: dict = {}
     for y, c in h.terms.items():
-        out = out + _mu_on_basis(algebra, Jf, delta, y).scale(c)
-    return out
+        add_into(out, _mu_on_basis(algebra, Jf, delta, y).terms.items(), c)
+    return algebra.element(out)
 
 
 def piece_projection(h: HeckeElement, data: BedardData) -> HeckeElement:
     """T_y ↦ T_{wy} when wy stays in W_{δ(J_inf)}, else 0, extended linearly
     (w the piece index)."""
-    algebra = h.algebra
-    group = algebra.group
+    group = h.algebra.group
     K = data.target_parabolic
-    out: dict[Element, object] = {}
-    for y, c in h.terms.items():
-        y1 = group.product(data.w, y)
-        if group.in_parabolic(y1, K):
-            prev = out.get(y1)
-            out[y1] = c if prev is None else prev + c
-    return algebra.element(out)
+    # y ↦ wy is injective, so no two terms land on the same T and nothing sums
+    moved = ((group.product(data.w, y), c) for y, c in h.terms.items())
+    return h.algebra.element({y1: c for y1, c in moved if group.in_parabolic(y1, K)})
 
 
 def E_operator(h: HeckeElement, data: BedardData, n: int) -> HeckeElement:

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from heckepieces.coxeter import coxeter_group
 from heckepieces.hecke import (
@@ -70,6 +71,60 @@ def test_associativity_sampled(b3):
         x, y, z = (algebra.basis(rng.choice(elements)) for _ in range(3))
         assert algebra.multiply(algebra.multiply(x, y), z) == \
             algebra.multiply(x, algebra.multiply(y, z))
+
+
+def reference_multiply(algebra, x, y):
+    """x · y as first written: fold each term of y through one new element
+    per generator step, then ``out = out + h.scale(c)``."""
+    group = algebra.group
+
+    def right_mult_gen(h, s):
+        a, b = algebra.quad_coeffs(s)
+        out = {}
+
+        def add(w, c):
+            t = out.get(w, ZERO) + c
+            if t:
+                out[w] = t
+            else:
+                out.pop(w, None)
+
+        for w, c in h.terms.items():
+            ws = group.right_mult_gen(w, s)
+            if group.length(ws) > group.length(w):
+                add(ws, c)
+            else:
+                add(w, c * a)
+                add(ws, c * b)
+        return algebra.element(out)
+
+    out = algebra.zero()
+    for w, c in y.terms.items():
+        h = x
+        for s in group.reduced_word(w):
+            h = right_mult_gen(h, s)
+        out = out + h.scale(c)
+    return out
+
+
+B3 = coxeter_group("B3")
+B3_ALGEBRAS = algebras_of(B3)
+# monomials ±v^e on few exponents, so that terms meeting on one T_w cancel
+MONOMIALS = st.builds(lambda e, c: Laurent({e: c}), st.integers(-2, 2), st.sampled_from([-1, 1]))
+B3_TERMS = st.dictionaries(st.sampled_from(B3.elements()), MONOMIALS, max_size=5)
+
+
+@given(x=B3_TERMS, y=B3_TERMS, which=st.sampled_from([0, 1]))
+# T_1 · (T_1 - a_1) = 1 in the split normalization: every other term cancels
+@example(x={B3.generator(1): ONE},
+         y={B3.generator(1): ONE, B3.identity(): -B3_ALGEBRAS[1].quad_coeffs(1)[0]},
+         which=1)
+def test_multiply_matches_reference(x, y, which):
+    algebra = B3_ALGEBRAS[which]
+    hx, hy = algebra.element(x), algebra.element(y)
+    assert algebra.multiply(hx, hy) == reference_multiply(algebra, hx, hy)
+    assert (hx - hx).terms == {}
+    assert (hx + -hx).terms == {}
 
 
 def test_weight_function_validation(b3):

@@ -2,6 +2,7 @@
 and the contraction/projection operators on the Hecke algebra."""
 
 import gc
+import itertools
 import random
 import weakref
 from collections import Counter
@@ -26,6 +27,8 @@ from heckepieces.pieces import (
 J = frozenset({1, 2})
 
 A3_MATRIX = ((1, 3, 2), (3, 1, 3), (2, 3, 1))
+A4_MATRIX = ((1, 3, 2, 2), (3, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1))
+D4_MATRIX = ((1, 3, 2, 2), (3, 1, 3, 3), (2, 3, 1, 2), (2, 3, 2, 1))
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +193,50 @@ def test_closure_hasse_b4(b4, b4_data):
         assert closure_leq(b4, J, delta, a, b)
         assert not closure_leq(b4, J, delta, b, a)
         assert pos[a] != pos[b]
+
+
+def reference_closure_hasse(group, J, delta):
+    """The covers as first computed: the closure relation on every ordered
+    pair of indices, each pair trying every u in W_J, then a scan over all
+    middle elements k for each related pair."""
+    idx = piece_indices(group, J, delta)
+    n = len(idx)
+
+    def leq(w1, w2):
+        return any(
+            group.bruhat_leq(group.product(delta.apply(u), w1, group.inverse(u)), w2)
+            for u in group.parabolic_elements(J))
+
+    rel = [[leq(a, b) for b in idx] for a in idx]
+    for i in range(n):
+        for j in range(n):
+            if i != j and rel[i][j] and rel[j][i]:
+                raise AssertionError("closure relation is not antisymmetric")
+    return tuple(
+        (idx[i], idx[j]) for i in range(n) for j in range(n)
+        if i != j and rel[i][j]
+        and not any(rel[i][k] and rel[k][j] for k in range(n) if k != i and k != j))
+
+
+def _closure_cases():
+    b3 = coxeter_group("B3")
+    for k in (1, 2, 3):
+        for Jsub in itertools.combinations((1, 2, 3), k):
+            yield b3, Jsub, None
+    b4 = coxeter_group("B4")
+    for Jsub in ((2,), (1, 3), (1, 2)):
+        yield b4, Jsub, None
+    d4 = coxeter_group(D4_MATRIX)
+    for Jsub in ((2,), (1, 3)):
+        yield d4, Jsub, {1: 3, 2: 2, 3: 4, 4: 1}
+    yield coxeter_group(A4_MATRIX), (1, 2), {1: 4, 2: 3, 3: 2, 4: 1}
+
+
+def test_closure_hasse_matches_reference():
+    for group, Jsub, mapping in _closure_cases():
+        delta = group.automorphism(mapping)
+        assert closure_hasse(group, Jsub, delta) == \
+            reference_closure_hasse(group, frozenset(Jsub), delta), (group.type_tag, Jsub)
 
 
 def test_closure_rejects_non_indices(b4):
