@@ -278,17 +278,15 @@ def restriction_coefficients(ctx: B4Context, t: Element, z: Element,
     group = ctx.group
     zu = group.product(group.inverse(z), u)
     t_inv = group.inverse(t)
+    p_of = {u1: ctx.kl.get(group.product(t_inv, u1), zu) for u1 in ctx.WJ}
     out: dict[Element, Laurent] = {}
     for u2 in ctx.WJ:
         acc = ZERO
         for u1 in ctx.WJ:
             pp = ctx.ikl.get((u2, u1))
-            if pp is None:
+            if pp is None or not p_of[u1]:
                 continue
-            p = ctx.kl.table.get((group.product(t_inv, u1), zu))
-            if p is None:
-                continue
-            acc = acc + pp * p
+            acc = acc + pp * p_of[u1]
         if acc:
             out[u2] = acc
     return out

@@ -180,7 +180,7 @@ def load_kl_cache(path: str, group: CoxeterGroup) -> KLTable:
         if len(coeffs) > 1 and coeffs[-1] == 0:
             raise CliError(f"trailing zero coefficient in {line!r}")
         y, w = parse(y_word), parse(w_word)
-        if y not in group.bruhat_lower(w):
+        if not group.bruhat_mask(w) >> y & 1:
             raise CliError(f"record {line!r} is not a Bruhat pair y <= w")
         p = _from_q_coefficients(coeffs)
         gap = group.length(w) - group.length(y)
@@ -195,7 +195,7 @@ def load_kl_cache(path: str, group: CoxeterGroup) -> KLTable:
         table[(y, w)] = p
         records_of[w] = records_of.get(w, 0) + 1
     for w in group.elements():
-        if records_of.get(w, 0) != len(group.bruhat_lower(w)):
+        if records_of.get(w, 0) != group.bruhat_mask(w).bit_count():
             raise CliError(f"missing records: some y <= {group.word_str(w)} "
                            "have none")
     return KLTable(group=group, table=table)

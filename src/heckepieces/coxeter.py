@@ -6,8 +6,9 @@ length at a time.  Its elements are the integers 0, 1, ..., |W| - 1 in
 last element is the longest, and integer order is ``sort_key`` order.  For
 every element the group stores its length, canonical reduced word, both
 descent sets, both one-generator products and its inverse in lists indexed
-by the element, so every structural question is a lookup.  Type B_n is
-built from its Coxeter matrix (``type_b_matrix``), like any other group.
+by the element, so every structural question is a lookup; one more list,
+filled lazily, holds Bruhat ideals as int bitmasks (``bruhat_mask``).  Type
+B_n is built from its Coxeter matrix (``type_b_matrix``), like any other group.
 
 Elements mean nothing without their group, so every question goes through
 it.  The constructor first computes the order from the Coxeter graph
@@ -28,6 +29,7 @@ range(0, 8)
 
 from __future__ import annotations
 
+from itertools import compress
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -37,6 +39,19 @@ Word = tuple[int, ...]
 EMPTY_WORD_GLYPH = "∅"
 
 _ENUM_CAP = 10**6
+
+
+_DIGIT_TO_FLAG = bytes.maketrans(b"01", b"\0\1")
+
+
+def mask_bits(mask: int) -> list[int]:
+    """The positions of the set bits of a nonnegative ``mask``, ascending.
+
+    >>> mask_bits(0b100101)
+    [0, 2, 5]
+    """
+    flags = format(mask, "b")[::-1].encode().translate(_DIGIT_TO_FLAG)
+    return list(compress(range(len(flags)), flags))
 
 
 def _validate_matrix(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -154,7 +169,6 @@ class CoxeterGroup:
             raise ValueError("Coxeter matrix defines an infinite group")
         if order > cap:
             raise ValueError(f"group order {order} exceeds enumeration cap {cap}")
-        self._lower_cache: dict[Element, frozenset] = {}
         self._parabolic_cache: dict[frozenset, tuple[Element, ...]] = {}
         self._build_tables(order)
 
@@ -226,6 +240,7 @@ class CoxeterGroup:
         self._words, self._length, self._rmul, self._lmul = words, length, rmul, lmul
         self._inv, self._rdesc = inv, rdesc
         self._ldesc = [rdesc[x] for x in inv]
+        self._masks = [1] + [0] * (order - 1)  # see bruhat_mask
 
     # -- table lookups ---------------------------------------------------------
 
@@ -330,38 +345,45 @@ class CoxeterGroup:
 
     # -- Bruhat order ----------------------------------------------------------
 
-    def bruhat_leq(self, y: Element, w: Element) -> bool:
-        """y <= w in Bruhat order, by the one-pass descent scan:
+    def bruhat_mask(self, w: Element) -> int:
+        """The Bruhat ideal {y : y <= w} as an int with bit y set for each
+        y; no bit lies above w, since elements are numbered by length.
 
-        walking the letters s of a reduced word of w from the left, replace
-        the running element u (initially y) by su whenever that shortens it;
-        y <= w iff u ends at the identity.
+        Built on first use by the lifting property (Björner–Brenti, GTM 231,
+        Prop. 2.2.7): {y <= z·s} = {y <= z} ∪ {y·s : y <= z} for z < z·s.
+        Canonical words are prefix-closed, so the walk goes down w's word to
+        the nearest built mask and fills upward.
+
+        >>> W = coxeter_group("B2")
+        >>> W.word_str(6), bin(W.bruhat_mask(6))  # all but 121 (5) and 1212 (7)
+        ('212', '0b1011111')
         """
-        if self._length[y] > self._length[w]:
-            return False
-        u = y
-        for s in self._words[w]:
-            if u == 0:
-                return True
-            if s in self._ldesc[u]:
-                u = self._lmul[s][u]
-        return u == 0
+        self._check_element(w)
+        masks, pending = self._masks, []
+        while not masks[w]:  # 0: not built; every ideal holds the identity
+            ys = self._rmul[self._words[w][-1]]
+            pending.append((w, ys))
+            w = ys[w]
+        for y, ys in reversed(pending):
+            digits = bytearray(b"0") * (y + 1)
+            for x in mask_bits(masks[w]):
+                digits[ys[x]] = 49  # ord("1"); bit b is digit b from the end
+            masks[y] = masks[w] | int(digits[::-1], 2)
+            w = y
+        return masks[w]
+
+    def bruhat_leq(self, y: Element, w: Element) -> bool:
+        """y <= w in Bruhat order."""
+        self._check_element(y)
+        return bool(self.bruhat_mask(w) >> y & 1)
 
     def bruhat_lower(self, w: Element) -> frozenset:
-        """The set {y : y <= w}, built by the recursion
-        lower(w) = lower(sw) ∪ s·lower(sw) for any left descent s of w."""
-        cached = self._lower_cache.get(w)
-        if cached is not None:
-            return cached
-        if w == 0:
-            result = frozenset([w])
-        else:
-            s = min(self._ldesc[w])
-            sx = self._lmul[s]
-            below = self.bruhat_lower(sx[w])
-            result = below.union([sx[x] for x in below])
-        self._lower_cache[w] = result
-        return result
+        """The set {y : y <= w}."""
+        return frozenset(mask_bits(self.bruhat_mask(w)))
+
+    def _check_element(self, w: Element) -> None:
+        if not (isinstance(w, int) and 0 <= w < len(self._length)):
+            raise ValueError(f"no element {w!r}")  # -1 would read the last one
 
     # -- parabolic machinery ----------------------------------------------------
 
@@ -400,16 +422,10 @@ class CoxeterGroup:
 
     def left_quotient(self, w: Element, J: Iterable[int]) -> tuple[Element, Element]:
         """The unique factorization w = b·a with b in W_J and a of minimal
-        length in W_J w (no left descents in J); lengths add."""
-        Jf = self._check_subset(J)
-        a, b = w, self.identity()
-        while True:
-            ds = self.left_descents(a) & Jf
-            if not ds:
-                return b, a
-            s = min(ds)
-            a = self.left_mult_gen(s, a)
-            b = self.right_mult_gen(b, s)
+        length in W_J w (no left descents in J); lengths add.  It is the
+        right quotient of w^{-1}, inverted."""
+        a_inv, b_inv = self.right_quotient(self.inverse(w), J)
+        return self.inverse(b_inv), self.inverse(a_inv)
 
     def is_right_min(self, w: Element, J: Iterable[int]) -> bool:
         """w shortest in wW_J, i.e. no right descents in J."""
@@ -474,12 +490,6 @@ class DiagramAutomorphism:
     def __call__(self, i: int) -> int:
         return self.perm[i]
 
-    def inv(self, i: int) -> int:
-        return self._inv_perm[i]
-
-    def is_identity(self) -> bool:
-        return all(v == k for k, v in self.perm.items())
-
     def on_set(self, J: Iterable[int]) -> frozenset:
         return frozenset(self.perm[i] for i in J)
 
@@ -487,13 +497,9 @@ class DiagramAutomorphism:
         return frozenset(self._inv_perm[i] for i in J)
 
     def apply(self, w: Element) -> Element:
-        if self.is_identity():
-            return w
         return self.group.from_word(self.perm[s] for s in self.group.reduced_word(w))
 
     def apply_inv(self, w: Element) -> Element:
-        if self.is_identity():
-            return w
         return self.group.from_word(self._inv_perm[s] for s in self.group.reduced_word(w))
 
     def __eq__(self, other: object) -> bool:

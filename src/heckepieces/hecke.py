@@ -15,9 +15,10 @@ is the semilinear ring map with bar(v) = v^-1 and bar(T_w) = (T_{w^-1})^-1.
 
 Kazhdan-Lusztig polynomials are computed by the classical column recursion
 (in the variable q = v^2, stored as Laurent polynomials in v with even
-exponents), inverse KL polynomials by forward substitution against a
-downward-closed support, and weighted canonical bases by iterated
-bar-symmetric correction, which works for arbitrary nonnegative weights.
+exponents), inverse KL polynomials on a downward-closed support by the
+inversion formula P'_{x,z} = (-1)^(l(x)+l(z)) P_{w0 z, w0 x}, and weighted
+canonical bases by iterated bar-symmetric correction, which works for
+arbitrary nonnegative weights.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .coxeter import CoxeterGroup, Element
+from .coxeter import CoxeterGroup, Element, mask_bits
 from .laurent import Laurent, ONE, ZERO, add_into, bar_symmetric_head, v_power
 
 Q = v_power(2)
@@ -298,8 +299,10 @@ def kl_table(group: CoxeterGroup) -> KLTable:
         s = min(group.left_descents(w))
         sw = group.left_mult_gen(s, w)
         lw = group.length(w)
-        column = sorted(group.bruhat_lower(w), reverse=True)
-        lower_of = group.bruhat_lower
+        column = mask_bits(group.bruhat_mask(w))[::-1]
+        # the z of the mu-sum: mu(z, sw) != 0 and sz < z
+        mu_terms = [(z, m, group.bruhat_mask(z)) for z, m in mu_lists[sw]
+                    if s in group.left_descents(z)]
         for y in column:
             if y == w:
                 P[(y, w)] = ONE
@@ -309,9 +312,8 @@ def kl_table(group: CoxeterGroup) -> KLTable:
                 P[(y, w)] = P[(sy, w)]
                 continue
             val = P.get((sy, sw), ZERO) + Q * P.get((y, sw), ZERO)
-            for z, m in mu_lists[sw]:
-                if group.length(group.left_mult_gen(s, z)) < group.length(z) \
-                        and y in lower_of(z):
+            for z, m, below_z in mu_terms:
+                if below_z >> y & 1:
                     val = val - P[(y, z)].shift(lw - group.length(z)) * m
             P[(y, w)] = val
         mus = []
@@ -328,31 +330,27 @@ def kl_table(group: CoxeterGroup) -> KLTable:
 
 
 def inverse_kl(table: KLTable, support: Iterable[Element]) -> dict[tuple[Element, Element], Laurent]:
-    """Inverse KL polynomials on a downward-closed support:
-    sum_y P'_{x,y} P_{y,z} = delta_{x,z}, solved by forward substitution.
+    """Inverse KL polynomials P'_{x,z} on a downward-closed support, with
+    sum_y P'_{x,y} P_{y,z} = delta_{x,z}, by the inversion formula
+    P'_{x,z} = (-1)^(l(x)+l(z)) P_{w0 z, w0 x} for x <= z (Kazhdan-Lusztig,
+    Invent. Math. 53, 1979, §3).
 
     Raises if the support is not closed under going down in Bruhat order
     (the inverse of a unitriangular matrix needs the whole lower set).
     """
     group = table.group
     supp = sorted(set(support))
-    supp_set = set(supp)
+    supp_mask = sum(1 << w for w in supp)  # the elements are distinct
     for w in supp:
-        if not group.bruhat_lower(w) <= supp_set:
+        if group.bruhat_mask(w) & ~supp_mask:
             raise ValueError(f"support not downward closed at {group.word_str(w)}")
+    w0 = group.longest_element()
+    w0_times = {x: group.product(w0, x) for x in supp}
     Pp: dict[tuple[Element, Element], Laurent] = {}
-    for i, z in enumerate(supp):
-        for x in supp[: i + 1]:
-            if x == z:
-                Pp[(x, z)] = ONE
-                continue
-            if not group.bruhat_leq(x, z):
-                continue
-            acc = ZERO
-            for y in supp:
-                if (x, y) in Pp and y != z and (y, z) in table.table:
-                    acc = acc + Pp[(x, y)] * table.table[(y, z)]
-            Pp[(x, z)] = -acc
+    for z in supp:
+        for x in mask_bits(group.bruhat_mask(z)):
+            p = table.get(w0_times[z], w0_times[x])
+            Pp[(x, z)] = p if (group.length(x) + group.length(z)) % 2 == 0 else -p
     return Pp
 
 

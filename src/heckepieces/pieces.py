@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .coxeter import CoxeterGroup, DiagramAutomorphism, Element
+from .coxeter import CoxeterGroup, DiagramAutomorphism, Element, mask_bits
 from .hecke import HeckeAlgebra, HeckeElement
 from .laurent import add_into
 
@@ -50,17 +50,10 @@ def ad_indices(group: CoxeterGroup, w: Element, K: Iterable[int]) -> frozenset:
 
 def conjugates_set_to(group: CoxeterGroup, w: Element, J: Iterable[int],
                       K: Iterable[int]) -> bool:
-    """Whether w J w^{-1} = K as sets of generators."""
-    Jf = frozenset(J)
-    Kf = frozenset(K)
-    w_inv = group.inverse(w)
-    image = set()
-    for j in Jf:
-        k = group.as_generator_index(group.product(w, group.generator(j), w_inv))
-        if k is None:
-            return False
-        image.add(k)
-    return image == Kf
+    """Whether w J w^{-1} = K as sets of generators (conjugation is
+    injective, so no element of J is dropped when the sizes agree)."""
+    Jf, Kf = frozenset(J), frozenset(K)
+    return len(Jf) == len(Kf) and ad_indices(group, w, Jf) == Kf
 
 
 @dataclass(frozen=True)
@@ -233,11 +226,11 @@ def twisted_normalizer(group: CoxeterGroup, J: Iterable[int],
 # -- closure order -----------------------------------------------------------
 
 
-def _twisted_orbit(group: CoxeterGroup, Jf: frozenset, delta: DiagramAutomorphism,
-                   w: Element) -> set:
-    """{δ(u) w u^{-1} : u in W_J}."""
-    return {group.product(delta.apply(u), w, group.inverse(u))
-            for u in group.parabolic_elements(Jf)}
+def _orbit_mask(group: CoxeterGroup, Jf: frozenset, delta: DiagramAutomorphism,
+                w: Element) -> int:
+    """{δ(u) w u^{-1} : u in W_J}, as a bitmask of elements."""
+    return sum(1 << x for x in {group.product(delta.apply(u), w, group.inverse(u))
+                                for u in group.parabolic_elements(Jf)})
 
 
 def closure_leq(group: CoxeterGroup, J: Iterable[int], delta: DiagramAutomorphism,
@@ -247,7 +240,7 @@ def closure_leq(group: CoxeterGroup, J: Iterable[int], delta: DiagramAutomorphis
     Jf = group._check_subset(J)
     _validate_index(group, Jf, delta, w1)
     _validate_index(group, Jf, delta, w2)
-    return any(group.bruhat_leq(x, w2) for x in _twisted_orbit(group, Jf, delta, w1))
+    return bool(_orbit_mask(group, Jf, delta, w1) & group.bruhat_mask(w2))
 
 
 def closure_hasse(group: CoxeterGroup, J: Iterable[int],
@@ -258,18 +251,19 @@ def closure_hasse(group: CoxeterGroup, J: Iterable[int],
     order for genuine stabilization data)."""
     Jf = group._check_subset(J)
     idx = piece_indices(group, Jf, delta)
-    orbits = [_twisted_orbit(group, Jf, delta, w) for w in idx]
-    # below[j]: the positions i != j with idx[i] < idx[j]
-    below = [
-        {i for i, orbit in enumerate(orbits)
-         if i != j and any(group.bruhat_leq(x, w) for x in orbit)}
-        for j, w in enumerate(idx)
-    ]
+    orbits = [_orbit_mask(group, Jf, delta, w) for w in idx]
+    ideals = [group.bruhat_mask(w) for w in idx]
+    # below[j]: the positions i != j with idx[i] < idx[j], as a bitmask
+    below = [sum(1 << i for i, orbit in enumerate(orbits) if i != j and orbit & ideal)
+             for j, ideal in enumerate(ideals)]
     covers = []
     for j, under in enumerate(below):
-        if any(j in below[i] for i in under):
+        between = 0  # the positions below some position below j
+        for k in mask_bits(under):
+            between |= below[k]
+        if between >> j & 1:
             raise AssertionError("closure relation is not antisymmetric")
-        covers += ((i, j) for i in under.difference(*(below[k] for k in under)))
+        covers += ((i, j) for i in mask_bits(under & ~between))
     return tuple((idx[i], idx[j]) for i, j in sorted(covers))
 
 

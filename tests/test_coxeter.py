@@ -368,9 +368,17 @@ def _bruhat_by_subwords(group, x, w):
     return False
 
 
-@pytest.mark.parametrize("rank", [2, 3])
-def test_bruhat_exhaustive_against_subword_oracle(rank):
-    group = coxeter_group(f"B{rank}")
+I2_5_MATRIX = ((1, 5), (5, 1))
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param("B2", id="2"),
+    pytest.param("B3", id="3"),
+    pytest.param(A3_MATRIX, id="matrix:A3"),
+    pytest.param(I2_5_MATRIX, id="matrix:I2(5)"),
+])
+def test_bruhat_exhaustive_against_subword_oracle(spec):
+    group = coxeter_group(spec)
     for w in group.elements():
         expected = {x for x in group.elements()
                     if _bruhat_by_subwords(group, x, w)}
@@ -394,6 +402,70 @@ def test_bruhat_basics(b4):
         assert b4.bruhat_leq(e, w)
         assert b4.bruhat_leq(w, w)
         assert b4.bruhat_leq(w, longest)
+
+
+def reference_bruhat_leq(group, y, w):
+    """y <= w by the one-pass descent scan, as first implemented: walking
+    the letters s of a reduced word of w from the left, replace the running
+    element u (initially y) by su whenever that shortens it; y <= w iff u
+    ends at the identity."""
+    if group.length(y) > group.length(w):
+        return False
+    u = y
+    for s in group.reduced_word(w):
+        if u == group.identity():
+            return True
+        if s in group.left_descents(u):
+            u = group.left_mult_gen(s, u)
+    return u == group.identity()
+
+
+def reference_bruhat_ideals(group):
+    """Every ideal {y : y <= w} as a frozenset, as first implemented: by
+    lower(w) = lower(sw) ∪ s·lower(sw) for a left descent s of w, shorter
+    elements first."""
+    lower = {group.identity(): frozenset([group.identity()])}
+    for w in group.elements()[1:]:
+        s = min(group.left_descents(w))
+        below = lower[group.left_mult_gen(s, w)]
+        lower[w] = below.union(group.left_mult_gen(s, x) for x in below)
+    return lower
+
+
+BRUHAT_GROUPS = {
+    "B4": "B4",
+    "matrix:A4": _coxeter_matrix(4, [(1, 2, 3), (2, 3, 3), (3, 4, 3)]),
+    "matrix:D4": CENSUS_CASES["D4"][0],
+    "matrix:H3": CENSUS_CASES["H3"][0],
+    "matrix:I2(5)": I2_5_MATRIX,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRUHAT_GROUPS))
+def test_bruhat_masks_match_kept_oracles(name):
+    """bruhat_mask, bruhat_leq and bruhat_lower against the descent scan and
+    the frozenset recursion they replaced, on every pair."""
+    group = coxeter_group(BRUHAT_GROUPS[name])
+    lower = reference_bruhat_ideals(group)
+    for w in group.elements():
+        assert group.bruhat_lower(w) == lower[w]
+        assert group.bruhat_mask(w) == sum(1 << y for y in lower[w])
+        for y in group.elements():
+            assert group.bruhat_leq(y, w) == reference_bruhat_leq(group, y, w) \
+                == (y in lower[w])
+
+
+def test_bruhat_lookups_refuse_elements_outside_the_group(b3):
+    """-1 must not read as the longest element, nor 48 as anything."""
+    for bad in (-1, 48):
+        with pytest.raises(ValueError):
+            b3.bruhat_lower(bad)
+        with pytest.raises(ValueError):
+            b3.bruhat_leq(0, bad)
+        with pytest.raises(ValueError):
+            b3.bruhat_leq(bad, 47)
+        with pytest.raises(ValueError):
+            b3.bruhat_mask(bad)
 
 
 # -- parabolic machinery ---------------------------------------------------------

@@ -1,5 +1,6 @@
 """Hecke algebras: relations, bar involution, KL tables, canonical bases."""
 
+import itertools
 import random
 
 import pytest
@@ -258,6 +259,45 @@ def test_inverse_kl_b2_signs(b2):
             for y in b2.elements():
                 total = total + inv.get((x, y), ZERO) * table.get(y, z)
             assert total == (ONE if x == z else ZERO)
+
+
+def reference_inverse_kl(table, support):
+    """inverse_kl as first implemented: forward substitution over the
+    support, sum_y P'_{x,y} P_{y,z} = delta_{x,z}, pair by pair."""
+    group = table.group
+    supp = sorted(set(support))
+    Pp = {}
+    for i, z in enumerate(supp):
+        for x in supp[: i + 1]:
+            if x == z:
+                Pp[(x, z)] = ONE
+                continue
+            if not group.bruhat_leq(x, z):
+                continue
+            acc = ZERO
+            for y in supp:
+                if (x, y) in Pp and y != z and (y, z) in table.table:
+                    acc = acc + Pp[(x, y)] * table.table[(y, z)]
+            Pp[(x, z)] = -acc
+    return Pp
+
+
+def _inverse_kl_cases(b4, b4_kl):
+    for k in (2, 3):
+        for Jsub in itertools.combinations(b4.generators(), k):
+            yield f"B4 J={Jsub}", b4_kl, b4.parabolic_elements(Jsub)
+    for spec in ("B3", ((1, 5), (5, 1))):
+        group = coxeter_group(spec)
+        yield f"all of {spec}", kl_table(group), group.elements()
+
+
+def test_inverse_kl_matches_reference(b4, b4_kl):
+    """The inversion formula against the forward substitution it replaced,
+    on the ten B4 parabolics of rank 2 or 3, all of B3 and all of I2(5)."""
+    cases = list(_inverse_kl_cases(b4, b4_kl))
+    assert len(cases) == 12
+    for name, table, support in cases:
+        assert inverse_kl(table, support) == reference_inverse_kl(table, support), name
 
 
 def test_inverse_kl_requires_closed_support(b4, b4_kl):

@@ -24,6 +24,8 @@ from heckepieces.pieces import (
     twisted_normalizer,
 )
 
+from test_coxeter import reference_bruhat_leq
+
 J = frozenset({1, 2})
 
 A3_MATRIX = ((1, 3, 2), (3, 1, 3), (2, 3, 1))
@@ -197,14 +199,16 @@ def test_closure_hasse_b4(b4, b4_data):
 
 def reference_closure_hasse(group, J, delta):
     """The covers as first computed: the closure relation on every ordered
-    pair of indices, each pair trying every u in W_J, then a scan over all
-    middle elements k for each related pair."""
+    pair of indices, each pair trying every u in W_J with the kept descent
+    scan for Bruhat order, then a scan over all middle elements k for each
+    related pair."""
     idx = piece_indices(group, J, delta)
     n = len(idx)
 
     def leq(w1, w2):
         return any(
-            group.bruhat_leq(group.product(delta.apply(u), w1, group.inverse(u)), w2)
+            reference_bruhat_leq(
+                group, group.product(delta.apply(u), w1, group.inverse(u)), w2)
             for u in group.parabolic_elements(J))
 
     rel = [[leq(a, b) for b in idx] for a in idx]
