@@ -1,6 +1,7 @@
-"""Exact Kazhdan-Lusztig combinatorics for type B signed permutations:
-piece indexing, Hecke-algebra operators, and unequal-parameter canonical
-bases, with an end-to-end rank-4 verification pipeline."""
+"""Exact Kazhdan-Lusztig combinatorics for finite Coxeter groups, built
+from their Coxeter matrices: piece indexing, Hecke-algebra operators, and
+unequal-parameter canonical bases, with an end-to-end rank-4 verification
+pipeline."""
 
 from .coxeter import CoxeterGroup, DiagramAutomorphism, coxeter_group
 from .hecke import (

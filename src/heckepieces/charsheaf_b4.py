@@ -546,33 +546,6 @@ def laurent_json(p: Laurent) -> dict:
     return {"coeffs": [[e, c] for e, c in p.items()], "text": p.text()}
 
 
-def cs_json(vec: CSVector) -> dict:
-    return {sym: laurent_json(vec.coeff(sym)) for sym in SYMBOLS if vec.coeff(sym)}
-
-
-def restrictions_as_dict(ctx: B4Context) -> dict:
-    """All restriction data over the 64 pairs and the eight u in W_J."""
-    group = ctx.group
-    pairs = []
-    for t, z in ctx.pairs():
-        entry = {
-            "t": ctx.name_of[t], "z": ctx.name_of[z],
-            "restrictions": {},
-        }
-        for u in ctx.WJ:
-            word = group.word_str(u) if u != group.identity() else ""
-            coeffs = restriction_coefficients(ctx, t, z, u)
-            entry["restrictions"][word] = {
-                "classes": {
-                    group.word_str(u2): laurent_json(c)
-                    for u2, c in sorted(coeffs.items())
-                },
-                "normalized": cs_json(normalized_restriction(ctx, t, z, u)),
-            }
-        pairs.append(entry)
-    return {"type": "B4", "J": sorted(ctx.J), "pairs": pairs}
-
-
 def report_as_dict(ctx: B4Context, report: ConjectureReport) -> dict:
     pairs = []
     for r in report.pairs:

@@ -31,12 +31,11 @@ further line is one stored polynomial::
     <y-word> TAB <w-word> TAB <comma-separated q-coefficients>
 
 with coefficients ascending from the constant term and no trailing
-zeros.  Records are sorted lexicographically by (w-word, y-word) and
-loading validates the header, the sort order, parseability of every
-record, the classical degree bound, and that the records for each w are
-exactly the pairs (y, w) with y <= w in Bruhat order, refusing the file
-otherwise.  A cache is written to a temporary file and then renamed over
-the target, so an interrupted write leaves no partial file.
+zeros: one record per Bruhat pair y <= w, sorted by (w-word, y-word).  The
+writer streams one walk over these pairs to a temporary file renamed over
+the target, so an interrupted write leaves no partial file.  The loader
+checks the header, each record against that walk's next pair, and the
+invariants of every polynomial, refusing the file otherwise.
 """
 
 from __future__ import annotations
@@ -48,8 +47,9 @@ import io
 import json
 import os
 import sys
+from typing import Iterator, NoReturn
 
-from .coxeter import CoxeterGroup, DiagramAutomorphism, coxeter_group
+from .coxeter import CoxeterGroup, DiagramAutomorphism, coxeter_group, mask_bits
 from .laurent import Laurent, ONE, ZERO
 from .hecke import KLTable, kl_table
 from .pieces import (
@@ -76,20 +76,10 @@ def _q_coefficients(p: Laurent) -> list[int]:
     """Coefficients of a polynomial in q = v^2, ascending from q^0."""
     if p == ZERO:
         return [0]
-    degree = p.max_exp()
-    if p.min_exp() < 0 or degree % 2 != 0:
+    coeffs = [p.coeff(e) for e in range(p.max_exp() + 1)]
+    if p.min_exp() < 0 or any(coeffs[1::2]):
         raise CliError("polynomial is not a polynomial in q = v^2")
-    out = []
-    for e in range(0, degree + 1, 2):
-        c = p.coeff(e)
-        out.append(c)
-        if p.coeff(e + 1) != 0:
-            raise CliError("polynomial has an odd v-exponent")
-    return out
-
-
-def _from_q_coefficients(coeffs: list[int]) -> Laurent:
-    return Laurent({2 * i: c for i, c in enumerate(coeffs) if c})
+    return coeffs[::2]
 
 
 def _cache_header(group: CoxeterGroup) -> str:
@@ -101,21 +91,30 @@ def _cache_header(group: CoxeterGroup) -> str:
     return header
 
 
+def _cache_records(group: CoxeterGroup) -> Iterator[tuple[int, int, str, str]]:
+    """``(y, w, y_word, w_word)`` for every pair y <= w, by w-word, then
+    by y-word: the one place that decides the order of cache records."""
+    words = [group.word_str(x) for x in group.elements()]
+    for w in sorted(group.elements(), key=words.__getitem__):
+        w_word = words[w]
+        for y in sorted(mask_bits(group.bruhat_mask(w)), key=words.__getitem__):
+            yield y, w, words[y], w_word
+
+
 def save_kl_cache(table: KLTable, path: str) -> None:
-    """Write the cache to a temporary file beside ``path``, then move it
-    into place, so a failed write never leaves a partial cache behind."""
-    group = table.group
-    records = []
-    for (y, w), p in table.table.items():
-        coeffs = ",".join(str(c) for c in _q_coefficients(p))
-        records.append((group.word_str(w), group.word_str(y), coeffs))
-    records.sort()
-    lines = [_cache_header(group)]
-    lines.extend(f"{y}\t{w}\t{coeffs}" for w, y, coeffs in records)
+    """Stream every P_{y,w} with y <= w, read through ``table.get``, to a
+    temporary file beside ``path``, then move it into place, so a failed
+    write never leaves a partial cache behind."""
+    rendered: dict[int, tuple[Laurent, str]] = {}  # holding p keeps id(p) unique
     temporary = f"{path}.{os.getpid()}.tmp"
     try:
         with open(temporary, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.write(_cache_header(table.group) + "\n")
+            for y, w, y_word, w_word in _cache_records(table.group):
+                p = table.get(y, w)
+                if id(p) not in rendered:
+                    rendered[id(p)] = (p, ",".join(map(str, _q_coefficients(p))))
+                handle.write(f"{y_word}\t{w_word}\t{rendered[id(p)][1]}\n")
         os.replace(temporary, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):
@@ -125,79 +124,80 @@ def save_kl_cache(table: KLTable, path: str) -> None:
         raise
 
 
-def load_kl_cache(path: str, group: CoxeterGroup) -> KLTable:
-    """Load a cache written by ``save_kl_cache``, failing closed.
+def _cache_lines(handle: io.TextIOBase) -> Iterator[str]:
+    """The lines of an open cache, each without its final newline."""
+    for line in handle:
+        if line[-1:] != "\n":
+            raise CliError("cache is truncated (missing final newline)")
+        yield line[:-1]
 
-    The header must carry the expected magic, version and group tag, and
-    for a ``matrix`` group the same Coxeter matrix; the records must be
-    sorted, parseable, and satisfy the constant-term and degree-bound
-    invariants of the stored polynomials; and for each w the y with a
-    record must be exactly the Bruhat ideal {y : y <= w}.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().split("\n")
-    except OSError as exc:
-        raise CliError(f"cannot read cache {path}: {exc}") from exc
-    if not lines or lines[-1] != "":
-        raise CliError("cache is truncated (missing final newline)")
-    lines.pop()
-    if not lines:
-        raise CliError("cache is empty")
-    if lines[0] != _cache_header(group):
-        raise CliError(f"bad cache header {lines[0]!r}")
 
-    parse_cache: dict[str, object] = {}
-
-    def parse(word: str):
-        got = parse_cache.get(word)
-        if got is None:
+def _refuse_record(group: CoxeterGroup, expected: tuple, before: tuple | None,
+                   record: list[str] | None, after: str | None) -> NoReturn:
+    """Raise why the fields ``record`` (None at end of file) are not ``expected``."""
+    if record is not None:
+        y_word, w_word = record[:2]
+        if before is not None and (w_word, y_word) <= (before[3], before[2]):
+            raise CliError("cache records are not sorted")
+        for word in (y_word, w_word):
             try:
-                got = group.parse_word(word)
+                canonical = group.word_str(group.parse_word(word)) == word
             except ValueError as exc:
                 raise CliError(f"bad word {word!r} in cache") from exc
-            if group.word_str(got) != word:
+            if not canonical:
                 raise CliError(f"non-canonical word {word!r} in cache")
-            parse_cache[word] = got
-        return got
-
-    table: dict[tuple, Laurent] = {}
-    records_of: dict = {}
-    previous: tuple[str, str] | None = None
-    for line in lines[1:]:
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise CliError(f"malformed record {line!r}")
-        y_word, w_word, coeff_text = fields
-        key = (w_word, y_word)
-        if previous is not None and key <= previous:
+        if not group.bruhat_leq(group.parse_word(y_word), group.parse_word(w_word)):
+            raise CliError(f"record ({y_word}, {w_word}) is not a Bruhat pair y <= w")
+        if after is not None and after.split("\t")[1::-1] < [w_word, y_word]:
             raise CliError("cache records are not sorted")
-        previous = key
-        try:
-            coeffs = [int(c) for c in coeff_text.split(",")]
-        except ValueError as exc:
-            raise CliError(f"bad coefficients in {line!r}") from exc
-        if len(coeffs) > 1 and coeffs[-1] == 0:
-            raise CliError(f"trailing zero coefficient in {line!r}")
-        y, w = parse(y_word), parse(w_word)
-        if not group.bruhat_mask(w) >> y & 1:
-            raise CliError(f"record {line!r} is not a Bruhat pair y <= w")
-        p = _from_q_coefficients(coeffs)
-        gap = group.length(w) - group.length(y)
-        if gap == 0:
-            if y != w or p != ONE:
-                raise CliError(f"bad diagonal record {line!r}")
-        else:
-            if p.coeff(0) != 1 or p.max_exp() > gap - 1:
-                raise CliError(f"invariant violation in {line!r}")
-        if (y, w) in table:
-            raise CliError(f"duplicate record {line!r}")
-        table[(y, w)] = p
-        records_of[w] = records_of.get(w, 0) + 1
-    for w in group.elements():
-        if records_of.get(w, 0) != group.bruhat_mask(w).bit_count():
-            raise CliError(f"missing records: some y <= {group.word_str(w)} "
-                           "have none")
+    raise CliError(f"missing records: none for y = {expected[2]} <= w = {expected[3]}")
+
+
+def load_kl_cache(path: str, group: CoxeterGroup) -> KLTable:
+    """Load a cache written by ``save_kl_cache``, failing closed: the
+    header must name this group, the records must be the walk's pairs in
+    order, and each polynomial must meet the invariants of P_{y,w}."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = _cache_lines(handle)
+            header = next(lines, None)
+            if header is None:
+                raise CliError("cache is empty")
+            if header != _cache_header(group):
+                raise CliError(f"bad cache header {header!r}")
+            table: dict[tuple, Laurent] = {}
+            polynomials: dict[str, Laurent] = {}
+            before = None
+            for record in _cache_records(group):
+                y, w, y_word, w_word = record
+                line = next(lines, None)
+                fields = None if line is None else line.split("\t")
+                if fields is not None and len(fields) != 3:
+                    raise CliError(f"malformed record {line!r}")
+                if fields is None or fields[0] != y_word or fields[1] != w_word:
+                    _refuse_record(group, record, before, fields, next(lines, None))
+                p = polynomials.get(fields[2])
+                if p is None:  # parse and check each distinct coefficient string once
+                    try:
+                        coeffs = [int(c) for c in fields[2].split(",")]
+                    except ValueError as exc:
+                        raise CliError(f"bad coefficients in {line!r}") from exc
+                    if len(coeffs) > 1 and coeffs[-1] == 0:
+                        raise CliError(f"trailing zero coefficient in {line!r}")
+                    p = polynomials[fields[2]] = Laurent(
+                        {2 * i: c for i, c in enumerate(coeffs) if c})
+                if y == w:
+                    if p != ONE:
+                        raise CliError(f"bad diagonal record {line!r}")
+                elif p.coeff(0) != 1 or p.max_exp() >= group.length(w) - group.length(y):
+                    raise CliError(f"invariant violation in {line!r}")
+                table[(y, w)] = p
+                before = record
+            extra = next(lines, None)
+            if extra is not None:
+                raise CliError(f"record {extra!r} follows the last pair")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read cache {path}: {exc}") from exc
     return KLTable(group=group, table=table)
 
 

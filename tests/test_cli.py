@@ -2,12 +2,14 @@
 
 import errno
 import json
+import tracemalloc
 
 import pytest
 
 from heckepieces import cli
 from heckepieces.cli import load_kl_cache, main, save_kl_cache
-from heckepieces.coxeter import type_b_matrix
+from heckepieces.coxeter import coxeter_group, type_b_matrix
+from heckepieces.hecke import kl_table
 
 B2_GROUP_TEXT = (
     "type: B2\n"
@@ -194,6 +196,59 @@ def test_cache_round_trip_is_exact(b2_cache, b2, tmp_path):
     assert again.read_bytes() == b2_cache.read_bytes()
 
 
+def reference_save_kl_cache(table, path):
+    """The writer that preceded the streamed one: every stored pair as a
+    string triple, sorted, and the whole file joined into one string.  An
+    oracle for the bytes of ``save_kl_cache``."""
+    group = table.group
+    records = []
+    for (y, w), p in table.table.items():
+        coeffs = ",".join(str(p.coeff(e)) for e in range(0, p.max_exp() + 1, 2))
+        records.append((group.word_str(w), group.word_str(y), coeffs))
+    records.sort()
+    lines = [cli._cache_header(group)]
+    lines.extend(f"{y}\t{w}\t{coeffs}" for w, y, coeffs in records)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+CACHE_GROUPS = {
+    "B2": "B2",
+    "B3": "B3",
+    "B4": "B4",
+    "matrix:H3": [[1, 5, 2], [5, 1, 3], [2, 3, 1]],
+    "matrix:D4": [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]],
+    "matrix:I2(5)": [[1, 5], [5, 1]],
+}
+
+
+@pytest.mark.parametrize("label", CACHE_GROUPS)
+def test_cache_matches_the_sorting_writer_and_round_trips(label, b4_kl, tmp_path):
+    spec = CACHE_GROUPS[label]
+    table = b4_kl if label == "B4" else kl_table(coxeter_group(spec))
+    streamed, joined, again = (tmp_path / name for name in ("s", "j", "a"))
+    save_kl_cache(table, str(streamed))
+    reference_save_kl_cache(table, str(joined))
+    assert streamed.read_bytes() == joined.read_bytes()
+    loaded = load_kl_cache(str(streamed), coxeter_group(spec))
+    assert loaded.table == table.table
+    save_kl_cache(loaded, str(again))
+    assert again.read_bytes() == streamed.read_bytes()
+
+
+def test_cache_write_is_streamed(b4_kl, tmp_path):
+    """Writing the B4 cache allocates less at its peak than the file it
+    writes: records go out as the walk yields them."""
+    path = tmp_path / "b4.klcache"
+    tracemalloc.start()
+    try:
+        save_kl_cache(b4_kl, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size == 841_525
+
+
 def test_cache_rejects_wrong_group(b2_cache, capsys):
     assert main(["kl", "--type", "B3", "--cache", str(b2_cache)]) == 2
     assert "bad cache header" in capsys.readouterr().err
@@ -298,6 +353,21 @@ def test_corrupt_caches_fail_closed(b2_cache, capsys, mangle, message):
     b2_cache.write_text(mangled, encoding="utf-8")
     assert main(["kl", "--type", "B2", "--cache", str(b2_cache)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mangle,message", [
+    (lambda t: t[:t.rindex("\n", 0, -1) + 1], "missing records"),
+    (lambda t: t + "∅\t∅\t1\n", "follows the last pair"),
+    (lambda t: t.replace("B2\n1\t1\t1\n", "B2\n3\t1\t1\n"), "bad word"),
+], ids=["last record dropped", "record appended", "bad first word"])
+def test_cache_ends_fail_closed(b2_cache, capsys, mangle, message):
+    test_corrupt_caches_fail_closed(b2_cache, capsys, mangle, message)
+
+
+def test_cache_that_is_not_utf8_fails_closed(b2_cache, capsys):
+    b2_cache.write_bytes(b2_cache.read_bytes() + b"\xff\n")
+    assert main(["kl", "--type", "B2", "--cache", str(b2_cache)]) == 2
+    assert "cannot read cache" in capsys.readouterr().err
 
 
 def _swap_records(text: str) -> str:

@@ -235,6 +235,13 @@ def test_kl_b4_spot_values(b4, b4_kl):
     assert max(p.max_exp() for p in nontrivial) == 8
 
 
+def test_kl_table_interns_its_polynomials(b4_kl):
+    """Equal polynomials are one object: 40,249 pairs, 41 polynomials."""
+    values = list(b4_kl.table.values())
+    assert len(values) == 40_249
+    assert len({id(p) for p in values}) == len(set(values)) == 41
+
+
 def test_kl_mu(b2):
     table = kl_table(b2)
     e = b2.identity()
