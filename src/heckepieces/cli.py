@@ -82,6 +82,12 @@ def _q_coefficients(p: Laurent) -> list[int]:
     return coeffs[::2]
 
 
+def _coefficient_text(coeffs: list[int]) -> str:
+    """``1,0,2``: the one spelling of a coefficient list that caches and
+    CSV output use, and the only one the cache loader accepts."""
+    return ",".join(map(str, coeffs))
+
+
 def _cache_header(group: CoxeterGroup) -> str:
     """``klcache v1 <type_tag>``; a ``matrix`` tag says nothing about the
     group, so the Coxeter matrix follows it as compact JSON."""
@@ -113,7 +119,7 @@ def save_kl_cache(table: KLTable, path: str) -> None:
             for y, w, y_word, w_word in _cache_records(table.group):
                 p = table.get(y, w)
                 if id(p) not in rendered:
-                    rendered[id(p)] = (p, ",".join(map(str, _q_coefficients(p))))
+                    rendered[id(p)] = (p, _coefficient_text(_q_coefficients(p)))
                 handle.write(f"{y_word}\t{w_word}\t{rendered[id(p)][1]}\n")
         os.replace(temporary, path)
     except BaseException as exc:
@@ -167,6 +173,7 @@ def load_kl_cache(path: str, group: CoxeterGroup) -> KLTable:
                 raise CliError(f"bad cache header {header!r}")
             table: dict[tuple, Laurent] = {}
             polynomials: dict[str, Laurent] = {}
+            length = group._length  # the walk yields only elements
             before = None
             for record in _cache_records(group):
                 y, w, y_word, w_word = record
@@ -184,12 +191,14 @@ def load_kl_cache(path: str, group: CoxeterGroup) -> KLTable:
                         raise CliError(f"bad coefficients in {line!r}") from exc
                     if len(coeffs) > 1 and coeffs[-1] == 0:
                         raise CliError(f"trailing zero coefficient in {line!r}")
+                    if _coefficient_text(coeffs) != fields[2]:  # "01", "+1", " 1"
+                        raise CliError(f"non-canonical coefficients in {line!r}")
                     p = polynomials[fields[2]] = Laurent(
                         {2 * i: c for i, c in enumerate(coeffs) if c})
                 if y == w:
                     if p != ONE:
                         raise CliError(f"bad diagonal record {line!r}")
-                elif p.coeff(0) != 1 or p.max_exp() >= group.length(w) - group.length(y):
+                elif p.coeff(0) != 1 or p.max_exp() >= length[w] - length[y]:
                     raise CliError(f"invariant violation in {line!r}")
                 table[(y, w)] = p
                 before = record
@@ -370,7 +379,7 @@ def _cmd_kl(args: argparse.Namespace) -> int:
         elif args.format == "csv":
             rows = [["y", "w", "q_coefficients"],
                     [group.word_str(y), group.word_str(w),
-                     ",".join(str(c) for c in _q_coefficients(p))]]
+                     _coefficient_text(_q_coefficients(p))]]
             _emit(_as_csv(rows), args.out)
         else:
             _emit(p.text() + "\n", args.out)

@@ -251,20 +251,29 @@ class CoxeterGroup:
     def identity(self) -> Element:
         return 0
 
+    # Each public lookup refuses what is not an element, since a bare list
+    # index would read -1 as the longest element.  Hot loops bind the raw
+    # lists once instead.
+
     def length(self, w: Element) -> int:
+        self._check_element(w)
         return self._length[w]
 
     def reduced_word(self, w: Element) -> Word:
         """The lexicographically least reduced word for w."""
+        self._check_element(w)
         return self._words[w]
 
     def right_descents(self, w: Element) -> frozenset:
+        self._check_element(w)
         return self._rdesc[w]
 
     def left_descents(self, w: Element) -> frozenset:
+        self._check_element(w)
         return self._ldesc[w]
 
     def inverse(self, w: Element) -> Element:
+        self._check_element(w)
         return self._inv[w]
 
     def right_mult_gen(self, w: Element, i: int) -> Element:
@@ -291,8 +300,9 @@ class CoxeterGroup:
         if not ws:
             return 0
         acc = ws[0]
+        self._check_element(acc)
         for b in ws[1:]:
-            for s in self._words[b]:
+            for s in self.reduced_word(b):
                 acc = self._rmul[s][acc]
         return acc
 
@@ -338,7 +348,7 @@ class CoxeterGroup:
     def in_parabolic(self, w: Element, J: Iterable[int]) -> bool:
         """Whether w lies in the standard parabolic subgroup W_J (its
         reduced words then use only letters from J)."""
-        return self._check_subset(J).issuperset(self._words[w])
+        return self._check_subset(J).issuperset(self.reduced_word(w))
 
     def longest_element(self) -> Element:
         return len(self._length) - 1

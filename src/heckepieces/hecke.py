@@ -9,16 +9,17 @@ T_s^2 = (v^L(s) - v^-L(s)) T_s + 1.  For L ≡ 1 this is the split
 normalization whose canonical basis coefficients recover the classical
 Kazhdan-Lusztig polynomials via p(y, w) = v^(l(y)-l(w)) P_{y,w}(v^2).
 
-Both satisfy T_s T_x = T_sx when lengths add, so a product is computed by
-folding generator multiplications along a reduced word.  The bar involution
-is the semilinear ring map with bar(v) = v^-1 and bar(T_w) = (T_{w^-1})^-1.
+Both satisfy T_x T_s = T_xs when lengths add, so x · T_w is computed by
+folding generator steps along a reduced word of w; a product with a short
+right operand, such as T_s or c_s, is cheap.  The bar involution is the
+semilinear ring map with bar(v) = v^-1 and bar(T_w) = (T_{w^-1})^-1.
 
 Kazhdan-Lusztig polynomials are computed by the classical column recursion
 (in the variable q = v^2, stored as Laurent polynomials in v with even
 exponents), inverse KL polynomials on a downward-closed support by the
 inversion formula P'_{x,z} = (-1)^(l(x)+l(z)) P_{w0 z, w0 x}, and weighted
-canonical bases by iterated bar-symmetric correction, which works for
-arbitrary nonnegative weights.
+canonical bases by bar-symmetric correction in one downward walk over each
+Bruhat ideal, which works for arbitrary nonnegative weights.
 """
 
 from __future__ import annotations
@@ -190,20 +191,22 @@ class HeckeAlgebra:
     # -- multiplication --------------------------------------------------------
 
     def _times_gen(self, terms: Mapping[Element, Laurent], s: int) -> dict[Element, Laurent]:
-        """The terms of h · T_s, for h given by its terms."""
-        group = self.group
+        """The terms of h · T_s, for h given by its terms: the only
+        generator step."""
+        length, times_s = self.group._length, self.group._rmul[s]
         a, b = self._quad[s]
         pairs = []
         for w, c in terms.items():
-            ws = group.right_mult_gen(w, s)
-            if group.length(ws) > group.length(w):
+            ws = times_s[w]
+            if length[ws] > length[w]:
                 pairs.append((ws, c))
             else:
                 pairs += ((w, c * a), (ws, c * b))
         return add_into({}, pairs)
 
     def multiply(self, x: HeckeElement, y: HeckeElement) -> HeckeElement:
-        """x · y, by folding generator multiplications along reduced words."""
+        """x · y, by folding generator steps along the reduced words of the
+        terms of y: one step per letter, so keep the shorter operand right."""
         if x.algebra is not self or y.algebra is not self:
             raise ValueError("operands belong to a different algebra")
         out: dict[Element, Laurent] = {}
@@ -224,8 +227,9 @@ class HeckeAlgebra:
         if w == group.identity():
             result = self.unit()
         else:
-            s = min(group.left_descents(w))
-            rest = self._bar_of_basis(group.left_mult_gen(s, w))
+            # bar(T_w) = bar(T_ws) · bar(T_s), one generator step
+            s = min(group.right_descents(w))
+            rest = self._bar_of_basis(group.right_mult_gen(w, s))
             a, b = self._quad[s]
             # bar(T_s) = T_s^-1 = b^-1 (T_s - a); b is a unit monomial
             if len(b.support()) != 1 or b.coeff(b.max_exp()) not in (1, -1):
@@ -235,7 +239,7 @@ class HeckeAlgebra:
                 group.generator(s): b_inv,
                 group.identity(): -(a * b_inv),
             })
-            result = self.multiply(gen_bar, rest)
+            result = self.multiply(rest, gen_bar)
         self._bar_basis[w] = result
         return result
 
@@ -290,6 +294,7 @@ def kl_table(group: CoxeterGroup) -> KLTable:
     polynomials."""
     e = group.identity()
     elements = group.elements()
+    length, ldesc = group._length, group._ldesc
     P: dict[tuple[Element, Element], Laurent] = {}
     pool: dict[Laurent, Laurent] = {ONE: ONE}
     mu_lists: dict[Element, tuple[tuple[Element, int], ...]] = {}
@@ -299,31 +304,32 @@ def kl_table(group: CoxeterGroup) -> KLTable:
             P[(e, e)] = ONE
             mu_lists[w] = ()
             continue
-        s = min(group.left_descents(w))
-        sw = group.left_mult_gen(s, w)
-        lw = group.length(w)
+        s = min(ldesc[w])
+        s_times = group._lmul[s]
+        sw = s_times[w]
+        lw = length[w]
         column = mask_bits(group.bruhat_mask(w))[::-1]
         # the z of the mu-sum: mu(z, sw) != 0 and sz < z
         mu_terms = [(z, m, group.bruhat_mask(z)) for z, m in mu_lists[sw]
-                    if s in group.left_descents(z)]
+                    if s in ldesc[z]]
         for y in column:
             if y == w:
                 P[(y, w)] = ONE
                 continue
-            sy = group.left_mult_gen(s, y)
-            if group.length(sy) > group.length(y):
+            sy = s_times[y]
+            if length[sy] > length[y]:
                 P[(y, w)] = P[(sy, w)]
                 continue
             val = P.get((sy, sw), ZERO) + Q * P.get((y, sw), ZERO)
             for z, m, below_z in mu_terms:
                 if below_z >> y & 1:
-                    val = val - P[(y, z)].shift(lw - group.length(z)) * m
+                    val = val - P[(y, z)].shift(lw - length[z]) * m
             P[(y, w)] = pool.setdefault(val, val)
         mus = []
         for y in column:
             if y == w:
                 continue
-            d = lw - group.length(y)
+            d = lw - length[y]
             if d % 2 == 1:
                 c = P[(y, w)].coeff(d - 1)
                 if c:
@@ -349,11 +355,12 @@ def inverse_kl(table: KLTable, support: Iterable[Element]) -> dict[tuple[Element
             raise ValueError(f"support not downward closed at {group.word_str(w)}")
     w0 = group.longest_element()
     w0_times = {x: group.product(w0, x) for x in supp}
+    length = group._length
     Pp: dict[tuple[Element, Element], Laurent] = {}
     for z in supp:
         for x in mask_bits(group.bruhat_mask(z)):
             p = table.get(w0_times[z], w0_times[x])
-            Pp[(x, z)] = p if (group.length(x) + group.length(z)) % 2 == 0 else -p
+            Pp[(x, z)] = p if (length[x] + length[z]) % 2 == 0 else -p
     return Pp
 
 
@@ -375,13 +382,16 @@ class CanonicalBasis:
 
 
 def canonical_basis(algebra: HeckeAlgebra, validate: bool = True) -> CanonicalBasis:
-    """Build every c_z by induction on length: start from c_s · c_{sz}
-    (bar-invariant with top term T_z) and repeatedly subtract
-    gamma_t · c_t for the longest t whose coefficient has a part outside
+    """Build every c_z by induction on length: start from c_{zs} · c_s for
+    a right descent s of z (one generator step; bar-invariant with top term
+    T_z, supported on the Bruhat ideal of z)
+    and walk that ideal once downwards from below z, subtracting
+    gamma_t · c_t at each t whose coefficient has a part outside
     v^-1 Z[v^-1], where gamma_t is the bar-symmetric head of that
-    coefficient.  Each step preserves bar-invariance and the top term, and
-    strictly reduces the violating positions, so the loop terminates with
-    the canonical basis element."""
+    coefficient.  Each step preserves bar-invariance and the top term and
+    leaves the coefficient at t in v^-1 Z[v^-1]; c_t is supported on the
+    ideal of t, whose other elements are numbered below t, so a step only
+    changes positions that the walk has not reached yet."""
     if algebra.normalization != "weighted":
         raise ValueError("canonical bases are defined here for the weighted normalization")
     group = algebra.group
@@ -391,20 +401,19 @@ def canonical_basis(algebra: HeckeAlgebra, validate: bool = True) -> CanonicalBa
         if z == group.identity():
             vectors[z] = algebra.unit()
             continue
-        s = min(group.left_descents(z))
+        s = min(group.right_descents(z))
         c_s = algebra.element({
             group.generator(s): ONE,
             group.identity(): v_power(-weight(s)),
         })
-        x = algebra.multiply(c_s, vectors[group.left_mult_gen(s, z)])
+        x = algebra.multiply(vectors[group.right_mult_gen(z, s)], c_s)
         terms = x.terms  # x is new, so its terms are corrected in place
-        while True:
-            worst = max((t for t, coeff in terms.items()
-                         if t != z and not coeff.in_v_minus_strict()), default=None)
-            if worst is None:
-                break
-            gamma = bar_symmetric_head(terms[worst])
-            add_into(terms, vectors[worst].terms.items(), -gamma)
+        below = mask_bits(group.bruhat_mask(z))
+        below.pop()  # z, the top bit
+        for t in reversed(below):
+            coeff = terms.get(t)
+            if coeff is not None and not coeff.in_v_minus_strict():
+                add_into(terms, vectors[t].terms.items(), -bar_symmetric_head(coeff))
         if validate:
             if x.coeff(z) != ONE:
                 raise AssertionError("canonical basis element lost its top term")

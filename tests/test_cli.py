@@ -364,6 +364,14 @@ def test_cache_ends_fail_closed(b2_cache, capsys, mangle, message):
     test_corrupt_caches_fail_closed(b2_cache, capsys, mangle, message)
 
 
+@pytest.mark.parametrize("text", ["01", "+1", " 1"])
+def test_cache_refuses_non_canonical_coefficients(b2_cache, capsys, text):
+    """``int`` reads each of these as 1, but the writer only writes "1"."""
+    test_corrupt_caches_fail_closed(
+        b2_cache, capsys, lambda t: t.replace("∅\t1\t1\n", f"∅\t1\t{text}\n"),
+        "non-canonical coefficients")
+
+
 def test_cache_that_is_not_utf8_fails_closed(b2_cache, capsys):
     b2_cache.write_bytes(b2_cache.read_bytes() + b"\xff\n")
     assert main(["kl", "--type", "B2", "--cache", str(b2_cache)]) == 2

@@ -468,6 +468,20 @@ def test_bruhat_lookups_refuse_elements_outside_the_group(b3):
             b3.bruhat_mask(bad)
 
 
+def test_table_lookups_refuse_elements_outside_the_group(b3):
+    """Each public lookup refuses -1 (once read as the longest element:
+    ``length(-1)`` was 9), 48 and a non-integer."""
+    lookups = [b3.length, b3.reduced_word, b3.word_str, b3.inverse,
+               b3.left_descents, b3.right_descents,
+               lambda w: b3.product(w, 1), lambda w: b3.product(1, w),
+               lambda w: b3.in_parabolic(w, {1, 2})]
+    for bad in (-1, 48, (1, 2)):
+        for lookup in lookups:
+            with pytest.raises(ValueError):
+                lookup(bad)
+    assert b3.length(47) == 9 and b3.inverse(0) == 0
+
+
 # -- parabolic machinery ---------------------------------------------------------
 
 def test_parabolic_elements(b4):

@@ -15,7 +15,7 @@ from heckepieces.hecke import (
     kl_table,
     split_weight,
 )
-from heckepieces.laurent import Laurent, ONE, ZERO, v_power
+from heckepieces.laurent import Laurent, ONE, ZERO, bar_symmetric_head, v_power
 
 from expected_b4 import SPOT_P
 
@@ -126,6 +126,24 @@ def test_multiply_matches_reference(x, y, which):
     assert algebra.multiply(hx, hy) == reference_multiply(algebra, hx, hy)
     assert (hx - hx).terms == {}
     assert (hx + -hx).terms == {}
+
+
+def iota(h):
+    """The anti-automorphism sum c_w T_w -> sum c_w T_{w^-1}."""
+    group = h.algebra.group
+    return h.algebra.element({group.inverse(w): c for w, c in h.terms.items()})
+
+
+@given(x=B3_TERMS, y=B3_TERMS, which=st.sampled_from([0, 1]))
+def test_iota_reverses_products(x, y, which):
+    """ι(x·y) = ι(y)·ι(x) in both normalizations: ι respects every
+    quadratic relation, so ``multiply`` is consistent with reversing the
+    order of the operands."""
+    algebra = B3_ALGEBRAS[which]
+    hx, hy = algebra.element(x), algebra.element(y)
+    assert iota(algebra.multiply(hx, hy)) == algebra.multiply(iota(hy), iota(hx))
+    assert iota(reference_multiply(algebra, hx, hy)) == \
+        reference_multiply(algebra, iota(hy), iota(hx))
 
 
 def test_weight_function_validation(b3):
@@ -348,6 +366,66 @@ def test_split_case_matches_kl(rank):
         for t in group.elements():
             expected = table.get(t, z).shift(group.length(t) - group.length(z))
             assert basis.p(t, z) == expected
+
+
+def reference_canonical_basis(algebra):
+    """canonical_basis as first written, on ``reference_multiply``: after
+    c_s · c_{sz}, rescan every term and correct the largest violating t
+    until none is left."""
+    group = algebra.group
+    weight = algebra.weight
+    vectors = {}
+    for z in group.elements():
+        if z == group.identity():
+            vectors[z] = algebra.unit()
+            continue
+        s = min(group.left_descents(z))
+        c_s = algebra.element({group.generator(s): ONE,
+                               group.identity(): v_power(-weight(s))})
+        x = reference_multiply(algebra, c_s, vectors[group.left_mult_gen(s, z)])
+        while True:
+            worst = max((t for t, coeff in x.terms.items()
+                         if t != z and not coeff.in_v_minus_strict()), default=None)
+            if worst is None:
+                break
+            x = x - vectors[worst].scale(bar_symmetric_head(x.coeff(worst)))
+        vectors[z] = x
+    return vectors
+
+
+WEIGHTED_CASES = [("B3", (a, b)) for a in (1, 2, 3) for b in (1, 2, 3)] + [("B4", (2, 1))]
+
+
+@pytest.mark.parametrize("label,ab", WEIGHTED_CASES)
+def test_canonical_basis_matches_reference(label, ab):
+    """Starting from c_{zs} · c_s and correcting in one walk gives the
+    basis of c_s · c_{sz} with the rescanning loop, on B3 for all weights
+    (a, b, ..., b) with a, b in {1, 2, 3} and on B4 with (2, 1, 1, 1)."""
+    group = coxeter_group(label)
+    weight = WeightFunction(group, {i: ab[0] if i == 1 else ab[1]
+                                    for i in group.generators()})
+    algebra = HeckeAlgebra(group, "weighted", weight)
+    basis = canonical_basis(algebra, validate=False)
+    assert basis.vectors == reference_canonical_basis(algebra)
+
+
+def test_canonical_basis_takes_one_step_per_element(monkeypatch):
+    """c_{zs} · c_s folds along c_s, one generator step, rather than along
+    the whole ideal of c_{sz}: at most |W| = 384 steps on B4 (2, 1, 1, 1),
+    where c_s · c_{sz} took 163,128."""
+    steps = 0
+    times_gen = HeckeAlgebra._times_gen
+
+    def counted(self, terms, s):
+        nonlocal steps
+        steps += 1
+        return times_gen(self, terms, s)
+
+    monkeypatch.setattr(HeckeAlgebra, "_times_gen", counted)
+    group = coxeter_group("B4")
+    algebra = HeckeAlgebra(group, "weighted", WeightFunction(group, {1: 2, 2: 1, 3: 1, 4: 1}))
+    canonical_basis(algebra, validate=False)
+    assert 0 < steps <= len(group.elements())
 
 
 def test_canonical_basis_rejects_geometric(b2):
