@@ -278,7 +278,7 @@ def restriction_coefficients(ctx: B4Context, t: Element, z: Element,
     group = ctx.group
     zu = group.product(group.inverse(z), u)
     t_inv = group.inverse(t)
-    p_of = {u1: ctx.kl.get(group.product(t_inv, u1), zu) for u1 in ctx.WJ}
+    p_of = {u1: ctx.kl.get(group._product(t_inv, u1), zu) for u1 in ctx.WJ}  # W_J from the group
     out: dict[Element, Laurent] = {}
     for u2 in ctx.WJ:
         acc = ZERO

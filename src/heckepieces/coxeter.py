@@ -297,13 +297,17 @@ class CoxeterGroup:
 
     def product(self, *ws: Element) -> Element:
         """w_1·w_2···, by right multiplication along reduced words."""
-        if not ws:
-            return 0
-        acc = ws[0]
-        self._check_element(acc)
+        for w in ws:
+            self._check_element(w)
+        return self._product(*ws) if ws else 0
+
+    def _product(self, *ws: Element) -> Element:
+        """``product`` without the range checks, for elements read from the
+        group's own tables; hot loops call it instead."""
+        acc, rmul, words = ws[0], self._rmul, self._words
         for b in ws[1:]:
-            for s in self.reduced_word(b):
-                acc = self._rmul[s][acc]
+            for s in words[b]:
+                acc = rmul[s][acc]
         return acc
 
     # -- words ---------------------------------------------------------------
@@ -348,7 +352,14 @@ class CoxeterGroup:
     def in_parabolic(self, w: Element, J: Iterable[int]) -> bool:
         """Whether w lies in the standard parabolic subgroup W_J (its
         reduced words then use only letters from J)."""
-        return self._check_subset(J).issuperset(self.reduced_word(w))
+        Jf = self._check_subset(J)
+        self._check_element(w)
+        return self._in_parabolic(w, Jf)
+
+    def _in_parabolic(self, w: Element, Jf: frozenset) -> bool:
+        """``in_parabolic`` without the checks, for an element of the group
+        and a checked subset Jf."""
+        return Jf.issuperset(self._words[w])
 
     def longest_element(self) -> Element:
         return len(self._length) - 1
@@ -410,7 +421,7 @@ class CoxeterGroup:
         cached = self._parabolic_cache.get(Jf)
         if cached is None:
             cached = self._parabolic_cache[Jf] = tuple(
-                w for w in self.elements() if Jf.issuperset(self._words[w]))
+                w for w in self.elements() if self._in_parabolic(w, Jf))
         return cached
 
     def longest_in_parabolic(self, J: Iterable[int]) -> Element:

@@ -38,13 +38,12 @@ from .laurent import add_into
 def ad_indices(group: CoxeterGroup, w: Element, K: Iterable[int]) -> frozenset:
     """{k : s_k = w s_j w^{-1} for some j in K} — conjugates of K-generators
     by w that remain generators (others are dropped)."""
-    w_inv = group.inverse(w)
+    length, words, w_inv = group._length, group._words, group.inverse(w)
     out = set()
-    for j in K:
-        g = group.product(w, group.generator(j), w_inv)
-        k = group.as_generator_index(g)
-        if k is not None:
-            out.add(k)
+    for j in group._check_subset(K):
+        g = group._product(group._rmul[j][w], w_inv)
+        if length[g] == 1:
+            out.add(words[g][0])
     return frozenset(out)
 
 
@@ -103,8 +102,8 @@ class BedardData:
         if not group.in_parabolic(x, self.target_parabolic):
             raise ValueError("tau is only defined on the target parabolic")
         w = self.w_infinity
-        out = group.product(w, self.delta.apply_inv(x), group.inverse(w))
-        if not group.in_parabolic(out, self.target_parabolic):
+        out = group._product(w, self.delta.apply_inv(x), group._inv[w])
+        if not group._in_parabolic(out, self.target_parabolic):
             raise ValueError("tau left the target parabolic; stabilization data is corrupt")
         return out
 
@@ -147,9 +146,8 @@ def bedard_sequence(group: CoxeterGroup, J: Iterable[int],
     while True:
         wn = group.min_double_coset(dJ, Jn, w)
         steps.append((Jn, wn))
-        Jnext = frozenset(
-            i for i in Jn if delta(i) in ad_indices(group, wn, Jn)
-        )
+        ad = ad_indices(group, wn, Jn)
+        Jnext = frozenset(i for i in Jn if delta(i) in ad)
         if Jnext == Jn:
             break
         Jn = Jnext
@@ -183,21 +181,19 @@ def bedard_inverse(group: CoxeterGroup, J: Iterable[int],
     if norm[0][0] != Jf:
         raise ValueError("sequence must start at the given subset J")
     for n, (Jn, wn) in enumerate(norm):
+        # these lookups refuse a wn that is not an element
         if not group.is_left_min(wn, delta.on_set(Jn)) or not group.is_right_min(wn, Jn):
             raise ValueError(f"step {n}: not a minimal double coset representative")
         if n >= 1:
             Jprev, wprev = norm[n - 1]
-            expected = frozenset(
-                i for i in Jprev if delta(i) in ad_indices(group, wprev, Jprev)
-            )
-            if Jn != expected:
+            ad = ad_indices(group, wprev, Jprev)
+            if Jn != frozenset(i for i in Jprev if delta(i) in ad):
                 raise ValueError(f"step {n}: subset does not follow the recursion")
-            if not group.in_parabolic(group.product(group.inverse(wprev), wn), Jprev):
+            if not group._in_parabolic(group._product(group._inv[wprev], wn), Jprev):
                 raise ValueError(f"step {n}: leaves the previous right coset")
     J_last, w_last = norm[-1]
-    stable = frozenset(
-        i for i in J_last if delta(i) in ad_indices(group, w_last, J_last)
-    )
+    ad = ad_indices(group, w_last, J_last)
+    stable = frozenset(i for i in J_last if delta(i) in ad)
     if stable != J_last:
         raise ValueError("sequence has not stabilized; more steps are required")
     _validate_index(group, Jf, delta, w_last)
@@ -228,9 +224,12 @@ def twisted_normalizer(group: CoxeterGroup, J: Iterable[int],
 
 def _orbit_mask(group: CoxeterGroup, Jf: frozenset, delta: DiagramAutomorphism,
                 w: Element) -> int:
-    """{δ(u) w u^{-1} : u in W_J}, as a bitmask of elements."""
-    return sum(1 << x for x in {group.product(delta.apply(u), w, group.inverse(u))
-                                for u in group.parabolic_elements(Jf)})
+    """{δ(u) w u^{-1} : u in W_J}, as a bitmask of elements; w comes from
+    the group's own tables or was checked by the caller."""
+    mask = 0
+    for u in group.parabolic_elements(Jf):
+        mask |= 1 << group._product(delta.apply(u), w, group._inv[u])
+    return mask
 
 
 def closure_leq(group: CoxeterGroup, J: Iterable[int], delta: DiagramAutomorphism,
@@ -337,8 +336,8 @@ def piece_projection(h: HeckeElement, data: BedardData) -> HeckeElement:
     group = h.algebra.group
     K = data.target_parabolic
     # y ↦ wy is injective, so no two terms land on the same T and nothing sums
-    moved = ((group.product(data.w, y), c) for y, c in h.terms.items())
-    return h.algebra.element({y1: c for y1, c in moved if group.in_parabolic(y1, K)})
+    moved = ((group._product(data.w, y), c) for y, c in h.terms.items())
+    return h.algebra.element({y1: c for y1, c in moved if group._in_parabolic(y1, K)})
 
 
 def E_operator(h: HeckeElement, data: BedardData, n: int) -> HeckeElement:

@@ -293,6 +293,107 @@ def test_b5_table_core_matches_window_formulas(word_a, word_b):
     assert window(group.product(a, b)) == window_product(window(a), window(b))
 
 
+# The reflection representation (Humphreys, Reflection Groups and Coxeter
+# Groups, §5.3-5.4), an oracle outside the enumeration for crystallographic
+# types: s_i(α_j) = α_j - c_ij α_i on the root basis.  An element is the
+# tuple of its images of the simple roots, taken along its reduced word.
+
+def cartan_matrix(coxeter):
+    """An integer Cartan matrix with c_ij c_ji = 0, 1, 2, 3 for m = 2, 3, 4,
+    6.  On a tree diagram every such choice is the geometric representation
+    up to a positive rescaling of the roots, which keeps their signs."""
+    n = len(coxeter)
+    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        product = {2: 0, 3: 1, 4: 2, 6: 3}[coxeter[i][j]]
+        if product:
+            cartan[i][j], cartan[j][i] = -1, -product
+    return cartan
+
+
+def _simple_roots(n):
+    return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+
+
+def _reflect(cartan, s, v):
+    """s(v) = v - (sum_j c_sj v_j) α_s."""
+    k = s - 1
+    coeff = sum(c * x for c, x in zip(cartan[k], v))
+    return tuple(x - coeff if i == k else x for i, x in enumerate(v))
+
+
+def _times_reflection(cartan, images, s):
+    """The images under w·s from those under w: (ws)(α_j) = w(α_j) - c_sj w(α_s)."""
+    k = s - 1
+    return tuple(tuple(a - cartan[k][j] * b for a, b in zip(image, images[k]))
+                 for j, image in enumerate(images))
+
+
+def _images_of_word(cartan, word):
+    images = _simple_roots(len(cartan))
+    for s in word:
+        images = _times_reflection(cartan, images, s)
+    return images
+
+
+def _act(images, v):
+    """w(v) = sum_j v_j w(α_j)."""
+    return tuple(sum(a * image[i] for a, image in zip(v, images)) for i in range(len(v)))
+
+
+def _positive_roots(cartan):
+    """The orbit of the simple roots under the reflections, positive half."""
+    roots = set(_simple_roots(len(cartan)))
+    frontier = list(roots)
+    while frontier:
+        v = frontier.pop()
+        for s in range(1, len(cartan) + 1):
+            u = _reflect(cartan, s, v)
+            if u not in roots:
+                roots.add(u)
+                frontier.append(u)
+    return [v for v in roots if min(v) >= 0]
+
+
+def _is_negative(v):
+    return max(v) <= 0  # a root has all coordinates of one sign
+
+
+REFLECTION_GROUPS = {
+    "matrix:A4": (_coxeter_matrix(4, [(1, 2, 3), (2, 3, 3), (3, 4, 3)]), 10),
+    "matrix:D4": (CENSUS_CASES["D4"][0], 12),
+    "matrix:F4": (CENSUS_CASES["F4"][0], 24),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFLECTION_GROUPS))
+def test_table_core_matches_reflection_representation(name):
+    """On every element: the length is the number of positive roots sent
+    negative, the right descents are the s with w(α_s) < 0, the left
+    descents are the right descents of w^-1 (the reversed word), and the
+    inverse and one-generator products act as the representation says."""
+    matrix, n_positive = REFLECTION_GROUPS[name]
+    cartan = cartan_matrix(matrix)
+    positive = _positive_roots(cartan)
+    assert len(positive) == n_positive
+    group = coxeter_group(matrix)
+    gens = group.generators()
+    images = [_images_of_word(cartan, group.reduced_word(w)) for w in group.elements()]
+    assert len(set(images)) == len(images)
+    for w, image in enumerate(images):
+        word = group.reduced_word(w)
+        sent_negative = sum(_is_negative(_act(image, root)) for root in positive)
+        assert group.length(w) == len(word) == sent_negative
+        inverse = _images_of_word(cartan, word[::-1])
+        assert group.right_descents(w) == {s for s in gens if _is_negative(image[s - 1])}
+        assert group.left_descents(w) == {s for s in gens if _is_negative(inverse[s - 1])}
+        assert images[group.inverse(w)] == inverse
+        for s in gens:
+            assert images[group.right_mult_gen(w, s)] == _times_reflection(cartan, image, s)
+            assert images[group.left_mult_gen(s, w)] == tuple(
+                _reflect(cartan, s, v) for v in image)
+
+
 def test_signed_permutation_arithmetic(b3):
     rng = random.Random(7)
     elements = b3.elements()

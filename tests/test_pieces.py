@@ -18,6 +18,7 @@ from heckepieces.pieces import (
     bedard_sequence,
     closure_hasse,
     closure_leq,
+    conjugates_set_to,
     mu_J,
     piece_dimension,
     piece_indices,
@@ -92,6 +93,11 @@ def test_invalid_index_rejected(b4):
     delta = b4.automorphism()
     with pytest.raises(ValueError):
         bedard_sequence(b4, J, delta, b4.parse_word("12"))  # left descent in J
+
+
+def test_conjugates_set_to_refuses_non_generators(b3):
+    with pytest.raises(ValueError, match="not a subset of generators"):
+        conjugates_set_to(b3, b3.identity(), {99}, {99})
 
 
 def test_sequence_round_trip(b4, b4_data):
