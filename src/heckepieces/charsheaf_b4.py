@@ -49,7 +49,7 @@ and ``conjecture_report`` checks, over all 64 pairs (t, z):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .coxeter import CoxeterGroup, Element, coxeter_group
@@ -195,6 +195,9 @@ class B4Context:
     eps: dict[Element, int]
     cs_table: dict[Element, CSVector]
     probes: dict[str, Element]
+    # (t, z, u) -> the restriction_coefficients expansion, kept once computed
+    _expansions: dict[tuple[Element, Element, Element], dict[Element, Laurent]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def n_leq(self, t: Element, z: Element) -> bool:
         """t <= z inside the dihedral normalizer (its own Bruhat order,
@@ -274,7 +277,14 @@ def build_context(kl: KLTable | None = None) -> B4Context:
 def restriction_coefficients(ctx: B4Context, t: Element, z: Element,
                              u: Element) -> dict[Element, Laurent]:
     """Expansion coefficients of [z^{-1}u] restricted to the stratum at t,
-    over the classes [u'']_t for u'' in W_J."""
+    over the classes [u'']_t for u'' in W_J.
+
+    The context keeps each (t, z, u) expansion once it is computed, so the
+    report and the checks expand each triple once; every call returns a
+    fresh dict."""
+    kept = ctx._expansions.get((t, z, u))
+    if kept is not None:
+        return dict(kept)
     group = ctx.group
     zu = group.product(group.inverse(z), u)
     t_inv = group.inverse(t)
@@ -289,7 +299,8 @@ def restriction_coefficients(ctx: B4Context, t: Element, z: Element,
             acc = acc + pp * p_of[u1]
         if acc:
             out[u2] = acc
-    return out
+    ctx._expansions[(t, z, u)] = out
+    return dict(out)
 
 
 def piece_restriction(ctx: B4Context, t: Element, z: Element, u: Element) -> CSVector:

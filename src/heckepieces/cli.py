@@ -84,13 +84,23 @@ def _q_coefficients(p: Laurent) -> list[int]:
 
 def _coefficient_text(coeffs: list[int]) -> str:
     """``1,0,2``: the one spelling of a coefficient list that caches and
-    CSV output use, and the only one the cache loader accepts."""
+    CSV output use, and the only one the cache loader accepts.
+
+    >>> _coefficient_text([1, 0, 2])
+    '1,0,2'
+    """
     return ",".join(map(str, coeffs))
 
 
 def _cache_header(group: CoxeterGroup) -> str:
     """``klcache v1 <type_tag>``; a ``matrix`` tag says nothing about the
-    group, so the Coxeter matrix follows it as compact JSON."""
+    group, so the Coxeter matrix follows it as compact JSON.
+
+    >>> _cache_header(coxeter_group("B2"))
+    'klcache v1 B2'
+    >>> _cache_header(coxeter_group([[1, 4], [4, 1]]))
+    'klcache v1 matrix [[1,4],[4,1]]'
+    """
     header = f"{CACHE_MAGIC} {CACHE_VERSION} {group.type_tag}"
     if group.type_tag == "matrix":
         header += " " + json.dumps(group.matrix, separators=(",", ":"))
@@ -100,7 +110,7 @@ def _cache_header(group: CoxeterGroup) -> str:
 def _cache_records(group: CoxeterGroup) -> Iterator[tuple[int, int, str, str]]:
     """``(y, w, y_word, w_word)`` for every pair y <= w, by w-word, then
     by y-word: the one place that decides the order of cache records."""
-    words = [group.word_str(x) for x in group.elements()]
+    words = group._word_strs()
     for w in sorted(group.elements(), key=words.__getitem__):
         w_word = words[w]
         for y in sorted(mask_bits(group.bruhat_mask(w)), key=words.__getitem__):
@@ -162,7 +172,12 @@ def _refuse_record(group: CoxeterGroup, expected: tuple, before: tuple | None,
 def load_kl_cache(path: str, group: CoxeterGroup) -> KLTable:
     """Load a cache written by ``save_kl_cache``, failing closed: the
     header must name this group, the records must be the walk's pairs in
-    order, and each polynomial must meet the invariants of P_{y,w}."""
+    order, and each polynomial must meet the invariants of P_{y,w}.
+
+    Each distinct coefficient string is parsed and checked once.  Beside
+    its polynomial the loader keeps the least length gap l(w) - l(y) that
+    the polynomial allows off the diagonal, so each record costs one
+    comparison."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = _cache_lines(handle)
@@ -172,7 +187,7 @@ def load_kl_cache(path: str, group: CoxeterGroup) -> KLTable:
             if header != _cache_header(group):
                 raise CliError(f"bad cache header {header!r}")
             table: dict[tuple, Laurent] = {}
-            polynomials: dict[str, Laurent] = {}
+            polynomials: dict[str, tuple[Laurent, float]] = {}  # text -> (P, least gap)
             length = group._length  # the walk yields only elements
             before = None
             for record in _cache_records(group):
@@ -183,8 +198,8 @@ def load_kl_cache(path: str, group: CoxeterGroup) -> KLTable:
                     raise CliError(f"malformed record {line!r}")
                 if fields is None or fields[0] != y_word or fields[1] != w_word:
                     _refuse_record(group, record, before, fields, next(lines, None))
-                p = polynomials.get(fields[2])
-                if p is None:  # parse and check each distinct coefficient string once
+                known = polynomials.get(fields[2])
+                if known is None:  # parse and check each distinct coefficient string once
                     try:
                         coeffs = [int(c) for c in fields[2].split(",")]
                     except ValueError as exc:
@@ -193,12 +208,15 @@ def load_kl_cache(path: str, group: CoxeterGroup) -> KLTable:
                         raise CliError(f"trailing zero coefficient in {line!r}")
                     if _coefficient_text(coeffs) != fields[2]:  # "01", "+1", " 1"
                         raise CliError(f"non-canonical coefficients in {line!r}")
-                    p = polynomials[fields[2]] = Laurent(
-                        {2 * i: c for i, c in enumerate(coeffs) if c})
+                    p = Laurent({2 * i: c for i, c in enumerate(coeffs) if c})
+                    # P_{y,w} has constant term 1 and degree below l(w) - l(y)
+                    least_gap = p.max_exp() + 1 if p.coeff(0) == 1 else float("inf")
+                    known = polynomials[fields[2]] = (p, least_gap)
+                p, least_gap = known
                 if y == w:
                     if p != ONE:
                         raise CliError(f"bad diagonal record {line!r}")
-                elif p.coeff(0) != 1 or p.max_exp() >= length[w] - length[y]:
+                elif length[w] - length[y] < least_gap:
                     raise CliError(f"invariant violation in {line!r}")
                 table[(y, w)] = p
                 before = record

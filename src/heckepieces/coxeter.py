@@ -6,9 +6,11 @@ length at a time.  Its elements are the integers 0, 1, ..., |W| - 1 in
 last element is the longest, and integer order is ``sort_key`` order.  For
 every element the group stores its length, canonical reduced word, both
 descent sets, both one-generator products and its inverse in lists indexed
-by the element, so every structural question is a lookup; one more list,
-filled lazily, holds Bruhat ideals as int bitmasks (``bruhat_mask``).  Type
-B_n is built from its Coxeter matrix (``type_b_matrix``), like any other group.
+by the element, so every structural question is a lookup.  Two more lists
+are filled lazily: Bruhat ideals as int bitmasks (``bruhat_mask``), and word
+strings (``word_str``), filled in one pass with the map back from each string
+that ``parse_word`` reads.  Type B_n is built from its Coxeter matrix
+(``type_b_matrix``), like any other group.
 
 Elements mean nothing without their group, so every question goes through
 it.  The constructor first computes the order from the Coxeter graph
@@ -241,6 +243,8 @@ class CoxeterGroup:
         self._inv, self._rdesc = inv, rdesc
         self._ldesc = [rdesc[x] for x in inv]
         self._masks = [1] + [0] * (order - 1)  # see bruhat_mask
+        self._strs: list[str] = []  # see _word_strs
+        self._element_of_str: dict[str, Element] = {}
 
     # -- table lookups ---------------------------------------------------------
 
@@ -324,12 +328,36 @@ class CoxeterGroup:
             w = self.right_mult_gen(w, s)
         return w
 
+    def _word_strs(self) -> list[str]:
+        """Every element's ``word_str``, indexed by the element.  Built in one
+        pass on first use, as the Bruhat masks are, together with the map
+        from each string back to its element.  That map exists only for
+        ranks up to 9: at rank 10, "110" is the string of s_1·s_10, which
+        the letter loop of ``parse_word`` refuses."""
+        if not self._strs:
+            self._strs = [EMPTY_WORD_GLYPH] + ["".join(map(str, word)) for word in self._words[1:]]
+            if self.rank <= 9:
+                self._element_of_str = {text: w for w, text in enumerate(self._strs)}
+        return self._strs
+
     def word_str(self, w: Element) -> str:
-        word = self.reduced_word(w)
-        return "".join(str(s) for s in word) if word else EMPTY_WORD_GLYPH
+        self._check_element(w)
+        return self._word_strs()[w]
 
     def parse_word(self, text: str) -> Element:
-        """Inverse of word_str: digits (or ∅ / empty) to a group element."""
+        """Inverse of word_str: digits (or ∅ / empty) to a group element.
+
+        A canonical string is one dict lookup; any other spelling is read
+        letter by letter:
+
+        >>> W = coxeter_group("B2")
+        >>> W.parse_word("121"), W.parse_word(" 2121 "), W.parse_word("")
+        (5, 7, 0)
+        """
+        self._word_strs()  # fills the map from strings to elements
+        w = self._element_of_str.get(text)
+        if w is not None:
+            return w
         text = text.strip()
         if text in ("", EMPTY_WORD_GLYPH):
             return self.identity()
@@ -432,14 +460,15 @@ class CoxeterGroup:
         """The unique factorization w = a·b with a of minimal length in its
         coset wW_J (no right descents in J) and b in W_J; lengths add."""
         Jf = self._check_subset(J)
-        a, b = w, self.identity()
+        self._check_element(w)
+        rdesc, rmul, lmul = self._rdesc, self._rmul, self._lmul
+        a, b = w, 0
         while True:
-            ds = self.right_descents(a) & Jf
+            ds = rdesc[a] & Jf
             if not ds:
                 return a, b
             s = min(ds)
-            a = self.right_mult_gen(a, s)
-            b = self.left_mult_gen(s, b)
+            a, b = rmul[s][a], lmul[s][b]
 
     def left_quotient(self, w: Element, J: Iterable[int]) -> tuple[Element, Element]:
         """The unique factorization w = b·a with b in W_J and a of minimal
@@ -450,26 +479,30 @@ class CoxeterGroup:
 
     def is_right_min(self, w: Element, J: Iterable[int]) -> bool:
         """w shortest in wW_J, i.e. no right descents in J."""
-        return not (self.right_descents(w) & self._check_subset(J))
+        self._check_element(w)
+        return not (self._rdesc[w] & self._check_subset(J))
 
     def is_left_min(self, w: Element, J: Iterable[int]) -> bool:
         """w shortest in W_J w, i.e. no left descents in J."""
-        return not (self.left_descents(w) & self._check_subset(J))
+        self._check_element(w)
+        return not (self._ldesc[w] & self._check_subset(J))
 
     def min_double_coset(self, K: Iterable[int], J: Iterable[int], w: Element) -> Element:
         """The minimal-length element of the double coset W_K w W_J,
         by alternately peeling left descents in K and right descents in J."""
         Kf = self._check_subset(K)
         Jf = self._check_subset(J)
+        self._check_element(w)
+        ldesc, rdesc, lmul, rmul = self._ldesc, self._rdesc, self._lmul, self._rmul
         u = w
         while True:
-            lds = self.left_descents(u) & Kf
+            lds = ldesc[u] & Kf
             if lds:
-                u = self.left_mult_gen(min(lds), u)
+                u = lmul[min(lds)][u]
                 continue
-            rds = self.right_descents(u) & Jf
+            rds = rdesc[u] & Jf
             if rds:
-                u = self.right_mult_gen(u, min(rds))
+                u = rmul[min(rds)][u]
                 continue
             return u
 
@@ -477,7 +510,7 @@ class CoxeterGroup:
         """All minimal double coset representatives ^K W^J, sorted."""
         Kf, Jf = self._check_subset(K), self._check_subset(J)
         return tuple(w for w in self.elements()
-                     if self.is_left_min(w, Kf) and self.is_right_min(w, Jf))
+                     if not (self._ldesc[w] & Kf or self._rdesc[w] & Jf))
 
     # -- diagram automorphisms ---------------------------------------------------
 
@@ -518,10 +551,20 @@ class DiagramAutomorphism:
         return frozenset(self._inv_perm[i] for i in J)
 
     def apply(self, w: Element) -> Element:
-        return self.group.from_word(self.perm[s] for s in self.group.reduced_word(w))
+        return self._rewrite(self.perm, w)
 
     def apply_inv(self, w: Element) -> Element:
-        return self.group.from_word(self._inv_perm[s] for s in self.group.reduced_word(w))
+        return self._rewrite(self._inv_perm, w)
+
+    def _rewrite(self, perm: dict[int, int], w: Element) -> Element:
+        """The element spelled by w's reduced word with each letter s
+        replaced by perm[s]."""
+        group = self.group
+        group._check_element(w)
+        acc, rmul = 0, group._rmul
+        for s in group._words[w]:
+            acc = rmul[perm[s]][acc]
+        return acc
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiagramAutomorphism):

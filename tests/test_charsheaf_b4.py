@@ -3,15 +3,26 @@ and the bundled example checks, compared against independent records."""
 
 import pytest
 
-from heckepieces.b4_example import FAMILY_PAIRS, family_of, run_example
+from heckepieces.b4_example import (
+    FAMILY_PAIRS,
+    check_chi,
+    check_conjectures,
+    check_group_facts,
+    check_restrictions,
+    family_of,
+    run_example,
+)
 from heckepieces.charsheaf_b4 import (
     BLOCK,
     boundary_dims,
+    build_context,
+    conjecture_report,
     cuspidal_scalar,
     normalized_restriction,
     restriction_coefficients,
     solve_chi,
 )
+from heckepieces.hecke import KLTable
 from heckepieces.laurent import Laurent, ONE, ZERO, v_power
 
 from expected_b4 import (
@@ -69,6 +80,64 @@ def test_restriction_spot_values(ctx):
             ctx, ctx.by_name[t_name], ctx.by_name[z_name], g.parse_word(u_word))
         want = {g.parse_word(w): poly(pairs) for w, pairs in row.items()}
         assert got == want, (t_name, z_name, u_word)
+
+
+def reference_restriction_coefficients(ctx, t, z, u):
+    """``restriction_coefficients`` before the context kept its expansions:
+    the sum over u' computed afresh on every call."""
+    group = ctx.group
+    zu = group.product(group.inverse(z), u)
+    t_inv = group.inverse(t)
+    p_of = {u1: ctx.kl.get(group.product(t_inv, u1), zu) for u1 in ctx.WJ}
+    out = {}
+    for u2 in ctx.WJ:
+        acc = ZERO
+        for u1 in ctx.WJ:
+            pp = ctx.ikl.get((u2, u1))
+            if pp is None or not p_of[u1]:
+                continue
+            acc = acc + pp * p_of[u1]
+        if acc:
+            out[u2] = acc
+    return out
+
+
+def test_restriction_matches_reference(b4_kl):
+    """All 512 triples (t, z, u), each asked twice: once computed, once kept."""
+    fresh = build_context(kl=b4_kl)
+    for _ in range(2):
+        for t in fresh.N:
+            for z in fresh.N:
+                for u in fresh.WJ:
+                    assert restriction_coefficients(fresh, t, z, u) == \
+                        reference_restriction_coefficients(fresh, t, z, u)
+
+
+def test_kept_restrictions_are_not_shared(ctx):
+    """Each call returns its own dict, so a caller's edit cannot reach the
+    expansion the context keeps."""
+    t, z, u = ctx.by_name["e"], ctx.by_name["efe"], ctx.probes["121"]
+    first = restriction_coefficients(ctx, t, z, u)
+    want = dict(first)
+    first.clear()
+    first[0] = ONE
+    assert restriction_coefficients(ctx, t, z, u) == want != first
+
+
+def test_report_and_checks_expand_each_triple_once(b4_kl, monkeypatch):
+    """The report and the four checks ask for 1,408 expansions of 384
+    distinct (t, z, u).  Each expansion reads 8 polynomials, and
+    ``check_restrictions`` reads 30 more on its own, so 384 · 8 + 30 =
+    3,102 lookups; expanding on every call made 11,294."""
+    fresh = build_context(kl=b4_kl)
+    calls = []
+    get = KLTable.get
+    monkeypatch.setattr(KLTable, "get", lambda self, y, w: calls.append(1) or get(self, y, w))
+    report = conjecture_report(fresh)
+    checks = (check_group_facts(fresh), check_restrictions(fresh), check_chi(fresh),
+              check_conjectures(fresh, report))
+    assert all(check.passed for check in checks)
+    assert len(calls) <= 3102
 
 
 def test_boundary_restrictions_are_dimensions(ctx):

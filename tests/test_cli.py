@@ -298,6 +298,31 @@ def test_cache_must_hold_exactly_the_bruhat_pairs(tmp_path, capsys, edit, pair, 
     assert capsys.readouterr().out == value
 
 
+@pytest.mark.parametrize("gap_of_target", [1, 2])
+def test_cache_checks_each_record_against_its_own_length_gap(tmp_path, capsys,
+                                                             gap_of_target):
+    """"1,1" is P_{y,w} for pairs with l(w) - l(y) >= 3.  Written on a pair
+    of gap 1 or 2 after a valid "1,1" record, it must still be refused: a
+    loader that kept each string's verdict instead of its bound would
+    accept it."""
+    b3 = coxeter_group("B3")
+    path = tmp_path / "b3.klcache"
+    assert main(["kl", "--type", "B3", "--cache", str(path)]) == 0
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+    def gap(line):
+        y, w, _ = line.split("\t")
+        return b3.length(b3.parse_word(w)) - b3.length(b3.parse_word(y))
+
+    first = next(i for i, line in enumerate(lines) if line.endswith("\t1,1\n"))
+    target = next(i for i in range(first + 1, len(lines))
+                  if gap(lines[i]) == gap_of_target and lines[i].endswith("\t1\n"))
+    lines[target] = lines[target][:-2] + "1,1\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert main(["kl", "--type", "B3", "--cache", str(path)]) == 2
+    assert f"invariant violation in {lines[target][:-1]!r}" in capsys.readouterr().err
+
+
 class _DiskFullHandle:
     """A file handle that writes half of what it is given, then fails."""
 

@@ -657,6 +657,17 @@ def test_automorphism_a3_swap():
     assert delta.inv_on_set({2, 3}) == frozenset({1, 2})
 
 
+def test_automorphism_inverse_undoes_a_three_cycle():
+    """On D4 the leaf 3-cycle δ = (1 3 4) is not an involution, so apply_inv
+    and apply differ and must undo each other."""
+    group = coxeter_group(CENSUS_CASES["D4"][0])
+    delta = group.automorphism({1: 3, 2: 2, 3: 4, 4: 1})
+    for w in group.elements():
+        assert delta.apply_inv(delta.apply(w)) == w == delta.apply(delta.apply_inv(w))
+    assert delta.apply(group.generator(1)) == group.generator(3) \
+        == delta.apply_inv(group.generator(4))
+
+
 def test_automorphism_validation():
     group = coxeter_group(A3_MATRIX)
     with pytest.raises(ValueError):
@@ -673,3 +684,77 @@ def test_b2_swap_automorphism(b2):
     assert delta.apply(b2.generator(1)) == b2.generator(2)
     longest = b2.elements()[-1]
     assert delta.apply(longest) == longest
+
+
+def test_parabolic_lookups_refuse_elements_outside_the_group(b3):
+    """The coset and automorphism lookups check their arguments once, at
+    entry, and then read the raw tables, where -1 would be the longest
+    element."""
+    delta = b3.automorphism()
+    lookups = [delta.apply, delta.apply_inv, lambda w: b3.right_quotient(w, {1}),
+               lambda w: b3.left_quotient(w, {1}), lambda w: b3.is_left_min(w, {1}),
+               lambda w: b3.is_right_min(w, {1}),
+               lambda w: b3.min_double_coset({1}, {2}, w)]
+    for bad in (-1, 48):
+        for lookup in lookups:
+            with pytest.raises(ValueError):
+                lookup(bad)
+    with pytest.raises(ValueError):
+        b3.right_quotient(0, {4})
+
+
+# -- word strings ------------------------------------------------------------------
+
+def reference_parse_word(group, text):
+    """``parse_word`` before the word-string table: strip, then read the
+    digits one letter at a time."""
+    text = text.strip()
+    if text in ("", "∅"):
+        return group.identity()
+    word = []
+    for ch in text:
+        if not ch.isdigit() or not 1 <= int(ch) <= group.rank:
+            raise ValueError(f"bad generator {ch!r} in word {text!r}")
+        word.append(int(ch))
+    return group.from_word(word)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+WORD_TABLE_GROUPS = {
+    "B2": "B2",
+    "B3": "B3",
+    "B4": "B4",
+    "matrix:A4": _coxeter_matrix(4, [(1, 2, 3), (2, 3, 3), (3, 4, 3)]),
+    "matrix:D4": CENSUS_CASES["D4"][0],
+    "matrix:H3": CENSUS_CASES["H3"][0],
+    "matrix:I2(8)": CENSUS_CASES["I2(8)"][0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_TABLE_GROUPS))
+def test_parse_word_matches_reference(name):
+    """Every canonical string is a table hit; other spellings and bad words
+    take the letter loop, with the same answers and the same errors."""
+    group = coxeter_group(WORD_TABLE_GROUPS[name])
+    for w in group.elements():
+        text = group.word_str(w)
+        assert group.parse_word(text) == reference_parse_word(group, text) == w
+    for text in (" 12 ", "11", "2121", "", "∅", "14", "x"):
+        assert _parse_outcome(group.parse_word, text) == \
+            _parse_outcome(functools.partial(reference_parse_word, group), text)
+
+
+def test_word_strings_above_rank_9_are_not_looked_up():
+    """At rank 10 the string of s_1·s_10 is "110", which the letter loop
+    refuses; the table must not turn it into an element."""
+    group = coxeter_group(_coxeter_matrix(10, []))  # A1^10, 1,024 elements
+    assert group.word_str(group.from_word((1, 10))) == "110"
+    with pytest.raises(ValueError):
+        group.parse_word("110")
+    assert group.parse_word("12") == group.from_word((1, 2))

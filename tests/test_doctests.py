@@ -6,12 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from heckepieces import coxeter, hecke, laurent
+from heckepieces import cli, coxeter, hecke, laurent
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-@pytest.mark.parametrize("module", [laurent, coxeter, hecke],
+@pytest.mark.parametrize("module", [laurent, coxeter, hecke, cli],
                          ids=lambda m: m.__name__.rsplit(".", 1)[-1])
 def test_doctests(module):
     result = doctest.testmod(module)
