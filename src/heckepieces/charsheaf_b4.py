@@ -2,10 +2,10 @@
 boundary and solving for the character-sheaf transition data.
 
 Setting: W = B_4 with J = {1, 2} and trivial diagram twist.  The twisted
-normalizer N of J is an order-8 dihedral group generated by its two atoms
-e (length 1) and f (length 5), carrying a weight (e ↦ 1, f ↦ 3) and a sign
-character ε (ε(e) = +1, ε(f) = -1).  The parabolic W_J is of type B_2 and
-supports six character sheaves labelled
+normalizer N of J is the Coxeter group of type B_2 on its atoms e = 4 and
+f = 32123, derived from the group's tables (``_normalizer_mirror``), with a
+weight (e ↦ 1, f ↦ 3) and a sign character ε (ε(e) = +1, ε(f) = -1).  The
+parabolic W_J is of type B_2 and supports six character sheaves labelled
 
     1, rho, sigma, sigma', theta, S,
 
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .coxeter import CoxeterGroup, Element, coxeter_group
 from .hecke import (
@@ -146,30 +146,26 @@ class CSVector:
         return f"CSVector({self.text()})"
 
 
-def _pol(pairs: Mapping[int, int]) -> Laurent:
-    return Laurent(pairs)
-
-
 # the class [u] of each W_J piece closure in the character-sheaf basis
 # (keyed by the reduced word of u); input data for the whole pipeline
 CS_TABLE_BY_WORD: dict[str, CSVector] = {
-    "": CSVector({"1": ONE, "rho": _pol({0: 2}), "sigma": ONE, "sigma'": ONE,
+    "": CSVector({"1": ONE, "rho": Laurent({0: 2}), "sigma": ONE, "sigma'": ONE,
                   "S": ONE}),
-    "1": CSVector({"1": _pol({0: 1, 2: 1}), "rho": _pol({0: 1, 2: 1}),
-                   "sigma": _pol({0: 1, 2: 1})}),
-    "2": CSVector({"1": _pol({0: 1, 2: 1}), "rho": _pol({0: 1, 2: 1}),
-                   "sigma'": _pol({0: 1, 2: 1})}),
-    "12": CSVector({"1": _pol({0: 1, 2: 2, 4: 1}), "rho": _pol({2: 1}),
-                    "sigma": _pol({2: 1}), "sigma'": _pol({2: 1}),
-                    "theta": _pol({2: 1})}),
-    "21": CSVector({"1": _pol({0: 1, 2: 2, 4: 1}), "rho": _pol({2: 1}),
-                    "sigma": _pol({2: 1}), "sigma'": _pol({2: 1}),
-                    "theta": _pol({2: 1})}),
-    "121": CSVector({"1": _pol({0: 1, 2: 1, 4: 1, 6: 1}),
-                     "sigma'": _pol({2: 1, 4: 1}), "theta": _pol({2: 1, 4: 1})}),
-    "212": CSVector({"1": _pol({0: 1, 2: 1, 4: 1, 6: 1}),
-                     "sigma": _pol({2: 1, 4: 1}), "theta": _pol({2: 1, 4: 1})}),
-    "1212": CSVector({"1": _pol({0: 1, 2: 2, 4: 2, 6: 2, 8: 1})}),
+    "1": CSVector({"1": Laurent({0: 1, 2: 1}), "rho": Laurent({0: 1, 2: 1}),
+                   "sigma": Laurent({0: 1, 2: 1})}),
+    "2": CSVector({"1": Laurent({0: 1, 2: 1}), "rho": Laurent({0: 1, 2: 1}),
+                   "sigma'": Laurent({0: 1, 2: 1})}),
+    "12": CSVector({"1": Laurent({0: 1, 2: 2, 4: 1}), "rho": Laurent({2: 1}),
+                    "sigma": Laurent({2: 1}), "sigma'": Laurent({2: 1}),
+                    "theta": Laurent({2: 1})}),
+    "21": CSVector({"1": Laurent({0: 1, 2: 2, 4: 1}), "rho": Laurent({2: 1}),
+                    "sigma": Laurent({2: 1}), "sigma'": Laurent({2: 1}),
+                    "theta": Laurent({2: 1})}),
+    "121": CSVector({"1": Laurent({0: 1, 2: 1, 4: 1, 6: 1}),
+                     "sigma'": Laurent({2: 1, 4: 1}), "theta": Laurent({2: 1, 4: 1})}),
+    "212": CSVector({"1": Laurent({0: 1, 2: 1, 4: 1, 6: 1}),
+                     "sigma": Laurent({2: 1, 4: 1}), "theta": Laurent({2: 1, 4: 1})}),
+    "1212": CSVector({"1": Laurent({0: 1, 2: 2, 4: 2, 6: 2, 8: 1})}),
 }
 
 
@@ -188,7 +184,7 @@ class B4Context:
     name_of: dict[Element, str]
     by_name: dict[str, Element]
     dihedral_word: dict[Element, str]      # words in the atoms e, f
-    mirror: CoxeterGroup                   # abstract dihedral copy
+    mirror: CoxeterGroup                   # N as an abstract Coxeter group
     to_mirror: dict[Element, Element]
     pbasis: CanonicalBasis
     weight_L: dict[Element, int]
@@ -212,9 +208,42 @@ class B4Context:
         return [(t, z) for z in self.N for t in self.N]
 
 
-def build_context(kl: KLTable | None = None) -> B4Context:
+def _normalizer_mirror(group: CoxeterGroup, J: frozenset) -> tuple:
+    """``(N, atoms, mirror, to_mirror)``: the twisted normalizer N of J as a
+    Coxeter group.  Its atoms are the elements of N that are no
+    length-additive product of two non-identity elements of N; the mirror's
+    matrix holds the orders of the atom products; ``to_mirror`` sends z to
+    the mirror element whose word, letter i read as the i-th atom,
+    multiplies to z, and must be a bijection.
+
+    >>> W = coxeter_group("B4")
+    >>> N, atoms, mirror, to_mirror = _normalizer_mirror(W, frozenset({1, 2}))
+    >>> [W.word_str(a) for a in atoms], mirror.matrix
+    (['4', '32123'], ((1, 4), (4, 1)))
+    """
     from .pieces import twisted_normalizer
 
+    N = twisted_normalizer(group, J, group.automorphism())
+    length, product = group._length, group._product
+    composite = {ab for a in N[1:] for b in N[1:]
+                 if length[ab := product(a, b)] == length[a] + length[b]}
+    atoms = tuple(z for z in N[1:] if z not in composite)
+
+    def order(x: Element) -> int:  # the least k >= 1 with x^k = 1
+        k, y = 1, x
+        while y:
+            k, y = k + 1, product(y, x)
+        return k
+
+    mirror = CoxeterGroup([[order(product(a, b)) for b in atoms] for a in atoms])
+    to_mirror = {product(0, *(atoms[i - 1] for i in mirror.reduced_word(x))): x
+                 for x in mirror.elements()}
+    if len(to_mirror) != len(mirror.elements()) or to_mirror.keys() != set(N):
+        raise AssertionError("the normalizer is not the Coxeter group of its atoms")
+    return N, atoms, mirror, to_mirror
+
+
+def build_context(kl: KLTable | None = None) -> B4Context:
     if kl is None:
         group = coxeter_group("B4")
         kl = kl_table(group)
@@ -226,37 +255,16 @@ def build_context(kl: KLTable | None = None) -> B4Context:
     WJ = group.parabolic_elements(J)
     ikl = inverse_kl(kl, WJ)
 
-    delta = group.automorphism()
-    N_raw = twisted_normalizer(group, J, delta)
-    if len(N_raw) != 8:
-        raise AssertionError("twisted normalizer is not of order 8")
-    by_len = {group.length(z): z for z in N_raw}
-    e, f = by_len[1], by_len[5]
-    words = ("", "e", "f", "fe", "ef", "efe", "fef", "efef")
-    atoms = {"e": e, "f": f}
-    name_of: dict[Element, str] = {}
-    by_name: dict[str, Element] = {}
-    dihedral_word: dict[Element, str] = {}
-    order: list[Element] = []
-    for wd in words:
-        z = group.product(*(atoms[ch] for ch in wd)) if wd else group.identity()
-        nm = wd if wd else "1"
-        name_of[z] = nm
-        by_name[nm] = z
-        dihedral_word[z] = wd
-        order.append(z)
-    if set(order) != set(N_raw) or len(set(order)) != 8:
-        raise AssertionError("normalizer is not dihedral on the two atoms")
-
-    mirror = coxeter_group("B2")
-    letter = {"e": 1, "f": 2}
-    to_mirror = {
-        z: mirror.from_word(letter[ch] for ch in dihedral_word[z]) for z in order
-    }
-    weight = WeightFunction(mirror, {1: ATOM_WEIGHTS[0], 2: ATOM_WEIGHTS[1]})
+    N, atoms, mirror, to_mirror = _normalizer_mirror(group, J)
+    if len(atoms) != len(ATOM_WEIGHTS):
+        raise AssertionError(f"the normalizer has {len(atoms)} atoms, not {len(ATOM_WEIGHTS)}")
+    dihedral_word = {z: "".join("ef"[i - 1] for i in mirror.reduced_word(to_mirror[z])) for z in N}
+    name_of = {z: dihedral_word[z] or "1" for z in N}
+    by_name = {nm: z for z, nm in name_of.items()}
+    weight = WeightFunction(mirror, dict(zip(mirror.generators(), ATOM_WEIGHTS)))
     pbasis = canonical_basis(HeckeAlgebra(mirror, "weighted", weight))
-    weight_L = {z: weight.of(to_mirror[z]) for z in order}
-    eps = {z: (-1) ** dihedral_word[z].count("f") for z in order}
+    weight_L = {z: weight.of(to_mirror[z]) for z in N}
+    eps = {z: (-1) ** dihedral_word[z].count("f") for z in N}
 
     cs_table = {group.parse_word(wd): vec for wd, vec in CS_TABLE_BY_WORD.items()}
     if set(cs_table) != set(WJ):
@@ -264,7 +272,7 @@ def build_context(kl: KLTable | None = None) -> B4Context:
     probes = {wd: group.parse_word(wd) for wd in PROBE_WORDS}
 
     return B4Context(
-        group=group, J=J, WJ=WJ, kl=kl, ikl=ikl, N=tuple(order),
+        group=group, J=J, WJ=WJ, kl=kl, ikl=ikl, N=N,
         name_of=name_of, by_name=by_name, dihedral_word=dihedral_word,
         mirror=mirror, to_mirror=to_mirror, pbasis=pbasis,
         weight_L=weight_L, eps=eps, cs_table=cs_table, probes=probes,

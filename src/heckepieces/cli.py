@@ -16,9 +16,9 @@ Subcommands
     Run every frozen check of the rank-4 example; exit 0 only if all of
     them pass.
 
-Exit codes: 0 success, 1 a check failed, 2 bad arguments or corrupt
-input.  All output is deterministic: identical invocations produce
-byte-identical bytes.
+Exit codes: 0 success, 1 a check failed, 2 bad arguments, unreadable or
+unwritable files, or corrupt input.  All output is deterministic: identical
+invocations produce byte-identical bytes.
 
 Cache format
 ------------
@@ -245,7 +245,7 @@ def _load_matrix(path: str) -> list[list[int]]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read matrix file {path}: {exc}") from exc
     if (not isinstance(data, list)
             or not all(isinstance(row, list) for row in data)):
@@ -285,7 +285,7 @@ def _parse_delta(text: str, group: CoxeterGroup) -> DiagramAutomorphism:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             images = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read permutation file {path}: {exc}") from exc
     if (not isinstance(images, list)
             or not all(isinstance(i, int) for i in images)
@@ -303,8 +303,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write output {out}: {exc}") from exc
 
 
 def _as_json(payload) -> str:

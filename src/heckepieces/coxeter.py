@@ -58,7 +58,10 @@ def mask_bits(mask: int) -> list[int]:
 
 def _validate_matrix(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     n = len(matrix)
-    rows = tuple(tuple(int(x) for x in row) for row in matrix)
+    rows = tuple(tuple(row) for row in matrix)
+    for x in sum(rows, ()):
+        if not isinstance(x, int) or isinstance(x, bool):  # bool is a subclass of int
+            raise ValueError(f"Coxeter matrix entries must be integers, not {x!r}")
     if any(len(row) != n for row in rows):
         raise ValueError("Coxeter matrix must be square")
     for i in range(n):

@@ -276,7 +276,10 @@ class KLTable:
     def mu(self, y: Element, w: Element) -> int:
         """The coefficient of q^((l(w)-l(y)-1)/2) in P_{y,w} (0 when the
         length gap is even)."""
-        d = self.group.length(w) - self.group.length(y)
+        group = self.group
+        group._check_element(y)
+        group._check_element(w)
+        d = group._length[w] - group._length[y]
         if d <= 0 or d % 2 == 0:
             return 0
         return self.get(y, w).coeff(d - 1)

@@ -269,37 +269,25 @@ def closure_hasse(group: CoxeterGroup, J: Iterable[int],
 # -- dimensions ----------------------------------------------------------------
 
 
-def _positive_roots_of_subset(rank: int, J: frozenset) -> int:
-    """Positive roots of the parabolic root subsystem of type B_rank on J:
-    the run of consecutive indices containing 1 is a type-B subsystem (k^2
-    roots for k nodes), every other run is type A (m(m+1)/2 roots)."""
-    count = 0
-    run = 0
-    for i in range(1, rank + 2):
-        if i <= rank and i in J:
-            run += 1
-            continue
-        if run:
-            if i - run == 1:  # the run started at node 1
-                count += run * run
-            else:
-                count += run * (run + 1) // 2
-            run = 0
-    return count
-
-
 def piece_dimension(group: CoxeterGroup, J: Iterable[int], w: Element,
                     delta: DiagramAutomorphism | None = None) -> int:
     """Dimension of the piece with index w for a type-B group of rank n:
-    l(w) + n^2 + n + #(positive roots of the J-subsystem)."""
+    l(w) + l(w_0) + n + l(w_0,J), since B_n has l(w_0) = n^2 positive roots
+    and the J-subsystem has l(w_0,J).
+
+    >>> from heckepieces.coxeter import coxeter_group
+    >>> W = coxeter_group("B4")
+    >>> [piece_dimension(W, {1, 2}, W.parse_word(word)) for word in ("", "4")]
+    [24, 25]
+    """
     if not group.type_tag.startswith("B"):
         raise ValueError("piece dimensions are defined here for type B only")
     Jf = group._check_subset(J)
     if delta is None:
         delta = group.automorphism()
     _validate_index(group, Jf, delta, w)
-    n = group.rank
-    return group.length(w) + n * n + n + _positive_roots_of_subset(n, Jf)
+    return (group.length(w) + group.length(group.longest_element()) + group.rank
+            + group.length(group.longest_in_parabolic(Jf)))
 
 
 # -- Hecke operators ---------------------------------------------------------

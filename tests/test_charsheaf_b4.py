@@ -13,7 +13,9 @@ from heckepieces.b4_example import (
     run_example,
 )
 from heckepieces.charsheaf_b4 import (
+    ATOM_WEIGHTS,
     BLOCK,
+    _normalizer_mirror,
     boundary_dims,
     build_context,
     conjecture_report,
@@ -22,8 +24,10 @@ from heckepieces.charsheaf_b4 import (
     restriction_coefficients,
     solve_chi,
 )
-from heckepieces.hecke import KLTable
+from heckepieces.coxeter import coxeter_group
+from heckepieces.hecke import KLTable, WeightFunction
 from heckepieces.laurent import Laurent, ONE, ZERO, v_power
+from heckepieces.pieces import twisted_normalizer
 
 from expected_b4 import (
     CS_ROWS,
@@ -62,6 +66,66 @@ def test_context_sanity(ctx):
     assert ctx.n_leq(ctx.by_name["e"], ctx.by_name["efe"])
     assert not ctx.n_leq(ctx.by_name["efe"], ctx.by_name["e"])
     assert not ctx.n_leq(ctx.by_name["e"], ctx.by_name["f"])
+
+
+def reference_normalizer_names(group):
+    """N spelled the way ``build_context`` spelled it before deriving it:
+    atoms picked by lengths 1 and 5, eight fixed words in them, and B2 as
+    the mirror.  Returns (order, name_of, by_name, dihedral_word, to_mirror,
+    weight_L, eps)."""
+    N = twisted_normalizer(group, frozenset({1, 2}), group.automorphism())
+    by_len = {group.length(z): z for z in N}
+    atoms = {"e": by_len[1], "f": by_len[5]}
+    mirror = coxeter_group("B2")
+    weight = WeightFunction(mirror, {1: ATOM_WEIGHTS[0], 2: ATOM_WEIGHTS[1]})
+    order, name_of, by_name, dihedral_word, to_mirror, weight_L, eps = (
+        [], {}, {}, {}, {}, {}, {})
+    for wd in ("", "e", "f", "fe", "ef", "efe", "fef", "efef"):
+        z = group.product(*(atoms[ch] for ch in wd)) if wd else group.identity()
+        order.append(z)
+        name_of[z] = wd or "1"
+        by_name[wd or "1"] = z
+        dihedral_word[z] = wd
+        to_mirror[z] = mirror.from_word({"e": 1, "f": 2}[ch] for ch in wd)
+        weight_L[z] = weight.of(to_mirror[z])
+        eps[z] = (-1) ** wd.count("f")
+    assert sorted(order) == list(N)
+    return order, name_of, by_name, dihedral_word, to_mirror, weight_L, eps
+
+
+def test_derived_normalizer_matches_spelled_reference(b4_kl):
+    fresh = build_context(kl=b4_kl)
+    order, name_of, by_name, dihedral_word, to_mirror, weight_L, eps = \
+        reference_normalizer_names(fresh.group)
+    assert list(fresh.N) == order
+    assert fresh.name_of == name_of
+    assert fresh.by_name == by_name
+    assert fresh.dihedral_word == dihedral_word
+    assert fresh.to_mirror == to_mirror
+    assert fresh.weight_L == weight_L
+    assert fresh.eps == eps
+    assert fresh.mirror.matrix == coxeter_group("B2").matrix
+
+
+@pytest.mark.parametrize("rank,atom_words,matrix", [
+    (3, ["32123"], ((1,),)),
+    (4, ["4", "32123"], ((1, 4), (4, 1))),
+    (5, ["4", "5", "32123"], ((1, 3, 4), (3, 1, 2), (4, 2, 1))),
+])
+def test_normalizer_mirror_on_other_ranks(rank, atom_words, matrix):
+    """The derivation is not tied to rank 4: on B3 N has one atom, on B5 it
+    is of type B3 with |N| = 48 = |mirror|, and the atom words multiply to
+    the elements they name."""
+    group = coxeter_group(f"B{rank}")
+    N, atoms, mirror, to_mirror = _normalizer_mirror(group, frozenset({1, 2}))
+    assert N == twisted_normalizer(group, frozenset({1, 2}), group.automorphism())
+    assert [group.word_str(a) for a in atoms] == atom_words
+    assert mirror.matrix == matrix
+    assert len(N) == len(mirror.elements()) == len(to_mirror)
+    assert sorted(to_mirror) == list(N)
+    for z, x in to_mirror.items():
+        assert group.product(0, *(atoms[i - 1] for i in mirror.reduced_word(x))) == z
+        assert (mirror.length(x) == 1) == (z in atoms)  # generators are the atoms
 
 
 def test_cs_table_matches_independent_record(ctx):

@@ -403,6 +403,46 @@ def test_cache_that_is_not_utf8_fails_closed(b2_cache, capsys):
     assert "cannot read cache" in capsys.readouterr().err
 
 
+# -- file errors -------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["group", "--type", "B2"],
+    ["kl", "--type", "B2"],
+    ["pieces", "--type", "B2", "--J", "1"],
+    ["example-b4"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_exits_2(argv, tmp_path, capsys):
+    """An --out path that cannot be opened is bad input (exit 2), not a
+    failed check (exit 1) and not a traceback."""
+    for out in (tmp_path / "no" / "such" / "dir" / "x", tmp_path):
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write output {out}: ")
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["group", "--type", "matrix:{path}"], "cannot read matrix file"),
+    (["pieces", "--type", "B2", "--J", "1", "--delta", "perm:{path}"],
+     "cannot read permutation file"),
+], ids=["matrix", "perm"])
+def test_input_file_that_is_not_utf8_exits_2(argv, message, tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"[[1, 3], [3, 1]] \xff\n")
+    assert main([arg.format(path=path) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message} {path}: ")
+
+
+@pytest.mark.parametrize("entry", [3.5, "3", True, None])
+def test_matrix_entries_that_are_not_integers_exit_2(entry, tmp_path, capsys):
+    """3.5 used to read as 3 (building A2), "3" as 3, true as 1, and null
+    raised a TypeError."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([[1, entry], [entry, 1]]))
+    assert main(["group", "--type", f"matrix:{path}"]) == 2
+    assert "Coxeter matrix entries must be integers" in capsys.readouterr().err
+
+
 def _swap_records(text: str) -> str:
     lines = text.splitlines()
     lines[1], lines[2] = lines[2], lines[1]

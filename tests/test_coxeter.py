@@ -42,6 +42,17 @@ def test_factory_validation():
         coxeter_group([[2, 3], [3, 1]])  # bad diagonal
 
 
+@pytest.mark.parametrize("entry", [3.5, "3", True, None])
+def test_matrix_entries_must_be_integers(entry):
+    """No entry is coerced: 3.5 used to build A2, "3" read as 3 and True as
+    1, and None raised TypeError."""
+    for matrix in ([[1, entry], [entry, 1]], [[entry, 3], [3, 1]]):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            coxeter_group(matrix)
+        with pytest.raises(ValueError, match="entries must be integers"):
+            coxeter_order(matrix)
+
+
 def test_enumeration_cap_fails_closed():
     with pytest.raises(ValueError):
         coxeter_group(type_b_matrix(4), cap=100)

@@ -6,12 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from heckepieces import cli, coxeter, hecke, laurent
+from heckepieces import charsheaf_b4, cli, coxeter, hecke, laurent, pieces
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-@pytest.mark.parametrize("module", [laurent, coxeter, hecke, cli],
+@pytest.mark.parametrize("module", [laurent, coxeter, hecke, pieces, charsheaf_b4, cli],
                          ids=lambda m: m.__name__.rsplit(".", 1)[-1])
 def test_doctests(module):
     result = doctest.testmod(module)

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from heckepieces.coxeter import coxeter_group, mask_bits
+from heckepieces.coxeter import CoxeterGroup, coxeter_group, mask_bits
 from heckepieces.hecke import (
     Q,
     HeckeAlgebra,
@@ -357,6 +357,28 @@ def test_kl_mu(b2):
     assert table.mu(e, s) == 1
     assert table.mu(e, b2.from_word((1, 2))) == 0  # even length gap
     assert table.mu(b2.from_word((1, 2)), b2.from_word((1, 2, 1))) == 1
+
+
+def test_kl_mu_reads_lengths_from_the_table(b4, b4_kl, monkeypatch):
+    """1,000 B4 mu queries make no checked ``length`` call (two per query
+    before); what is not an element is still refused."""
+    calls = 0
+    length = CoxeterGroup.length
+
+    def counted(self, w):
+        nonlocal calls
+        calls += 1
+        return length(self, w)
+
+    monkeypatch.setattr(CoxeterGroup, "length", counted)
+    rng = random.Random(11)
+    order = len(b4.elements())
+    answers = [b4_kl.mu(rng.randrange(order), rng.randrange(order)) for _ in range(1000)]
+    assert calls == 0
+    assert any(answers)
+    for y, w in ((-1, 5), (0, order), (0, -1), (0.0, 5), (None, 5)):
+        with pytest.raises(ValueError):
+            b4_kl.mu(y, w)
 
 
 # -- inverse KL ----------------------------------------------------------------

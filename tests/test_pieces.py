@@ -272,6 +272,46 @@ def test_piece_dimensions_b2(b2):
     assert dims == {"∅": 7, "2": 8, "21": 9, "212": 10}
 
 
+def reference_positive_roots(rank: int, J: frozenset) -> int:
+    """Positive roots of the parabolic root subsystem of type B_rank on J,
+    counted run by run: the run of consecutive indices containing 1 is a
+    type-B subsystem (k^2 roots for k nodes), every other run is type A
+    (m(m+1)/2 roots)."""
+    count = 0
+    run = 0
+    for i in range(1, rank + 2):
+        if i <= rank and i in J:
+            run += 1
+            continue
+        if run:
+            if i - run == 1:  # the run started at node 1
+                count += run * run
+            else:
+                count += run * (run + 1) // 2
+            run = 0
+    return count
+
+
+@pytest.mark.parametrize("rank,subsets", [
+    *((n, None) for n in (2, 3, 4)),  # None: every nonempty subset
+    (5, [J]),
+])
+def test_piece_dimension_matches_root_count(rank, subsets):
+    """l(w) + l(w_0) + n + l(w_0,J) against l(w) + n^2 + n + the root
+    count of the J-subsystem, on every piece index."""
+    group = coxeter_group(f"B{rank}")
+    delta = group.automorphism()
+    gens = list(group.generators())
+    if subsets is None:
+        subsets = [frozenset(c) for k in range(1, rank + 1)
+                   for c in itertools.combinations(gens, k)]
+    for Jsub in subsets:
+        extra = rank * rank + rank + reference_positive_roots(rank, Jsub)
+        for w in piece_indices(group, Jsub, delta):
+            assert piece_dimension(group, Jsub, w, delta) == group.length(w) + extra, \
+                (rank, sorted(Jsub), group.word_str(w))
+
+
 def test_piece_dimension_rejects_non_type_b():
     g = coxeter_group(A3_MATRIX)
     with pytest.raises(ValueError):
