@@ -32,10 +32,12 @@ further line is one stored polynomial::
 
 with coefficients ascending from the constant term and no trailing
 zeros: one record per Bruhat pair y <= w, sorted by (w-word, y-word).  The
-writer streams one walk over these pairs to a temporary file renamed over
-the target, so an interrupted write leaves no partial file.  The loader
-checks the header, each record against that walk's next pair, and the
-invariants of every polynomial, refusing the file otherwise.
+writer and the loader share one walk over the table's columns in that
+order.  The writer streams it, one block per column, to a temporary file
+renamed over the target, so an interrupted write leaves no partial file.
+The loader checks the header, each record against that walk's next pair,
+and the invariants of every polynomial, refusing the file otherwise, and
+fills each column's pool indices straight from the records.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ import os
 import sys
 from typing import Iterator, NoReturn
 
-from .coxeter import CoxeterGroup, DiagramAutomorphism, coxeter_group, mask_bits
+from .coxeter import CoxeterGroup, DiagramAutomorphism, Element, coxeter_group, mask_bits
 from .laurent import Laurent, ONE, ZERO
-from .hecke import KLTable, kl_table
+from .hecke import KLTable, _frozen, kl_table
 from .pieces import (
     bedard_sequence,
     closure_hasse,
@@ -107,30 +109,33 @@ def _cache_header(group: CoxeterGroup) -> str:
     return header
 
 
-def _cache_records(group: CoxeterGroup) -> Iterator[tuple[int, int, str, str]]:
-    """``(y, w, y_word, w_word)`` for every pair y <= w, by w-word, then
-    by y-word: the one place that decides the order of cache records."""
+def _cache_columns(group: CoxeterGroup) -> Iterator[tuple[Element, str, list[Element], list[int]]]:
+    """``(w, w_word, ideal, by_word)`` for every w by w-word: w's ideal in
+    bit order, the order of its KL column, and the positions in ``ideal``
+    sorted by y-word.  The one place that decides the order of cache
+    records, by w-word, then by y-word."""
     words = group._word_strs()
     for w in sorted(group.elements(), key=words.__getitem__):
-        w_word = words[w]
-        for y in sorted(mask_bits(group.bruhat_mask(w)), key=words.__getitem__):
-            yield y, w, words[y], w_word
+        ideal = mask_bits(group.bruhat_mask(w))
+        by_word = sorted(range(len(ideal)), key=[words[y] for y in ideal].__getitem__)
+        yield w, words[w], ideal, by_word
 
 
 def save_kl_cache(table: KLTable, path: str) -> None:
-    """Stream every P_{y,w} with y <= w, read through ``table.get``, to a
+    """Stream every P_{y,w} with y <= w, one column block at a time, to a
     temporary file beside ``path``, then move it into place, so a failed
-    write never leaves a partial cache behind."""
-    rendered: dict[int, tuple[Laurent, str]] = {}  # holding p keeps id(p) unique
+    write never leaves a partial cache behind.  Each pool polynomial is
+    rendered once and each record picks its text by pool index."""
+    words = table.group._word_strs()
+    texts = [_coefficient_text(_q_coefficients(p)) for p in table.pool]
     temporary = f"{path}.{os.getpid()}.tmp"
     try:
         with open(temporary, "w", encoding="utf-8") as handle:
             handle.write(_cache_header(table.group) + "\n")
-            for y, w, y_word, w_word in _cache_records(table.group):
-                p = table.get(y, w)
-                if id(p) not in rendered:
-                    rendered[id(p)] = (p, _coefficient_text(_q_coefficients(p)))
-                handle.write(f"{y_word}\t{w_word}\t{rendered[id(p)][1]}\n")
+            for w, w_word, ideal, by_word in _cache_columns(table.group):
+                column, tail = table.columns[w], f"\t{w_word}\t"
+                handle.write("".join(
+                    f"{words[ideal[i]]}{tail}{texts[column[i]]}\n" for i in by_word))
         os.replace(temporary, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):
@@ -148,12 +153,19 @@ def _cache_lines(handle: io.TextIOBase) -> Iterator[str]:
         yield line[:-1]
 
 
-def _refuse_record(group: CoxeterGroup, expected: tuple, before: tuple | None,
-                   record: list[str] | None, after: str | None) -> NoReturn:
-    """Raise why the fields ``record`` (None at end of file) are not ``expected``."""
-    if record is not None:
+def _refuse_record(group: CoxeterGroup, expected: tuple[Element, Element],
+                   before: tuple[Element, Element] | None, line: str | None,
+                   lines: Iterator[str]) -> NoReturn:
+    """Raise why ``line`` (None at end of file) is not the record of the
+    pair ``expected``; ``before`` is the last pair read."""
+    words = group._word_strs()
+    if line is not None:
+        record = line.split("\t")
+        if len(record) != 3:
+            raise CliError(f"malformed record {line!r}")
+        after = next(lines, None)
         y_word, w_word = record[:2]
-        if before is not None and (w_word, y_word) <= (before[3], before[2]):
+        if before is not None and (w_word, y_word) <= (words[before[1]], words[before[0]]):
             raise CliError("cache records are not sorted")
         for word in (y_word, w_word):
             try:
@@ -166,7 +178,8 @@ def _refuse_record(group: CoxeterGroup, expected: tuple, before: tuple | None,
             raise CliError(f"record ({y_word}, {w_word}) is not a Bruhat pair y <= w")
         if after is not None and after.split("\t")[1::-1] < [w_word, y_word]:
             raise CliError("cache records are not sorted")
-    raise CliError(f"missing records: none for y = {expected[2]} <= w = {expected[3]}")
+    y, w = expected
+    raise CliError(f"missing records: none for y = {words[y]} <= w = {words[w]}")
 
 
 def load_kl_cache(path: str, group: CoxeterGroup) -> KLTable:
@@ -174,10 +187,11 @@ def load_kl_cache(path: str, group: CoxeterGroup) -> KLTable:
     header must name this group, the records must be the walk's pairs in
     order, and each polynomial must meet the invariants of P_{y,w}.
 
-    Each distinct coefficient string is parsed and checked once.  Beside
-    its polynomial the loader keeps the least length gap l(w) - l(y) that
-    the polynomial allows off the diagonal, so each record costs one
-    comparison."""
+    The records of each w fill its column of pool indices directly.  Each
+    distinct coefficient string is parsed and checked once into one pool
+    entry; beside its index the loader keeps the least length gap
+    l(w) - l(y) that the polynomial allows off the diagonal, so each record
+    costs one comparison."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = _cache_lines(handle)
@@ -186,46 +200,50 @@ def load_kl_cache(path: str, group: CoxeterGroup) -> KLTable:
                 raise CliError("cache is empty")
             if header != _cache_header(group):
                 raise CliError(f"bad cache header {header!r}")
-            table: dict[tuple, Laurent] = {}
-            polynomials: dict[str, tuple[Laurent, float]] = {}  # text -> (P, least gap)
-            length = group._length  # the walk yields only elements
+            pool: list[Laurent] = []
+            polynomials: dict[str, tuple[int, float]] = {}  # text -> (pool index, least gap)
+            columns: list = [None] * len(group.elements())
+            words, length = group._word_strs(), group._length  # the walk yields only elements
             before = None
-            for record in _cache_records(group):
-                y, w, y_word, w_word = record
-                line = next(lines, None)
-                fields = None if line is None else line.split("\t")
-                if fields is not None and len(fields) != 3:
-                    raise CliError(f"malformed record {line!r}")
-                if fields is None or fields[0] != y_word or fields[1] != w_word:
-                    _refuse_record(group, record, before, fields, next(lines, None))
-                known = polynomials.get(fields[2])
-                if known is None:  # parse and check each distinct coefficient string once
-                    try:
-                        coeffs = [int(c) for c in fields[2].split(",")]
-                    except ValueError as exc:
-                        raise CliError(f"bad coefficients in {line!r}") from exc
-                    if len(coeffs) > 1 and coeffs[-1] == 0:
-                        raise CliError(f"trailing zero coefficient in {line!r}")
-                    if _coefficient_text(coeffs) != fields[2]:  # "01", "+1", " 1"
-                        raise CliError(f"non-canonical coefficients in {line!r}")
-                    p = Laurent({2 * i: c for i, c in enumerate(coeffs) if c})
-                    # P_{y,w} has constant term 1 and degree below l(w) - l(y)
-                    least_gap = p.max_exp() + 1 if p.coeff(0) == 1 else float("inf")
-                    known = polynomials[fields[2]] = (p, least_gap)
-                p, least_gap = known
-                if y == w:
-                    if p != ONE:
-                        raise CliError(f"bad diagonal record {line!r}")
-                elif length[w] - length[y] < least_gap:
-                    raise CliError(f"invariant violation in {line!r}")
-                table[(y, w)] = p
-                before = record
+            for w, w_word, ideal, by_word in _cache_columns(group):
+                column, lw = [0] * len(ideal), length[w]
+                for k in by_word:
+                    y = ideal[k]
+                    line = next(lines, None)
+                    fields = None if line is None else line.split("\t")
+                    if (fields is None or len(fields) != 3
+                            or fields[0] != words[y] or fields[1] != w_word):
+                        _refuse_record(group, (y, w), before, line, lines)
+                    known = polynomials.get(fields[2])
+                    if known is None:  # parse and check each distinct coefficient string once
+                        try:
+                            coeffs = [int(c) for c in fields[2].split(",")]
+                        except ValueError as exc:
+                            raise CliError(f"bad coefficients in {line!r}") from exc
+                        if len(coeffs) > 1 and coeffs[-1] == 0:
+                            raise CliError(f"trailing zero coefficient in {line!r}")
+                        if _coefficient_text(coeffs) != fields[2]:  # "01", "+1", " 1"
+                            raise CliError(f"non-canonical coefficients in {line!r}")
+                        p = Laurent({2 * i: c for i, c in enumerate(coeffs) if c})
+                        # P_{y,w} has constant term 1 and degree below l(w) - l(y)
+                        least_gap = p.max_exp() + 1 if p.coeff(0) == 1 else float("inf")
+                        known = polynomials[fields[2]] = (len(pool), least_gap)
+                        pool.append(p)
+                    i, least_gap = known
+                    if y == w:
+                        if pool[i] != ONE:
+                            raise CliError(f"bad diagonal record {line!r}")
+                    elif lw - length[y] < least_gap:
+                        raise CliError(f"invariant violation in {line!r}")
+                    column[k] = i
+                    before = y, w
+                columns[w] = _frozen(column, pool)
             extra = next(lines, None)
             if extra is not None:
                 raise CliError(f"record {extra!r} follows the last pair")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read cache {path}: {exc}") from exc
-    return KLTable(group=group, table=table)
+    return KLTable._of_columns(group, pool, columns)
 
 
 def _obtain_kl(group: CoxeterGroup, cache: str | None) -> KLTable:
@@ -362,19 +380,18 @@ def _cmd_group(args: argparse.Namespace) -> int:
 
 
 def _kl_stats(table: KLTable) -> dict:
+    """Counts read from the pool indices: every pool entry is stored at
+    some pair, and ONE is in the pool at most once."""
     group = table.group
-    nontrivial = 0
-    max_degree = 0
-    for p in table.table.values():
-        if p != ONE:
-            nontrivial += 1
-            max_degree = max(max_degree, p.max_exp() // 2)
+    ones = [i for i, p in enumerate(table.pool) if p == ONE]
+    stored = sum(map(len, table.columns))
+    trivial = sum(column.count(i) for column in table.columns for i in ones)
     return {
         "type": group.type_tag,
         "order": len(group.elements()),
-        "stored_pairs": len(table.table),
-        "nontrivial_pairs": nontrivial,
-        "max_q_degree": max_degree,
+        "stored_pairs": stored,
+        "nontrivial_pairs": stored - trivial,
+        "max_q_degree": max((p.max_exp() // 2 for p in table.pool if p != ONE), default=0),
     }
 
 

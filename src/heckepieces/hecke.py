@@ -19,8 +19,11 @@ polynomials in v with even exponents) are computed column by column: only
 the extremal pairs (y, w), where y's left and right descents contain w's,
 run the classical recursion, and every other P_{y,w} is a copy of P_{ty,w}
 or P_{yt,w} for a left or right descent t of w with a longer product
-(Kazhdan-Lusztig, Invent. Math. 53, 1979, (2.3.g)).  Inverse KL polynomials
-on a downward-closed support come from the inversion formula
+(Kazhdan-Lusztig, Invent. Math. 53, 1979, (2.3.g)).  The table keeps each
+distinct polynomial once in a pool and each column as an array of pool
+indices aligned with the bits of w's Bruhat ideal, so a lookup is one mask
+test and one popcount.  Inverse KL polynomials on a downward-closed
+support come from the inversion formula
 P'_{x,z} = (-1)^(l(x)+l(z)) P_{w0 z, w0 x}, and weighted canonical bases
 from bar-symmetric correction in one downward walk over each Bruhat ideal,
 which works for arbitrary nonnegative weights.
@@ -28,8 +31,9 @@ which works for arbitrary nonnegative weights.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .coxeter import CoxeterGroup, Element, mask_bits
 from .laurent import Laurent, ONE, ZERO, add_into, bar_symmetric_head, v_power
@@ -258,34 +262,134 @@ class HeckeAlgebra:
 # -- Kazhdan-Lusztig tables ------------------------------------------------------
 
 
-@dataclass
+def _frozen(indices: Iterable[int], pool: list) -> array:
+    """A finished column of pool indices as an unsigned array: 16 bits
+    while the pool has at most 65,536 entries (B6 has 57,738), 32 after."""
+    return array("H" if len(pool) <= 1 << 16 else "I", indices)
+
+
+class _Pairs(Mapping):
+    """A read-only view of a ``KLTable`` as {(y, w): P_{y,w}} over its
+    comparable pairs, walked by w and then y."""
+
+    def __init__(self, table: "KLTable"):
+        self._table = table
+
+    def __getitem__(self, key: tuple[Element, Element]) -> Laurent:
+        try:
+            y, w = key
+            p = self._table.get(y, w)
+        except (TypeError, ValueError):  # not a pair of elements
+            raise KeyError(key) from None
+        if not self._table._masks[w] >> y & 1:
+            raise KeyError(key)
+        return p
+
+    def __iter__(self) -> Iterator[tuple[Element, Element]]:
+        masks = self._table._masks
+        for w in self._table.group.elements():
+            for y in mask_bits(masks[w]):
+                yield y, w
+
+    def __len__(self) -> int:
+        return sum(map(len, self._table.columns))
+
+
 class KLTable:
     """All Kazhdan-Lusztig polynomials of a finite Coxeter group.
 
     Polynomials are in q = v^2 and stored as Laurent polynomials in v with
-    even nonnegative exponents; P_{y,w} for incomparable pairs is 0 and is
-    not stored.
+    even nonnegative exponents.  ``pool`` holds each distinct P_{y,w} of
+    the table once, and ``columns[w]`` is an array of pool indices, one per
+    y <= w in the order of the bits of ``group.bruhat_mask(w)``, so
+    P_{y,w} = pool[columns[w][-k]] with k the number of ideal bits at or
+    above y, the popcount of ``bruhat_mask(w) >> y``
+    (du Cloux, Experiment. Math. 11, 2002, keeps each KL row the same way).
+    P_{y,w} for incomparable pairs is 0 and is not stored.  ``table`` is a
+    read-only mapping from each comparable pair (y, w) to P_{y,w}.
+
+    ``KLTable(group, mapping)`` stores the polynomials of a mapping that
+    holds exactly the comparable pairs.  Tables compare and hash by
+    identity: comparing two tables entry by entry walks every pair, so
+    callers compare ``table`` mappings when they mean to.
     """
 
-    group: CoxeterGroup
-    table: dict[tuple[Element, Element], Laurent]
+    def __init__(self, group: CoxeterGroup, table: Mapping[tuple[Element, Element], Laurent]):
+        pool: list[Laurent] = []
+        index: dict[Laurent, int] = {}
+        columns = []
+        for w in group.elements():
+            column = []
+            for y in mask_bits(group.bruhat_mask(w)):
+                try:
+                    p = table[(y, w)]
+                except KeyError:
+                    raise ValueError(f"no polynomial for the pair ({y}, {w})") from None
+                i = index.setdefault(p, len(pool))
+                if i == len(pool):
+                    pool.append(p)
+                column.append(i)
+            columns.append(_frozen(column, pool))
+        self._init(group, pool, columns)
+        if len(table) != len(self.table):
+            raise ValueError("the mapping holds pairs that are not y <= w")
+
+    @classmethod
+    def _of_columns(cls, group: CoxeterGroup, pool: list[Laurent], columns: list[array]) -> "KLTable":
+        """The table with this pool and these columns, all masks built."""
+        table = cls.__new__(cls)
+        table._init(group, pool, columns)
+        return table
+
+    def _init(self, group: CoxeterGroup, pool: list[Laurent], columns: list[array]) -> None:
+        self.group = group
+        self.pool = pool
+        self.columns = columns
+        self._masks = group._masks  # every mask is built once a column exists
+        self._order = len(columns)
+
+    @property
+    def table(self) -> Mapping[tuple[Element, Element], Laurent]:
+        return _Pairs(self)
 
     def get(self, y: Element, w: Element) -> Laurent:
-        return self.table.get((y, w), ZERO)
+        """P_{y,w}, or 0 when y is not below w.  Refuses what is not an
+        element, as ``group.length`` does: a negative w would read a column
+        from the end."""
+        try:
+            checked = 0 <= y < self._order and w >= 0
+            above = self._masks[w] >> y if checked else 0  # y's bit and those above it
+        except (TypeError, IndexError):  # None, 0.0, |W|
+            checked = False
+        if not checked:
+            raise ValueError(f"no pair of elements ({y!r}, {w!r})")
+        if not above & 1:
+            return ZERO
+        return self.pool[self.columns[w][-above.bit_count()]]
 
     def mu(self, y: Element, w: Element) -> int:
         """The coefficient of q^((l(w)-l(y)-1)/2) in P_{y,w} (0 when the
-        length gap is even)."""
-        group = self.group
-        group._check_element(y)
-        group._check_element(w)
-        d = group._length[w] - group._length[y]
+        length gap is even), with the checks of ``get``.  The checks and
+        the read are ``get``'s, inlined: a call would cost about as much as
+        the lookup."""
+        length = self.group._length
+        try:
+            checked = 0 <= y < self._order and w >= 0
+            d = length[w] - length[y] if checked else 0
+        except (TypeError, IndexError):
+            checked = False
+        if not checked:
+            raise ValueError(f"no pair of elements ({y!r}, {w!r})")
         if d <= 0 or d % 2 == 0:
             return 0
-        return self.get(y, w).coeff(d - 1)
+        above = self._masks[w] >> y
+        if not above & 1:
+            return 0
+        return self.pool[self.columns[w][-above.bit_count()]].coeff(d - 1)
 
     def pairs(self) -> list[tuple[Element, Element]]:
-        return sorted(self.table, key=lambda p: (p[1], p[0]))
+        """Every comparable pair (y, w), by w and then y."""
+        return list(self.table)
 
 
 def kl_table(group: CoxeterGroup) -> KLTable:
@@ -295,17 +399,19 @@ def kl_table(group: CoxeterGroup) -> KLTable:
     right descent t of w with yt > y, P_{y,w} = P_{yt,w} (Kazhdan-Lusztig,
     Invent. Math. 53, 1979, (2.3.g) and its image under w -> w^-1).  The
     longer element lies in the ideal of w and is numbered above y, so its
-    entry is already filled and is copied.  Only an extremal y, whose left
-    and right descents both contain those of w, runs the recursion along
-    the left descent s = min DL(w), where sy < y:
+    entry is already filled and its pool index is copied.  Only an extremal
+    y, whose left and right descents both contain those of w, runs the
+    recursion along the left descent s = min DL(w), where sy < y:
 
         P_{y,w} = P_{sy,sw} + q P_{y,sw}
                   - sum_z mu(z, sw) q^((l(w)-l(z))/2) P_{y,z},
 
-    the sum over y <= z <= sw with sz < z.  Off the diagonal, B4 has 2,076
-    extremal pairs among its 40,249 comparable ones, and B5 85,458 among
-    3,089,459.  Every pair is still stored, and equal polynomials as one
-    object: B4's pairs hold 41 distinct ones.
+    the sum over y <= z <= sw with sz < z, reading the finished columns of
+    sw and z.  Off the diagonal, B4 has 2,076 extremal pairs among its
+    40,249 comparable ones, and B5 85,458 among 3,089,459.  Each new
+    polynomial enters the pool once: B4's pairs hold 41 distinct ones, B5's
+    1,035.  A column is kept as a dict from y to pool index while it fills
+    and frozen to an array in bit order when it is done.
 
     A copy P_{u,w} with y < u < w has degree at most
     (l(w)-l(u)-1)/2 = (l(w)-l(y)-2)/2, so mu(y, w) can be nonzero only at an
@@ -314,13 +420,19 @@ def kl_table(group: CoxeterGroup) -> KLTable:
     e = group.identity()
     elements = group.elements()
     length, ldesc, rdesc = group._length, group._ldesc, group._rdesc
-    P: dict[tuple[Element, Element], Laurent] = {}
-    pool: dict[Laurent, Laurent] = {ONE: ONE}
+    masks = [group.bruhat_mask(w) for w in elements]
+    pool: list[Laurent] = [ONE]
+    index: dict[Laurent, int] = {ONE: 0}
+    columns: list[array] = []
     mu_lists: dict[Element, tuple[tuple[Element, int], ...]] = {}
+
+    def read(y: Element, z: Element) -> Laurent:  # P_{y,z} from a finished column
+        above = masks[z] >> y
+        return pool[columns[z][-above.bit_count()]] if above & 1 else ZERO
 
     for w in elements:
         if w == e:
-            P[(e, e)] = ONE
+            columns.append(_frozen([0], pool))
             mu_lists[w] = ()
             continue
         s = min(ldesc[w])
@@ -330,31 +442,33 @@ def kl_table(group: CoxeterGroup) -> KLTable:
         # y -> ty for t in DL(w) and y -> yt for t in DR(w)
         steps = [group._lmul[t] for t in ldesc[w]] + [group._rmul[t] for t in rdesc[w]]
         # the z of the mu-sum: mu(z, sw) != 0 and sz < z
-        mu_terms = [(z, m, group.bruhat_mask(z)) for z, m in mu_lists[sw]
-                    if s in ldesc[z]]
-        P[(w, w)] = ONE
+        mu_terms = [(z, m, masks[z]) for z, m in mu_lists[sw] if s in ldesc[z]]
+        ideal = mask_bits(masks[w])
+        column = {w: 0}  # y -> pool index
         mus = []
-        for y in mask_bits(group.bruhat_mask(w))[-2::-1]:  # below w, downwards
+        for y in ideal[-2::-1]:  # below w, downwards
             ly = length[y]
             for step in steps:
                 u = step[y]
                 if length[u] > ly:
-                    P[(y, w)] = P[(u, w)]
+                    column[y] = column[u]
                     if u == w:
                         mus.append((y, 1))
                     break
             else:  # y is extremal
-                sy = s_times[y]
-                val = P.get((sy, sw), ZERO) + Q * P.get((y, sw), ZERO)
+                val = read(s_times[y], sw) + Q * read(y, sw)
                 for z, m, below_z in mu_terms:
                     if below_z >> y & 1:
-                        val = val - P[(y, z)].shift(lw - length[z]) * m
-                P[(y, w)] = pool.setdefault(val, val)
+                        val = val - read(y, z).shift(lw - length[z]) * m
+                i = column[y] = index.setdefault(val, len(pool))
+                if i == len(pool):
+                    pool.append(val)
                 d = lw - ly
                 if d % 2 == 1 and val.coeff(d - 1):
                     mus.append((y, val.coeff(d - 1)))
+        columns.append(_frozen(map(column.__getitem__, ideal), pool))
         mu_lists[w] = tuple(mus)
-    return KLTable(group, P)
+    return KLTable._of_columns(group, pool, columns)
 
 
 def inverse_kl(table: KLTable, support: Iterable[Element]) -> dict[tuple[Element, Element], Laurent]:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -379,6 +380,75 @@ def test_kl_mu_reads_lengths_from_the_table(b4, b4_kl, monkeypatch):
     for y, w in ((-1, 5), (0, order), (0, -1), (0.0, 5), (None, 5)):
         with pytest.raises(ValueError):
             b4_kl.mu(y, w)
+
+
+def test_kl_get_refuses_elements_outside_the_group(b3):
+    """What ``group.length`` refuses, ``get`` refuses: a negative w would
+    otherwise read a column from the end.  Bools are ints, as there."""
+    table = kl_table(b3)
+    top = len(b3.elements()) - 1
+    for y, w in ((-1, top), (0, top + 1), (top + 1, top), (0, -1),
+                 (0.0, 5), (0, 5.0), (None, 5), (0, None)):
+        with pytest.raises(ValueError):
+            table.get(y, w)
+    assert table.get(True, top) is table.get(1, top)
+
+
+@pytest.mark.parametrize("name", ["B2", "B3", "B4", "matrix:D4", "matrix:H3"])
+def test_kl_columns_match_reference(name):
+    """Each column, walked with w's ideal in bit order, is the reference's
+    (y, P) list at w, and its pool holds every distinct P once."""
+    group = coxeter_group(KL_GROUPS[name])
+    table, reference = kl_table(group), reference_kl_table(group)
+    by_column = {}
+    for (y, w), p in reference.table.items():
+        by_column.setdefault(w, []).append((y, p))
+    for w in group.elements():
+        ideal = mask_bits(group.bruhat_mask(w))
+        walked = [(y, table.pool[i]) for y, i in zip(ideal, table.columns[w], strict=True)]
+        assert walked == sorted(by_column[w]), group.word_str(w)
+    assert len(set(table.pool)) == len(table.pool) == len(set(reference.table.values()))
+
+
+def test_kl_table_retains_little_memory():
+    """B4's table keeps 40,249 pool indices and 41 polynomials: under 1 MB
+    once the masks and word strings it shares with the group exist (a
+    dict keyed by (y, w) tuples kept 3.8 MB)."""
+    group = coxeter_group("B4")
+    for w in group.elements():
+        group.bruhat_mask(w)
+    group._word_strs()
+    tracemalloc.start()
+    try:
+        table = kl_table(group)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(table.table) == 40_249
+    assert retained < 1_000_000
+
+
+def test_kl_columns_widen_past_65536_polynomials():
+    """A table from a mapping with 98,407 distinct polynomials on A5 keeps
+    its first columns in 16 bits and widens the rest to 32."""
+    group = coxeter_group([[1, 3, 2, 2, 2], [3, 1, 3, 2, 2], [2, 3, 1, 3, 2],
+                           [2, 2, 3, 1, 3], [2, 2, 2, 3, 1]])
+    pairs = [(y, w) for w in group.elements() for y in mask_bits(group.bruhat_mask(w))]
+    mapping = {pair: Laurent({0: 1, 2: k}) for k, pair in enumerate(pairs)}
+    table = KLTable(group, mapping)
+    assert len(table.pool) == len(pairs) == 98_407
+    assert {column.typecode for column in table.columns} == {"H", "I"}
+    assert table.table == mapping
+    with pytest.raises(ValueError):  # a pair that is not y <= w
+        KLTable(group, {**mapping, (group.longest_element(), 0): ONE})
+    del mapping[pairs[0]]
+    with pytest.raises(ValueError):  # a missing pair
+        KLTable(group, mapping)
+
+
+def test_kl_tables_compare_by_identity(b2):
+    table = kl_table(b2)
+    assert table == table and table != kl_table(b2) and hash(table) == hash(table)
 
 
 # -- inverse KL ----------------------------------------------------------------
