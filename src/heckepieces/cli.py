@@ -31,13 +31,13 @@ further line is one stored polynomial::
     <y-word> TAB <w-word> TAB <comma-separated q-coefficients>
 
 with coefficients ascending from the constant term and no trailing
-zeros: one record per Bruhat pair y <= w, sorted by (w-word, y-word).  The
-writer and the loader share one walk over the table's columns in that
-order.  The writer streams it, one block per column, to a temporary file
-renamed over the target, so an interrupted write leaves no partial file.
-The loader checks the header, each record against that walk's next pair,
-and the invariants of every polynomial, refusing the file otherwise, and
-fills each column's pool indices straight from the records.
+zeros: one record per Bruhat pair y <= w, sorted by (w-word, y-word), and
+every line ends in a line feed alone.  One renderer spells this text, a
+header line and then one block of records per w.  The writer streams its
+blocks to a temporary file renamed over the target, so an interrupted
+write leaves no partial file.  The loader checks the header, rebuilds the
+table with ``kl_table`` and compares the file with the same blocks,
+refusing any difference with the first check the differing line fails.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ import os
 import sys
 from typing import Iterator, NoReturn
 
-from .coxeter import CoxeterGroup, DiagramAutomorphism, Element, coxeter_group, mask_bits
+from .coxeter import CoxeterGroup, DiagramAutomorphism, coxeter_group, mask_bits
 from .laurent import Laurent, ONE, ZERO
-from .hecke import KLTable, _frozen, kl_table
+from .hecke import KLTable, kl_table
 from .pieces import (
     bedard_sequence,
     closure_hasse,
@@ -109,33 +109,32 @@ def _cache_header(group: CoxeterGroup) -> str:
     return header
 
 
-def _cache_columns(group: CoxeterGroup) -> Iterator[tuple[Element, str, list[Element], list[int]]]:
-    """``(w, w_word, ideal, by_word)`` for every w by w-word: w's ideal in
-    bit order, the order of its KL column, and the positions in ``ideal``
-    sorted by y-word.  The one place that decides the order of cache
-    records, by w-word, then by y-word."""
+def _cache_blocks(table: KLTable) -> Iterator[str]:
+    """The text of ``table``'s cache: the header line, then one block of
+    records per w by w-word, each block's records by y-word.  The one place
+    that spells the record format and decides its order; each pool
+    polynomial is rendered once and each record picks its text by pool
+    index."""
+    group = table.group
     words = group._word_strs()
+    texts = [_coefficient_text(_q_coefficients(p)) for p in table.pool]
+    yield _cache_header(group) + "\n"
     for w in sorted(group.elements(), key=words.__getitem__):
         ideal = mask_bits(group.bruhat_mask(w))
         by_word = sorted(range(len(ideal)), key=[words[y] for y in ideal].__getitem__)
-        yield w, words[w], ideal, by_word
+        column, tail = table.columns[w], f"\t{words[w]}\t"
+        yield "".join(f"{words[ideal[i]]}{tail}{texts[column[i]]}\n" for i in by_word)
 
 
 def save_kl_cache(table: KLTable, path: str) -> None:
     """Stream every P_{y,w} with y <= w, one column block at a time, to a
     temporary file beside ``path``, then move it into place, so a failed
-    write never leaves a partial cache behind.  Each pool polynomial is
-    rendered once and each record picks its text by pool index."""
-    words = table.group._word_strs()
-    texts = [_coefficient_text(_q_coefficients(p)) for p in table.pool]
+    write never leaves a partial cache behind."""
     temporary = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(temporary, "w", encoding="utf-8") as handle:
-            handle.write(_cache_header(table.group) + "\n")
-            for w, w_word, ideal, by_word in _cache_columns(table.group):
-                column, tail = table.columns[w], f"\t{w_word}\t"
-                handle.write("".join(
-                    f"{words[ideal[i]]}{tail}{texts[column[i]]}\n" for i in by_word))
+        with open(temporary, "w", encoding="utf-8", newline="\n") as handle:
+            for block in _cache_blocks(table):
+                handle.write(block)
         os.replace(temporary, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):
@@ -145,105 +144,96 @@ def save_kl_cache(table: KLTable, path: str) -> None:
         raise
 
 
-def _cache_lines(handle: io.TextIOBase) -> Iterator[str]:
-    """The lines of an open cache, each without its final newline."""
-    for line in handle:
-        if line[-1:] != "\n":
+def _refuse_cache(handle: io.TextIOBase, group: CoxeterGroup, table: KLTable | None) -> NoReturn:
+    """Raise at the first line of the open cache ``handle`` that differs
+    from the text ``_cache_blocks(table)`` renders, naming the first check
+    the line fails; ``table`` may be None only if the header is wrong.  A
+    record that passes every check holds a wrong polynomial."""
+    def read() -> str | None:  # the next line without its newline; None at the end
+        line = handle.readline()
+        if line and line[-1] != "\n":
             raise CliError("cache is truncated (missing final newline)")
-        yield line[:-1]
+        return line[:-1] if line else None
 
-
-def _refuse_record(group: CoxeterGroup, expected: tuple[Element, Element],
-                   before: tuple[Element, Element] | None, line: str | None,
-                   lines: Iterator[str]) -> NoReturn:
-    """Raise why ``line`` (None at end of file) is not the record of the
-    pair ``expected``; ``before`` is the last pair read."""
-    words = group._word_strs()
-    if line is not None:
-        record = line.split("\t")
-        if len(record) != 3:
+    handle.seek(0)
+    header = read()
+    if header is None:
+        raise CliError("cache is empty")
+    if header != _cache_header(group):
+        raise CliError(f"bad cache header {header!r}")
+    blocks = _cache_blocks(table)
+    next(blocks)  # the header line
+    before = None  # the last record read
+    for want in (record for block in blocks for record in block[:-1].split("\n")):
+        line = read()
+        if line == want:
+            before = want
+            continue
+        y_word, w_word, _ = want.split("\t")
+        missing = CliError(f"missing records: none for y = {y_word} <= w = {w_word}")
+        if line is None:
+            raise missing
+        fields = line.split("\t")
+        if len(fields) != 3:
             raise CliError(f"malformed record {line!r}")
-        after = next(lines, None)
-        y_word, w_word = record[:2]
-        if before is not None and (w_word, y_word) <= (words[before[1]], words[before[0]]):
-            raise CliError("cache records are not sorted")
-        for word in (y_word, w_word):
-            try:
-                canonical = group.word_str(group.parse_word(word)) == word
-            except ValueError as exc:
-                raise CliError(f"bad word {word!r} in cache") from exc
-            if not canonical:
-                raise CliError(f"non-canonical word {word!r} in cache")
-        if not group.bruhat_leq(group.parse_word(y_word), group.parse_word(w_word)):
-            raise CliError(f"record ({y_word}, {w_word}) is not a Bruhat pair y <= w")
-        if after is not None and after.split("\t")[1::-1] < [w_word, y_word]:
-            raise CliError("cache records are not sorted")
-    y, w = expected
-    raise CliError(f"missing records: none for y = {words[y]} <= w = {words[w]}")
+        y, w, text = fields
+        if (y, w) != (y_word, w_word):
+            after = read()
+            if before is not None and [w, y] <= before.split("\t")[1::-1]:
+                raise CliError("cache records are not sorted")
+            for word in (y, w):
+                try:
+                    canonical = group.word_str(group.parse_word(word)) == word
+                except ValueError as exc:
+                    raise CliError(f"bad word {word!r} in cache") from exc
+                if not canonical:
+                    raise CliError(f"non-canonical word {word!r} in cache")
+            if not group.bruhat_leq(group.parse_word(y), group.parse_word(w)):
+                raise CliError(f"record ({y}, {w}) is not a Bruhat pair y <= w")
+            if after is not None and after.split("\t")[1::-1] < [w, y]:
+                raise CliError("cache records are not sorted")
+            raise missing
+        try:
+            coeffs = [int(c) for c in text.split(",")]
+        except ValueError as exc:
+            raise CliError(f"bad coefficients in {line!r}") from exc
+        if len(coeffs) > 1 and coeffs[-1] == 0:
+            raise CliError(f"trailing zero coefficient in {line!r}")
+        if _coefficient_text(coeffs) != text:  # "01", "+1", " 1"
+            raise CliError(f"non-canonical coefficients in {line!r}")
+        if y == w:
+            if coeffs != [1]:
+                raise CliError(f"bad diagonal record {line!r}")
+        elif coeffs[0] != 1 or (group.length(group.parse_word(w))
+                                - group.length(group.parse_word(y)) < 2 * len(coeffs) - 1):
+            # P_{y,w} has constant term 1 and degree below (l(w) - l(y)) / 2 in q
+            raise CliError(f"invariant violation in {line!r}")
+        raise CliError(f"wrong polynomial in {line!r}")
+    raise CliError(f"record {read()!r} follows the last pair")
 
 
 def load_kl_cache(path: str, group: CoxeterGroup) -> KLTable:
     """Load a cache written by ``save_kl_cache``, failing closed: the
-    header must name this group, the records must be the walk's pairs in
-    order, and each polynomial must meet the invariants of P_{y,w}.
+    header must name this group, and the rest of the file must be exactly
+    the text the writer renders for ``kl_table(group)``.
 
-    The records of each w fill its column of pool indices directly.  Each
-    distinct coefficient string is parsed and checked once into one pool
-    entry; beside its index the loader keeps the least length gap
-    l(w) - l(y) that the polynomial allows off the diagonal, so each record
-    costs one comparison."""
+    The header is checked before the table is built, so a cache for
+    another group is refused at once.  The loader then builds the table and
+    compares the file with the writer's blocks; only on a mismatch does it
+    walk the lines again to say which record is wrong and why.  A load is
+    therefore a build plus a compare, never faster than ``kl_table``."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = _cache_lines(handle)
-            header = next(lines, None)
-            if header is None:
-                raise CliError("cache is empty")
-            if header != _cache_header(group):
-                raise CliError(f"bad cache header {header!r}")
-            pool: list[Laurent] = []
-            polynomials: dict[str, tuple[int, float]] = {}  # text -> (pool index, least gap)
-            columns: list = [None] * len(group.elements())
-            words, length = group._word_strs(), group._length  # the walk yields only elements
-            before = None
-            for w, w_word, ideal, by_word in _cache_columns(group):
-                column, lw = [0] * len(ideal), length[w]
-                for k in by_word:
-                    y = ideal[k]
-                    line = next(lines, None)
-                    fields = None if line is None else line.split("\t")
-                    if (fields is None or len(fields) != 3
-                            or fields[0] != words[y] or fields[1] != w_word):
-                        _refuse_record(group, (y, w), before, line, lines)
-                    known = polynomials.get(fields[2])
-                    if known is None:  # parse and check each distinct coefficient string once
-                        try:
-                            coeffs = [int(c) for c in fields[2].split(",")]
-                        except ValueError as exc:
-                            raise CliError(f"bad coefficients in {line!r}") from exc
-                        if len(coeffs) > 1 and coeffs[-1] == 0:
-                            raise CliError(f"trailing zero coefficient in {line!r}")
-                        if _coefficient_text(coeffs) != fields[2]:  # "01", "+1", " 1"
-                            raise CliError(f"non-canonical coefficients in {line!r}")
-                        p = Laurent({2 * i: c for i, c in enumerate(coeffs) if c})
-                        # P_{y,w} has constant term 1 and degree below l(w) - l(y)
-                        least_gap = p.max_exp() + 1 if p.coeff(0) == 1 else float("inf")
-                        known = polynomials[fields[2]] = (len(pool), least_gap)
-                        pool.append(p)
-                    i, least_gap = known
-                    if y == w:
-                        if pool[i] != ONE:
-                            raise CliError(f"bad diagonal record {line!r}")
-                    elif lw - length[y] < least_gap:
-                        raise CliError(f"invariant violation in {line!r}")
-                    column[k] = i
-                    before = y, w
-                columns[w] = _frozen(column, pool)
-            extra = next(lines, None)
-            if extra is not None:
-                raise CliError(f"record {extra!r} follows the last pair")
+        with open(path, "r", encoding="utf-8", newline="\n") as handle:
+            if handle.readline() != _cache_header(group) + "\n":
+                _refuse_cache(handle, group, None)
+            table = kl_table(group)
+            handle.seek(0)
+            if (not all(handle.read(len(block)) == block for block in _cache_blocks(table))
+                    or handle.read(1)):
+                _refuse_cache(handle, group, table)
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read cache {path}: {exc}") from exc
-    return KLTable._of_columns(group, pool, columns)
+    return table
 
 
 def _obtain_kl(group: CoxeterGroup, cache: str | None) -> KLTable:

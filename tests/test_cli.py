@@ -403,6 +403,80 @@ def test_cache_that_is_not_utf8_fails_closed(b2_cache, capsys):
     assert "cannot read cache" in capsys.readouterr().err
 
 
+def _bump_top(text):
+    """``1,0,1`` -> ``1,0,2``: a different, well-formed coefficient string."""
+    *rest, top = text.split(",")
+    return ",".join([*rest, str(int(top) + 1)])
+
+
+def test_cache_refuses_every_coefficient_edit(b3, tmp_path):
+    """Each of B3's 847 records, edited in turn to another well-formed
+    polynomial, is refused: by the invariants where they catch it, and as a
+    wrong polynomial where they do not (106 of the edits keep them)."""
+    source, path = tmp_path / "b3.klcache", tmp_path / "edited.klcache"
+    save_kl_cache(kl_table(b3), str(source))
+    header, *records = source.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(records) == 847
+    for k, record in enumerate(records):
+        y, w, text = record[:-1].split("\t")
+        edited = f"{y}\t{w}\t{_bump_top(text)}"
+        if text != "1":
+            expected = "wrong polynomial in"
+        else:
+            expected = "bad diagonal record" if y == w else "invariant violation in"
+        path.write_text("".join([header, *records[:k], edited + "\n", *records[k + 1:]]),
+                        encoding="utf-8")
+        with pytest.raises(cli.CliError) as refused:
+            load_kl_cache(str(path), b3)
+        assert str(refused.value) == f"{expected} {edited!r}"
+
+
+@pytest.mark.parametrize("record,edited", [
+    ("1\t12132\t1,1", "1\t12132\t1,2"),
+    ("213\t12132123\t1,1", "213\t12132123\t1,0,1"),
+])
+def test_cache_refuses_a_wrong_polynomial_that_keeps_the_invariants(tmp_path, capsys, record,
+                                                                   edited):
+    """Both edits keep constant term 1 and the degree bound of their pair."""
+    path = _edit_b3_cache(tmp_path, lambda rs: [edited if r == record else r for r in rs])
+    assert edited in path.read_text(encoding="utf-8").splitlines()
+    capsys.readouterr()
+    assert main(["kl", "--type", "B3", "--cache", str(path), "--pair", *edited.split("\t")[:2]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: wrong polynomial in {edited!r}\n"
+
+
+@pytest.mark.parametrize("mangle,message", [
+    (lambda t: t.replace("\n", "\r\n"), "bad cache header 'klcache v1 B2\\r'"),
+    (lambda t: t.replace("\n", "\r"), "truncated"),
+    (lambda t: t.replace("∅\t1\t1\n", "∅\t1\t1\r\n"), "non-canonical coefficients in '∅\\t1\\t1\\r'"),
+], ids=["CRLF", "CR", "one CRLF record"])
+def test_cache_with_rewritten_line_endings_fails_closed(b2_cache, capsys, mangle, message):
+    """The writer ends every line with a line feed alone; a loader reading
+    with universal newlines would take these files for the cache."""
+    b2_cache.write_bytes(mangle(b2_cache.read_text(encoding="utf-8")).encode("utf-8"))
+    assert main(["kl", "--type", "B2", "--cache", str(b2_cache)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "bad cache header 'klcache v1 B2'"),
+    ("", "cache is empty"),
+    ("klcache v2 B3\n", "bad cache header 'klcache v2 B3'"),
+], ids=["B2 cache read as B3", "empty", "v2 header"])
+def test_cache_header_is_checked_before_the_table_is_built(b2_cache, capsys, monkeypatch,
+                                                           content, message):
+    def build_nothing(group):
+        raise AssertionError("the KL table was built")
+
+    monkeypatch.setattr(cli, "kl_table", build_nothing)
+    if content is not None:
+        b2_cache.write_text(content, encoding="utf-8")
+    assert main(["kl", "--type", "B3", "--cache", str(b2_cache)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # -- file errors -------------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [
