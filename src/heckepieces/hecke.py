@@ -11,7 +11,7 @@ Kazhdan-Lusztig polynomials via p(y, w) = v^(l(y)-l(w)) P_{y,w}(v^2).
 
 Both satisfy T_x T_s = T_xs when lengths add, so x · T_w is computed by
 folding generator steps along a reduced word of w; a product with a short
-right operand, such as T_s or c_s, is cheap.  The bar involution is the
+right operand, such as T_s^-1, is cheap.  The bar involution is the
 semilinear ring map with bar(v) = v^-1 and bar(T_w) = (T_{w^-1})^-1.
 
 Kazhdan-Lusztig polynomials (in the variable q = v^2, stored as Laurent
@@ -24,9 +24,12 @@ distinct polynomial once in a pool and each column as an array of pool
 indices aligned with the bits of w's Bruhat ideal, so a lookup is one mask
 test and one popcount.  Inverse KL polynomials on a downward-closed
 support come from the inversion formula
-P'_{x,z} = (-1)^(l(x)+l(z)) P_{w0 z, w0 x}, and weighted canonical bases
-from bar-symmetric correction in one downward walk over each Bruhat ideal,
-which works for arbitrary nonnegative weights.
+P'_{x,z} = (-1)^(l(x)+l(z)) P_{w0 z, w0 x}.  A weighted canonical basis
+element c_z starts from c_{zs} · c_s, read off term by term from the
+closed form T_y · c_s = T_ys + v^(±L(s)) T_y (Lusztig, Hecke algebras with
+unequal parameters, CRM Monograph 18, 2003, §6), and is finished by
+bar-symmetric correction in one downward walk over the Bruhat ideal of z;
+this works for arbitrary nonnegative weights.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 from .coxeter import CoxeterGroup, Element, mask_bits
-from .laurent import Laurent, ONE, ZERO, add_into, bar_symmetric_head, v_power
+from .laurent import Laurent, ONE, ZERO, _is_int, add_into, bar_symmetric_head, v_power
 
 Q = v_power(2)
 
@@ -57,6 +60,8 @@ class WeightFunction:
         if set(values) != set(group.generators()):
             raise ValueError("weight must be defined on every generator")
         for i in group.generators():
+            if not _is_int(values[i]):
+                raise ValueError(f"weights must be integers, not {values[i]!r}")
             if values[i] < 0:
                 raise ValueError("weights must be nonnegative")
             for j in group.generators():
@@ -65,7 +70,7 @@ class WeightFunction:
                         f"generators {i},{j} are conjugate (odd m) but weighted differently"
                     )
         self.group = group
-        self.values = {i: int(values[i]) for i in group.generators()}
+        self.values = {i: values[i] for i in group.generators()}
 
     def __call__(self, i: int) -> int:
         return self.values[i]
@@ -160,6 +165,7 @@ class HeckeAlgebra:
             quad = {
                 s: (v_power(2) - 1, v_power(2)) for s in group.generators()
             }
+            b_inv = v_power(-2)
         elif normalization == "weighted":
             if weight is None or weight.group is not group:
                 raise ValueError("weighted normalization needs a weight on this group")
@@ -167,12 +173,18 @@ class HeckeAlgebra:
                 s: (v_power(weight(s)) - v_power(-weight(s)), ONE)
                 for s in group.generators()
             }
+            b_inv = ONE
         else:
             raise ValueError(f"unknown normalization {normalization!r}")
         self.group = group
         self.normalization = normalization
         self.weight = weight
         self._quad = quad
+        # bar(T_s) = T_s^-1 = b_s^-1 (T_s - a_s)
+        self._gen_bar = {
+            s: self.element({group.generator(s): b_inv, group.identity(): -(a * b_inv)})
+            for s, (a, _) in quad.items()
+        }
         self._bar_basis: dict[Element, HeckeElement] = {}
         # Memo of ``pieces.mu_J`` on basis elements; held here so that it
         # is freed together with the algebra.
@@ -238,16 +250,7 @@ class HeckeAlgebra:
             # bar(T_w) = bar(T_ws) · bar(T_s), one generator step
             s = min(group.right_descents(w))
             rest = self._bar_of_basis(group.right_mult_gen(w, s))
-            a, b = self._quad[s]
-            # bar(T_s) = T_s^-1 = b^-1 (T_s - a); b is a unit monomial
-            if len(b.support()) != 1 or b.coeff(b.max_exp()) not in (1, -1):
-                raise ValueError("quadratic constant term is not a unit monomial")
-            b_inv = Laurent({-b.max_exp(): b.coeff(b.max_exp())})
-            gen_bar = self.element({
-                group.generator(s): b_inv,
-                group.identity(): -(a * b_inv),
-            })
-            result = self.multiply(rest, gen_bar)
+            result = self.multiply(rest, self._gen_bar[s])
         self._bar_basis[w] = result
         return result
 
@@ -516,37 +519,45 @@ class CanonicalBasis:
 
 def canonical_basis(algebra: HeckeAlgebra, validate: bool = True) -> CanonicalBasis:
     """Build every c_z by induction on length: start from c_{zs} · c_s for
-    a right descent s of z (one generator step; bar-invariant with top term
-    T_z, supported on the Bruhat ideal of z)
-    and walk that ideal once downwards from below z, subtracting
-    gamma_t · c_t at each t whose coefficient has a part outside
-    v^-1 Z[v^-1], where gamma_t is the bar-symmetric head of that
-    coefficient.  Each step preserves bar-invariance and the top term and
-    leaves the coefficient at t in v^-1 Z[v^-1]; c_t is supported on the
-    ideal of t, whose other elements are numbered below t, so a step only
-    changes positions that the walk has not reached yet."""
+    a right descent s of z, which is bar-invariant with top term T_z and
+    supported on the Bruhat ideal of z, and walk that ideal once downwards
+    from below z, subtracting gamma_t · c_t at each t whose coefficient has
+    a part outside v^-1 Z[v^-1], where gamma_t is the bar-symmetric head of
+    that coefficient.  Each step preserves bar-invariance and the top term
+    and leaves the coefficient at t in v^-1 Z[v^-1]; c_t is supported on
+    the ideal of t, whose other elements are numbered below t, so a step
+    only changes positions that the walk has not reached yet.
+
+    The product c_{zs} · c_s has a closed form (Lusztig, Hecke algebras
+    with unequal parameters, CRM Monograph 18, 2003, §6): with L = L(s),
+    c_s = T_s + v^-L and T_s^2 = (v^L - v^-L) T_s + 1, so
+    T_y · c_s = T_ys + v^L T_y when ys < y and T_ys + v^-L T_y when
+    ys > y.  Each term of c_{zs} thus costs one shift and one sparse add,
+    and no general product is formed."""
     if algebra.normalization != "weighted":
         raise ValueError("canonical bases are defined here for the weighted normalization")
     group = algebra.group
     weight = algebra.weight
+    length = group._length
     vectors: dict[Element, HeckeElement] = {}
     for z in group.elements():
         if z == group.identity():
             vectors[z] = algebra.unit()
             continue
-        s = min(group.right_descents(z))
-        c_s = algebra.element({
-            group.generator(s): ONE,
-            group.identity(): v_power(-weight(s)),
-        })
-        x = algebra.multiply(vectors[group.right_mult_gen(z, s)], c_s)
-        terms = x.terms  # x is new, so its terms are corrected in place
+        s = min(group._rdesc[z])
+        times_s, L = group._rmul[s], weight(s)
+        pairs = []
+        for y, c in vectors[times_s[z]].terms.items():
+            ys = times_s[y]
+            pairs += ((ys, c), (y, c.shift(L if length[ys] < length[y] else -L)))
+        terms = add_into({}, pairs)
         below = mask_bits(group.bruhat_mask(z))
         below.pop()  # z, the top bit
         for t in reversed(below):
             coeff = terms.get(t)
             if coeff is not None and not coeff.in_v_minus_strict():
                 add_into(terms, vectors[t].terms.items(), -bar_symmetric_head(coeff))
+        x = algebra.element(terms)
         if validate:
             if x.coeff(z) != ONE:
                 raise AssertionError("canonical basis element lost its top term")

@@ -23,6 +23,23 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping, Union
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)  # bool is a subclass of int
+
+
+def _raw(terms: dict) -> "Laurent":
+    """The polynomial with these terms, which must already be clean."""
+    p = Laurent.__new__(Laurent)
+    p._terms = terms
+    return p
+
+
+def _const(n: int) -> "Laurent":
+    """An int operand as a polynomial; a bool counts as 0 or 1, as in int
+    arithmetic."""
+    return _raw({0: int(n)} if n else {})
+
+
 def add_into(out: dict, pairs: Iterable[tuple], c=None) -> dict:
     """Add c·x to out[k] for each (k, x) in pairs (x itself when c is None),
     drop every key whose sum is zero, and return out.
@@ -53,6 +70,10 @@ class Laurent:
     """An element of Z[v, v^-1], immutable by convention.
 
     Invariant: ``_terms`` maps int exponents to nonzero int coefficients.
+    The constructor refuses any exponent or coefficient that is not an int,
+    bools included, and drops zero coefficients.  Arithmetic, ``shift`` and
+    ``bar`` map clean terms to clean terms, so they build their results'
+    dicts directly and skip both.
     """
 
     __slots__ = ("_terms",)
@@ -61,8 +82,10 @@ class Laurent:
         cleaned = {}
         if terms:
             for e, c in terms.items():
+                if not (_is_int(e) and _is_int(c)):
+                    raise TypeError(f"Laurent terms must be int: int, not {e!r}: {c!r}")
                 if c:
-                    cleaned[int(e)] = int(c)
+                    cleaned[e] = c
         self._terms = cleaned
 
     # -- container-ish access ----------------------------------------------
@@ -95,7 +118,7 @@ class Laurent:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = Laurent({0: other})
+            other = _const(other)
         if not isinstance(other, Laurent):
             return NotImplemented
         return self._terms == other._terms
@@ -107,22 +130,20 @@ class Laurent:
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "Laurent":
-        return Laurent({e: -c for e, c in self._terms.items()})
+        return _raw({e: -c for e, c in self._terms.items()})
 
     def __add__(self, other: Union["Laurent", int]) -> "Laurent":
         if isinstance(other, int):
-            other = Laurent({0: other})
+            other = _const(other)
         if not isinstance(other, Laurent):
             return NotImplemented
-        result = Laurent.__new__(Laurent)
-        result._terms = add_into(dict(self._terms), other._terms.items())
-        return result
+        return _raw(add_into(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["Laurent", int]) -> "Laurent":
         if isinstance(other, int):
-            other = Laurent({0: other})
+            other = _const(other)
         if not isinstance(other, Laurent):
             return NotImplemented
         return self + (-other)
@@ -134,10 +155,7 @@ class Laurent:
         if isinstance(other, int):
             if other == 0:
                 return ZERO
-            out = {e: c * other for e, c in self._terms.items()}
-            result = Laurent.__new__(Laurent)
-            result._terms = out
-            return result
+            return _raw({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, Laurent):
             return NotImplemented
         out: dict[int, int] = {}
@@ -149,9 +167,7 @@ class Laurent:
                     out[e] = s
                 else:
                     del out[e]
-        result = Laurent.__new__(Laurent)
-        result._terms = out
-        return result
+        return _raw(out)
 
     __rmul__ = __mul__
 
@@ -169,7 +185,9 @@ class Laurent:
 
     def shift(self, exp: int) -> "Laurent":
         """Multiply by v^exp."""
-        return Laurent({e + exp: c for e, c in self._terms.items()})
+        if not _is_int(exp):
+            raise TypeError(f"shift exponent must be an int, not {exp!r}")
+        return _raw({e + exp: c for e, c in self._terms.items()})
 
     def exact_div(self, other: "Laurent") -> "Laurent":
         """Exact quotient self/other in Z[v,v^-1]; ValueError if not divisible.
@@ -209,7 +227,7 @@ class Laurent:
 
     def bar(self) -> "Laurent":
         """The image under v |-> v^-1."""
-        return Laurent({-e: c for e, c in self._terms.items()})
+        return _raw({-e: c for e, c in self._terms.items()})
 
     def is_bar_symmetric(self) -> bool:
         """True iff fixed by v |-> v^-1."""
@@ -286,4 +304,4 @@ def bar_symmetric_head(p: Laurent) -> Laurent:
     for e, c in p._terms.items():
         if e >= 0:
             out[e] = out[-e] = c
-    return Laurent(out)
+    return _raw(out)

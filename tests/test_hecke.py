@@ -157,6 +157,12 @@ def test_weight_function_validation(b3):
         WeightFunction(b3, {1: 1, 2: 1})
     with pytest.raises(ValueError):
         WeightFunction(b3, {1: -1, 2: 1, 3: 1})
+    # weights must be ints: none is rounded or coerced, and bools are refused
+    for bad in (1.5, 2.0, True, "1", None):
+        with pytest.raises(ValueError):
+            WeightFunction(b3, {1: bad, 2: 1, 3: 1})
+    with pytest.raises(ValueError):
+        WeightFunction(b3, {1: 1, 2: False, 3: False})
     L = WeightFunction(b3, {1: 5, 2: 2, 3: 2})
     assert L.of(b3.from_word((1, 2, 1))) == 12
 
@@ -575,14 +581,16 @@ def reference_canonical_basis(algebra):
     return vectors
 
 
-WEIGHTED_CASES = [("B3", (a, b)) for a in (1, 2, 3) for b in (1, 2, 3)] + [("B4", (2, 1))]
+WEIGHTED_CASES = [("B3", (a, b)) for a in (1, 2, 3) for b in (1, 2, 3)] + [
+    ("B4", (2, 1)), ("B2", (0, 0)), ("B3", (0, 1)), ("B3", (2, 0))]
 
 
 @pytest.mark.parametrize("label,ab", WEIGHTED_CASES)
 def test_canonical_basis_matches_reference(label, ab):
     """Starting from c_{zs} · c_s and correcting in one walk gives the
     basis of c_s · c_{sz} with the rescanning loop, on B3 for all weights
-    (a, b, ..., b) with a, b in {1, 2, 3} and on B4 with (2, 1, 1, 1)."""
+    (a, b, ..., b) with a, b in {1, 2, 3}, on B4 with (2, 1, 1, 1), and
+    with a zero weight, where c_s = T_s + 1, on B2 and B3."""
     group = coxeter_group(label)
     weight = WeightFunction(group, {i: ab[0] if i == 1 else ab[1]
                                     for i in group.generators()})
@@ -592,22 +600,26 @@ def test_canonical_basis_matches_reference(label, ab):
 
 
 def test_canonical_basis_takes_one_step_per_element(monkeypatch):
-    """c_{zs} · c_s folds along c_s, one generator step, rather than along
-    the whole ideal of c_{sz}: at most |W| = 384 steps on B4 (2, 1, 1, 1),
-    where c_s · c_{sz} took 163,128."""
-    steps = 0
-    times_gen = HeckeAlgebra._times_gen
+    """Each c_z starts from c_{zs} · c_s in one step, read off the closed
+    form of T_y · c_s term by term: on B4 (2, 1, 1, 1) the unvalidated
+    basis calls neither ``multiply`` nor ``_times_gen``, where folding
+    along c_s took one ``_times_gen`` step per element and c_s · c_{sz}
+    took 163,128."""
+    calls = []
 
-    def counted(self, terms, s):
-        nonlocal steps
-        steps += 1
-        return times_gen(self, terms, s)
+    def refused(name):
+        def record(*args):
+            calls.append(name)
+            raise AssertionError(f"canonical_basis called {name}")
+        return record
 
-    monkeypatch.setattr(HeckeAlgebra, "_times_gen", counted)
+    monkeypatch.setattr(HeckeAlgebra, "multiply", refused("multiply"))
+    monkeypatch.setattr(HeckeAlgebra, "_times_gen", refused("_times_gen"))
     group = coxeter_group("B4")
     algebra = HeckeAlgebra(group, "weighted", WeightFunction(group, {1: 2, 2: 1, 3: 1, 4: 1}))
-    canonical_basis(algebra, validate=False)
-    assert 0 < steps <= len(group.elements())
+    basis = canonical_basis(algebra, validate=False)
+    assert calls == []
+    assert len(basis.vectors) == len(group.elements())
 
 
 def test_canonical_basis_rejects_geometric(b2):

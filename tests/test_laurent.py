@@ -34,6 +34,29 @@ def test_construction_drops_zero_coefficients():
     assert Laurent({}) == ZERO
 
 
+def test_construction_refuses_non_int_terms():
+    """A float or bool exponent or coefficient is refused, not truncated:
+    {0: 0.5} would otherwise store a zero coefficient and break the
+    invariant that equal polynomials have equal dicts."""
+    for terms in ({0: 0.5}, {0: 2.0}, {1.5: 2}, {1.0: 1}, {0: True}, {True: 1},
+                  {0: False}, {"1": 1}, {0: None}):
+        with pytest.raises((TypeError, ValueError)):
+            Laurent(terms)
+    for exp in (0.5, 1.0, True):
+        with pytest.raises(TypeError):
+            ONE.shift(exp)
+
+
+def test_int_operands_behave_as_ints():
+    """An int operand, bools included, is the constant it stands for."""
+    p = poly((1, 0), (1, 2))
+    assert ONE == True and ZERO == False and ONE != 2
+    assert p + 1 == p + True == poly((2, 0), (1, 2))
+    assert p - True == poly((1, 2))
+    assert p * 0 == p * False == ZERO
+    assert p * True == True * p == p
+
+
 def test_arithmetic_frozen():
     p = poly((1, 0), (1, 2))          # 1 + v^2
     q = poly((1, 0), (1, 4))          # 1 + v^4
@@ -146,6 +169,16 @@ def test_bar_symmetric_head_properties(p):
 @given(laurents, st.integers(-5, 5))
 def test_shift_is_monomial_multiplication(p, k):
     assert p.shift(k) == p * v_power(k)
+
+
+@given(laurents, st.integers(-5, 5))
+def test_unchecked_maps_keep_the_invariant(p, k):
+    """shift, bar and negation build their dicts without the constructor's
+    checks; each result equals the checked construction from its terms."""
+    for q in (p.shift(k), p.bar(), -p):
+        terms = dict(q.items())
+        assert all(type(e) is int and type(c) is int and c for e, c in terms.items())
+        assert q == Laurent(terms)
 
 
 @given(laurents)
