@@ -29,7 +29,11 @@ element c_z starts from c_{zs} · c_s, read off term by term from the
 closed form T_y · c_s = T_ys + v^(±L(s)) T_y (Lusztig, Hecke algebras with
 unequal parameters, CRM Monograph 18, 2003, §6), and is finished by
 bar-symmetric correction in one downward walk over the Bruhat ideal of z;
-this works for arbitrary nonnegative weights.
+this works for arbitrary nonnegative weights.  Like the KL table, the walk
+keeps each distinct coefficient once in a pool and works on pool indices
+(du Cloux, Experiment. Math. 11, 2002): each distinct c_s step and each
+distinct correction is computed once and then read from a memo keyed by
+the indices of its operands.
 """
 
 from __future__ import annotations
@@ -206,6 +210,15 @@ class HeckeAlgebra:
         return HeckeElement(self, {w: ONE})
 
     def element(self, terms: Mapping[Element, Laurent]) -> HeckeElement:
+        """sum c_w T_w for terms {w: c_w}.  Refuses a key that is not an
+        element, as ``group.length`` does, and a coefficient that is not a
+        ``Laurent``: an int would be stored as is and break ``text`` and
+        ``bar`` later.  Internal arithmetic builds ``HeckeElement`` directly
+        and skips these checks."""
+        for w, c in terms.items():
+            self.group._check_element(w)
+            if not isinstance(c, Laurent):
+                raise TypeError(f"coefficients must be Laurent, not {c!r}")
         return HeckeElement(self, terms)
 
     # -- multiplication --------------------------------------------------------
@@ -513,7 +526,11 @@ class CanonicalBasis:
     vectors: dict[Element, HeckeElement]
 
     def p(self, t: Element, z: Element) -> Laurent:
-        """The coefficient p(t,z) of T_t in c_z (0 for t not <= z)."""
+        """The coefficient p(t,z) of T_t in c_z (0 for t not <= z).  Refuses
+        what is not an element, as ``KLTable.get`` does."""
+        group = self.algebra.group
+        group._check_element(t)
+        group._check_element(z)
         return self.vectors[z].coeff(t)
 
 
@@ -532,32 +549,80 @@ def canonical_basis(algebra: HeckeAlgebra, validate: bool = True) -> CanonicalBa
     with unequal parameters, CRM Monograph 18, 2003, §6): with L = L(s),
     c_s = T_s + v^-L and T_s^2 = (v^L - v^-L) T_s + 1, so
     T_y · c_s = T_ys + v^L T_y when ys < y and T_ys + v^-L T_y when
-    ys > y.  Each term of c_{zs} thus costs one shift and one sparse add,
-    and no general product is formed."""
+    ys > y, and the coefficient of T_u in c_{zs} · c_s is
+    p(us, zs) + v^(±L) p(u, zs).
+
+    The walk runs on pool indices, as ``kl_table`` does (du Cloux,
+    Experiment. Math. 11, 2002): each distinct coefficient is kept once in
+    a pool local to the call, with 0 at index 0 and 1 at index 1, and each
+    column is a dict {u: index} of its nonzero entries.  A few thousand
+    distinct Laurent operations recur tens of thousands of times, so two
+    memos answer them: one maps (p(us, zs), p(u, zs), ±L) to the index of
+    the c_s step's coefficient at u, and one maps (current, gamma_t,
+    p(u, t)) to the index of current - gamma_t · p(u, t).  On B4 with
+    L = (2, 1, 1, 1) the walk makes 34,102 corrections, of which 4,917 are
+    distinct and form a product.  Equal indices are equal polynomials, so
+    the vectors are those of the same walk on Laurent values.  The pool and
+    the memos are freed when the call returns."""
     if algebra.normalization != "weighted":
         raise ValueError("canonical bases are defined here for the weighted normalization")
     group = algebra.group
     weight = algebra.weight
     length = group._length
-    vectors: dict[Element, HeckeElement] = {}
+    pool: list[Laurent] = [ZERO, ONE]
+    index: dict[Laurent, int] = {ZERO: 0, ONE: 1}
+    strict = [True, False]  # pool[i].in_v_minus_strict()
+
+    def intern(p: Laurent) -> int:
+        i = index.setdefault(p, len(pool))
+        if i == len(pool):
+            pool.append(p)
+            strict.append(p.in_v_minus_strict())
+        return i
+
+    sums: dict[tuple[int, int, int], int] = {}  # c_s step
+    steps: dict[tuple[int, int, int], int] = {}  # correction
+    heads: dict[int, int] = {}  # coefficient -> its bar-symmetric head
+    e = group.identity()
+    columns: dict[Element, dict[Element, int]] = {e: {e: 1}}
+    vectors: dict[Element, HeckeElement] = {e: algebra.unit()}
     for z in group.elements():
-        if z == group.identity():
-            vectors[z] = algebra.unit()
+        if z == e:
             continue
         s = min(group._rdesc[z])
         times_s, L = group._rmul[s], weight(s)
-        pairs = []
-        for y, c in vectors[times_s[z]].terms.items():
-            ys = times_s[y]
-            pairs += ((ys, c), (y, c.shift(L if length[ys] < length[y] else -L)))
-        terms = add_into({}, pairs)
+        prev = columns[times_s[z]]
         below = mask_bits(group.bruhat_mask(z))
+        column = {}
+        for u in below:
+            us = times_s[u]
+            a, b = prev.get(us, 0), prev.get(u, 0)
+            if a or b:
+                key = (a, b, L if length[us] < length[u] else -L)
+                i = sums.get(key)
+                if i is None:
+                    i = sums[key] = intern(pool[a] + pool[b].shift(key[2]))
+                if i:
+                    column[u] = i
         below.pop()  # z, the top bit
         for t in reversed(below):
-            coeff = terms.get(t)
-            if coeff is not None and not coeff.in_v_minus_strict():
-                add_into(terms, vectors[t].terms.items(), -bar_symmetric_head(coeff))
-        x = algebra.element(terms)
+            c = column.get(t)
+            if c is None or strict[c]:
+                continue
+            g = heads.get(c)
+            if g is None:
+                g = heads[c] = intern(bar_symmetric_head(pool[c]))
+            for u, p in columns[t].items():
+                key = (column.get(u, 0), g, p)
+                i = steps.get(key)
+                if i is None:
+                    i = steps[key] = intern(pool[key[0]] - pool[g] * pool[p])
+                if i:
+                    column[u] = i
+                else:
+                    column.pop(u, None)
+        columns[z] = column
+        x = HeckeElement(algebra, {u: pool[i] for u, i in column.items()})
         if validate:
             if x.coeff(z) != ONE:
                 raise AssertionError("canonical basis element lost its top term")

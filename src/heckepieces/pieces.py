@@ -121,7 +121,7 @@ class BedardData:
     def tau_element(self, h: HeckeElement) -> HeckeElement:
         """tau applied basiswise, T_x ↦ T_{tau(x)} — an algebra map because
         tau permutes the generators of the target parabolic."""
-        return h.algebra.element({self.tau(x): c for x, c in h.terms.items()})
+        return HeckeElement(h.algebra, {self.tau(x): c for x, c in h.terms.items()})
 
 
 def _validate_index(group: CoxeterGroup, J: frozenset, delta: DiagramAutomorphism,
@@ -315,7 +315,7 @@ def mu_J(h: HeckeElement, J: Iterable[int], delta: DiagramAutomorphism) -> Hecke
     out: dict = {}
     for y, c in h.terms.items():
         add_into(out, _mu_on_basis(algebra, Jf, delta, y).terms.items(), c)
-    return algebra.element(out)
+    return HeckeElement(algebra, out)
 
 
 def piece_projection(h: HeckeElement, data: BedardData) -> HeckeElement:
@@ -325,7 +325,7 @@ def piece_projection(h: HeckeElement, data: BedardData) -> HeckeElement:
     K = data.target_parabolic
     # y ↦ wy is injective, so no two terms land on the same T and nothing sums
     moved = ((group._product(data.w, y), c) for y, c in h.terms.items())
-    return h.algebra.element({y1: c for y1, c in moved if group._in_parabolic(y1, K)})
+    return HeckeElement(h.algebra, {y1: c for y1, c in moved if group._in_parabolic(y1, K)})
 
 
 def E_operator(h: HeckeElement, data: BedardData, n: int) -> HeckeElement:

@@ -18,7 +18,7 @@ from heckepieces.hecke import (
     kl_table,
     split_weight,
 )
-from heckepieces.laurent import Laurent, ONE, ZERO, bar_symmetric_head, v_power
+from heckepieces.laurent import Laurent, ONE, ZERO, add_into, bar_symmetric_head, v_power
 
 from expected_b4 import SPOT_P
 
@@ -174,6 +174,23 @@ def test_normalization_validation(b2):
         HeckeAlgebra(b2, weight=split_weight(b2))
     with pytest.raises(ValueError):
         HeckeAlgebra(b2, "quantum")
+
+
+def test_element_refuses_malformed_terms(b2):
+    """A coefficient that is not a Laurent polynomial, or a key that is not
+    an element, is refused when the element is built, not later in
+    ``text`` or ``bar``."""
+    algebra = HeckeAlgebra(b2, "weighted", WeightFunction(b2, {1: 3, 2: 1}))
+    for coeff in (2, 0, True, 1.5, None, "1"):
+        with pytest.raises(TypeError):
+            algebra.element({1: coeff})
+    top = len(b2.elements()) - 1
+    for w in (99, top + 1, -1, 0.0, None, "1"):
+        with pytest.raises(ValueError):
+            algebra.element({w: ONE})
+    h = algebra.element({1: v_power(2), top: ONE})
+    assert algebra.bar(algebra.bar(h)) == h
+    assert algebra.element({}) == algebra.zero()
 
 
 # -- bar involution ----------------------------------------------------------
@@ -556,6 +573,35 @@ def test_split_case_matches_kl(rank):
             assert basis.p(t, z) == expected
 
 
+def walk_canonical_basis(algebra):
+    """canonical_basis on Laurent values: the c_s step read off the closed
+    form term by term, then one downward correction walk over the ideal of
+    z, with no pool and no memo."""
+    group = algebra.group
+    weight = algebra.weight
+    length = group._length
+    vectors = {}
+    for z in group.elements():
+        if z == group.identity():
+            vectors[z] = algebra.unit()
+            continue
+        s = min(group._rdesc[z])
+        times_s, L = group._rmul[s], weight(s)
+        pairs = []
+        for y, c in vectors[times_s[z]].terms.items():
+            ys = times_s[y]
+            pairs += ((ys, c), (y, c.shift(L if length[ys] < length[y] else -L)))
+        terms = add_into({}, pairs)
+        below = mask_bits(group.bruhat_mask(z))
+        below.pop()  # z, the top bit
+        for t in reversed(below):
+            coeff = terms.get(t)
+            if coeff is not None and not coeff.in_v_minus_strict():
+                add_into(terms, vectors[t].terms.items(), -bar_symmetric_head(coeff))
+        vectors[z] = algebra.element(terms)
+    return vectors
+
+
 def reference_canonical_basis(algebra):
     """canonical_basis as first written, on ``reference_multiply``: after
     c_s · c_{sz}, rescan every term and correct the largest violating t
@@ -599,13 +645,49 @@ def test_canonical_basis_matches_reference(label, ab):
     assert basis.vectors == reference_canonical_basis(algebra)
 
 
+@pytest.mark.parametrize("ab", [(3, 1), (3, 2), (1, 3)])
+def test_canonical_basis_matches_the_walk_on_values(ab):
+    """The walk on pool indices gives the vectors of the same walk on
+    Laurent values, on B4 for the three weights with the largest pools."""
+    group = coxeter_group("B4")
+    weight = WeightFunction(group, {i: ab[0] if i == 1 else ab[1]
+                                    for i in group.generators()})
+    algebra = HeckeAlgebra(group, "weighted", weight)
+    basis = canonical_basis(algebra, validate=False)
+    assert basis.vectors == walk_canonical_basis(algebra)
+
+
+def test_canonical_basis_p_refuses_elements_outside_the_group(b2):
+    """What ``KLTable.get`` refuses, ``p`` refuses, for t and for z."""
+    algebra = HeckeAlgebra(b2, "weighted", WeightFunction(b2, {1: 3, 2: 1}))
+    basis = canonical_basis(algebra)
+    top = len(b2.elements()) - 1
+    for t, z in ((99, 3), (-1, 3), (0, 99), (0, -1), (top + 1, top),
+                 (0.0, 3), (0, 3.0), (None, 3), (0, None)):
+        with pytest.raises(ValueError):
+            basis.p(t, z)
+    assert basis.p(top, 0) == ZERO
+    assert basis.p(0, 0) == ONE
+
+
 def test_canonical_basis_takes_one_step_per_element(monkeypatch):
     """Each c_z starts from c_{zs} · c_s in one step, read off the closed
     form of T_y · c_s term by term: on B4 (2, 1, 1, 1) the unvalidated
     basis calls neither ``multiply`` nor ``_times_gen``, where folding
     along c_s took one ``_times_gen`` step per element and c_s · c_{sz}
-    took 163,128."""
+    took 163,128.  Each distinct correction (current, gamma_t, p(u, t))
+    forms its product once: 4,917 Laurent products, where the walk on
+    values formed 34,102."""
     calls = []
+    products = 0
+    mul = Laurent.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Laurent, "__mul__", counted)
 
     def refused(name):
         def record(*args):
@@ -619,6 +701,7 @@ def test_canonical_basis_takes_one_step_per_element(monkeypatch):
     algebra = HeckeAlgebra(group, "weighted", WeightFunction(group, {1: 2, 2: 1, 3: 1, 4: 1}))
     basis = canonical_basis(algebra, validate=False)
     assert calls == []
+    assert 0 < products <= 5_000
     assert len(basis.vectors) == len(group.elements())
 
 

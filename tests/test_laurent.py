@@ -181,6 +181,42 @@ def test_unchecked_maps_keep_the_invariant(p, k):
         assert q == Laurent(terms)
 
 
+@given(laurents, laurents, st.integers(-5, 5), st.integers(-9, 9))
+def test_equal_polynomials_hash_equal(p, q, k, n):
+    """Pools intern by hash and equality, so every path to the same
+    polynomial must give an equal value with an equal hash: the
+    constructor, shift, sums, products, bar, negation and int constants."""
+    terms = dict(p.items())
+    by_monomials = sum((Laurent({e: c}) for e, c in terms.items()), ZERO)
+    paths = [
+        (p, Laurent(terms)),
+        (p, by_monomials),
+        (p.shift(k), Laurent({e + k: c for e, c in terms.items()})),
+        (p.shift(k).shift(-k), p),
+        (p.shift(k), p * v_power(k)),
+        (p, (p + q) - q),
+        (p + q, q + p),
+        (p * q, q * p),
+        (p * ONE, p),
+        (p * 1, p),
+        (p.bar().bar(), p),
+        ((p * q).bar(), p.bar() * q.bar()),
+        (-p, Laurent({e: -c for e, c in terms.items()})),
+        (-p, p * -1),
+        (-(-p), p),
+        (p - p, ZERO),
+        (p - p + n, from_int(n)),
+        (from_int(n), Laurent({0: n})),
+        (from_int(n).bar(), from_int(n).shift(0)),
+    ]
+    for a, b in paths:
+        assert a == b
+        assert hash(a) == hash(b)
+        assert {a: None}.keys() == {b: None}.keys()
+    constant = p - p + n
+    assert constant == n and hash(constant) == hash(n)
+
+
 @given(laurents)
 def test_zero_product(p):
     assert p * ZERO == ZERO
