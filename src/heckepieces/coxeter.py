@@ -14,7 +14,8 @@ that ``parse_word`` reads.  Type B_n is built from its Coxeter matrix
 
 Elements mean nothing without their group, so every question goes through
 it.  The constructor first computes the order from the Coxeter graph
-(``coxeter_order``) and refuses infinite groups and groups above the cap.
+(``coxeter_order``) and refuses infinite groups and groups of more than
+10^6 elements.
 
 Generators are indexed 1..rank throughout.  Reduced words serialize as digit
 strings ("32123"), with "∅" for the identity — ranks above 9 would need a
@@ -164,16 +165,15 @@ class CoxeterGroup:
     (frozenset({1}), frozenset({1, 2}))
     """
 
-    def __init__(self, matrix: Sequence[Sequence[int]], type_tag: str = "matrix",
-                 cap: int = _ENUM_CAP):
+    def __init__(self, matrix: Sequence[Sequence[int]], type_tag: str = "matrix"):
         self.matrix = _validate_matrix(matrix)
         self.rank = len(self.matrix)
         self.type_tag = type_tag
         order = coxeter_order(self.matrix)
         if order is None:
             raise ValueError("Coxeter matrix defines an infinite group")
-        if order > cap:
-            raise ValueError(f"group order {order} exceeds enumeration cap {cap}")
+        if order > _ENUM_CAP:
+            raise ValueError(f"group order {order} exceeds enumeration cap {_ENUM_CAP}")
         self._parabolic_cache: dict[frozenset, tuple[Element, ...]] = {}
         self._build_tables(order)
 
@@ -531,6 +531,9 @@ class DiagramAutomorphism:
     __slots__ = ("group", "perm", "_inv_perm")
 
     def __init__(self, group: CoxeterGroup, mapping: dict[int, int]):
+        for i in (*mapping, *mapping.values()):
+            if not isinstance(i, int) or isinstance(i, bool):  # True would read as 1
+                raise ValueError(f"generator indices must be integers, not {i!r}")
         gens = set(group.generators())
         if set(mapping) != gens or set(mapping.values()) != gens:
             raise ValueError("mapping must permute the generator indices")
@@ -578,7 +581,7 @@ class DiagramAutomorphism:
         return hash((id(self.group), frozenset(self.perm.items())))
 
 
-def coxeter_group(spec: str | Sequence[Sequence[int]], cap: int = _ENUM_CAP) -> CoxeterGroup:
+def coxeter_group(spec: str | Sequence[Sequence[int]]) -> CoxeterGroup:
     """Build a group from a type string ("B4") or an explicit Coxeter matrix.
 
     >>> coxeter_group("B4").type_tag
@@ -592,6 +595,6 @@ def coxeter_group(spec: str | Sequence[Sequence[int]], cap: int = _ENUM_CAP) -> 
             rank = int(tag[1:])
             if rank < 1:
                 raise ValueError("rank must be >= 1")
-            return CoxeterGroup(type_b_matrix(rank), f"B{rank}", cap=cap)
+            return CoxeterGroup(type_b_matrix(rank), f"B{rank}")
         raise ValueError(f"unknown group type {tag!r} (expected B<rank> or a matrix)")
-    return CoxeterGroup(spec, cap=cap)
+    return CoxeterGroup(spec)

@@ -39,7 +39,7 @@ the indices of its operands.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .coxeter import CoxeterGroup, Element, mask_bits
@@ -284,35 +284,9 @@ def _frozen(indices: Iterable[int], pool: list) -> array:
     return array("H" if len(pool) <= 1 << 16 else "I", indices)
 
 
-class _Pairs(Mapping):
-    """A read-only view of a ``KLTable`` as {(y, w): P_{y,w}} over its
-    comparable pairs, walked by w and then y."""
-
-    def __init__(self, table: "KLTable"):
-        self._table = table
-
-    def __getitem__(self, key: tuple[Element, Element]) -> Laurent:
-        try:
-            y, w = key
-            p = self._table.get(y, w)
-        except (TypeError, ValueError):  # not a pair of elements
-            raise KeyError(key) from None
-        if not self._table._masks[w] >> y & 1:
-            raise KeyError(key)
-        return p
-
-    def __iter__(self) -> Iterator[tuple[Element, Element]]:
-        masks = self._table._masks
-        for w in self._table.group.elements():
-            for y in mask_bits(masks[w]):
-                yield y, w
-
-    def __len__(self) -> int:
-        return sum(map(len, self._table.columns))
-
-
 class KLTable:
-    """All Kazhdan-Lusztig polynomials of a finite Coxeter group.
+    """All Kazhdan-Lusztig polynomials of a finite Coxeter group, as
+    ``kl_table`` computes them.
 
     Polynomials are in q = v^2 and stored as Laurent polynomials in v with
     even nonnegative exponents.  ``pool`` holds each distinct P_{y,w} of
@@ -321,52 +295,17 @@ class KLTable:
     P_{y,w} = pool[columns[w][-k]] with k the number of ideal bits at or
     above y, the popcount of ``bruhat_mask(w) >> y``
     (du Cloux, Experiment. Math. 11, 2002, keeps each KL row the same way).
-    P_{y,w} for incomparable pairs is 0 and is not stored.  ``table`` is a
-    read-only mapping from each comparable pair (y, w) to P_{y,w}.
-
-    ``KLTable(group, mapping)`` stores the polynomials of a mapping that
-    holds exactly the comparable pairs.  Tables compare and hash by
-    identity: comparing two tables entry by entry walks every pair, so
-    callers compare ``table`` mappings when they mean to.
+    P_{y,w} for incomparable pairs is 0 and is not stored.  ``get`` and
+    ``mu`` read one pair, and ``pairs`` lists the comparable ones.  Tables
+    compare and hash by identity.
     """
 
-    def __init__(self, group: CoxeterGroup, table: Mapping[tuple[Element, Element], Laurent]):
-        pool: list[Laurent] = []
-        index: dict[Laurent, int] = {}
-        columns = []
-        for w in group.elements():
-            column = []
-            for y in mask_bits(group.bruhat_mask(w)):
-                try:
-                    p = table[(y, w)]
-                except KeyError:
-                    raise ValueError(f"no polynomial for the pair ({y}, {w})") from None
-                i = index.setdefault(p, len(pool))
-                if i == len(pool):
-                    pool.append(p)
-                column.append(i)
-            columns.append(_frozen(column, pool))
-        self._init(group, pool, columns)
-        if len(table) != len(self.table):
-            raise ValueError("the mapping holds pairs that are not y <= w")
-
-    @classmethod
-    def _of_columns(cls, group: CoxeterGroup, pool: list[Laurent], columns: list[array]) -> "KLTable":
-        """The table with this pool and these columns, all masks built."""
-        table = cls.__new__(cls)
-        table._init(group, pool, columns)
-        return table
-
-    def _init(self, group: CoxeterGroup, pool: list[Laurent], columns: list[array]) -> None:
+    def __init__(self, group: CoxeterGroup, pool: list[Laurent], columns: list[array]):
         self.group = group
         self.pool = pool
         self.columns = columns
         self._masks = group._masks  # every mask is built once a column exists
         self._order = len(columns)
-
-    @property
-    def table(self) -> Mapping[tuple[Element, Element], Laurent]:
-        return _Pairs(self)
 
     def get(self, y: Element, w: Element) -> Laurent:
         """P_{y,w}, or 0 when y is not below w.  Refuses what is not an
@@ -405,11 +344,13 @@ class KLTable:
 
     def pairs(self) -> list[tuple[Element, Element]]:
         """Every comparable pair (y, w), by w and then y."""
-        return list(self.table)
+        masks = self._masks
+        return [(y, w) for w in self.group.elements() for y in mask_bits(masks[w])]
 
 
 def kl_table(group: CoxeterGroup) -> KLTable:
-    """Compute every P_{y,w}, column by column and each column downwards.
+    """Compute every P_{y,w}, column by column and each column downwards:
+    the only maker of a ``KLTable``.
 
     For a left descent t of w with ty > y, P_{y,w} = P_{ty,w}, and for a
     right descent t of w with yt > y, P_{y,w} = P_{yt,w} (Kazhdan-Lusztig,
@@ -484,7 +425,7 @@ def kl_table(group: CoxeterGroup) -> KLTable:
                     mus.append((y, val.coeff(d - 1)))
         columns.append(_frozen(map(column.__getitem__, ideal), pool))
         mu_lists[w] = tuple(mus)
-    return KLTable._of_columns(group, pool, columns)
+    return KLTable(group, pool, columns)
 
 
 def inverse_kl(table: KLTable, support: Iterable[Element]) -> dict[tuple[Element, Element], Laurent]:

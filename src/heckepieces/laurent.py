@@ -285,11 +285,6 @@ def v_power(exp: int) -> Laurent:
     return Laurent({exp: 1})
 
 
-def from_int(n: int) -> Laurent:
-    """The constant polynomial n."""
-    return Laurent({0: n})
-
-
 def bar_symmetric_head(p: Laurent) -> Laurent:
     """The unique bar-symmetric polynomial agreeing with p in degrees >= 0.
 

@@ -61,7 +61,8 @@ def test_2_kl_suite(tmp_path):
     started = time.monotonic()
     group = coxeter_group("B4")
     table = kl_table(group)
-    for (y, w), p in table.table.items():
+    for y, w in table.pairs():
+        p = table.get(y, w)
         if y == w:
             assert p == ONE
         else:
@@ -77,8 +78,8 @@ def test_2_kl_suite(tmp_path):
         assert q == (ONE if sign == 1 else -ONE)
     b2 = coxeter_group("B2")
     b2_table = kl_table(b2)
-    assert len(b2_table.table) == 33
-    assert all(p == ONE for p in b2_table.table.values())
+    assert len(b2_table.pairs()) == 33
+    assert all(b2_table.get(y, w) == ONE for y, w in b2_table.pairs())
     assert time.monotonic() - started < 120.0
 
     cache = tmp_path / "b4.klcache"
@@ -86,7 +87,8 @@ def test_2_kl_suite(tmp_path):
     started = time.monotonic()
     loaded = load_kl_cache(str(cache), group)
     assert time.monotonic() - started < 1.0
-    assert loaded.table == table.table
+    assert loaded.pairs() == table.pairs()
+    assert all(loaded.get(y, w) == table.get(y, w) for y, w in table.pairs())
 
 
 def test_3_stabilization_and_operators(b4):

@@ -8,7 +8,6 @@ from heckepieces.laurent import (
     ONE,
     ZERO,
     bar_symmetric_head,
-    from_int,
     v_power,
 )
 
@@ -117,14 +116,15 @@ def test_bar_symmetric_head_frozen():
 
 
 def test_from_int():
-    assert from_int(0) == ZERO
-    assert from_int(-2) == poly((-2, 0))
+    """A constant built from an int: 0 stores no term."""
+    assert Laurent({0: 0}) == ZERO
+    assert Laurent({0: -2}) == poly((-2, 0))
 
 
 def test_constants_hash_like_ints():
     assert hash(Laurent({0: 3})) == hash(3)
     assert hash(ZERO) == hash(0)
-    assert hash(from_int(-2)) == hash(-2)
+    assert hash(Laurent({0: -2})) == hash(-2)
     assert {3: "three"}[Laurent({0: 3})] == "three"
     assert Laurent({0: 3}) in {3}
 
@@ -205,9 +205,8 @@ def test_equal_polynomials_hash_equal(p, q, k, n):
         (-p, p * -1),
         (-(-p), p),
         (p - p, ZERO),
-        (p - p + n, from_int(n)),
-        (from_int(n), Laurent({0: n})),
-        (from_int(n).bar(), from_int(n).shift(0)),
+        (p - p + n, Laurent({0: n})),
+        (Laurent({0: n}).bar(), Laurent({0: n}).shift(0)),
     ]
     for a, b in paths:
         assert a == b
