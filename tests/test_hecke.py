@@ -12,6 +12,7 @@ from heckepieces.hecke import (
     Q,
     HeckeAlgebra,
     WeightFunction,
+    _certify,
     _frozen,
     canonical_basis,
     inverse_kl,
@@ -569,32 +570,38 @@ def test_split_case_matches_kl(rank):
             assert basis.p(t, z) == expected
 
 
-def walk_canonical_basis(algebra):
-    """canonical_basis on Laurent values: the c_s step read off the closed
-    form term by term, then one downward correction walk over the ideal of
-    z, with no pool and no memo."""
+def walk_step(algebra, vectors, z, sign=1):
+    """c_z on Laurent values, from c_{zs} in ``vectors``: the c_s step read
+    off the closed form term by term, then one downward correction walk
+    over the ideal of z, with no pool and no memo.  Returns the terms of
+    c_z and the corrections (t, gamma_t) it subtracted; ``sign=-1`` flips
+    the sign of the ±L exponent, for the mutation tests."""
     group = algebra.group
-    weight = algebra.weight
     length = group._length
-    vectors = {}
-    for z in group.elements():
-        if z == group.identity():
-            vectors[z] = algebra.unit()
-            continue
-        s = min(group._rdesc[z])
-        times_s, L = group._rmul[s], weight(s)
-        pairs = []
-        for y, c in vectors[times_s[z]].terms.items():
-            ys = times_s[y]
-            pairs += ((ys, c), (y, c.shift(L if length[ys] < length[y] else -L)))
-        terms = add_into({}, pairs)
-        below = mask_bits(group.bruhat_mask(z))
-        below.pop()  # z, the top bit
-        for t in reversed(below):
-            coeff = terms.get(t)
-            if coeff is not None and not coeff.in_v_minus_strict():
-                add_into(terms, vectors[t].terms.items(), -bar_symmetric_head(coeff))
-        vectors[z] = algebra.element(terms)
+    s = min(group._rdesc[z])
+    times_s, L = group._rmul[s], sign * algebra.weight(s)
+    pairs = []
+    for y, c in vectors[times_s[z]].terms.items():
+        ys = times_s[y]
+        pairs += ((ys, c), (y, c.shift(L if length[ys] < length[y] else -L)))
+    terms = add_into({}, pairs)
+    below = mask_bits(group.bruhat_mask(z))
+    below.pop()  # z, the top bit
+    corrections = []
+    for t in reversed(below):
+        coeff = terms.get(t)
+        if coeff is not None and not coeff.in_v_minus_strict():
+            corrections.append((t, bar_symmetric_head(coeff)))
+            add_into(terms, vectors[t].terms.items(), -corrections[-1][1])
+    return terms, corrections
+
+
+def walk_canonical_basis(algebra):
+    """canonical_basis on Laurent values, one ``walk_step`` per element."""
+    group = algebra.group
+    vectors = {group.identity(): algebra.unit()}
+    for z in group.elements()[1:]:
+        vectors[z] = algebra.element(walk_step(algebra, vectors, z)[0])
     return vectors
 
 
@@ -632,12 +639,13 @@ def test_canonical_basis_matches_reference(label, ab):
     """Starting from c_{zs} · c_s and correcting in one walk gives the
     basis of c_s · c_{sz} with the rescanning loop, on B3 for all weights
     (a, b, ..., b) with a, b in {1, 2, 3}, on B4 with (2, 1, 1, 1), and
-    with a zero weight, where c_s = T_s + 1, on B2 and B3."""
+    with a zero weight on B2 and B3, where the factor T_s + 1 is corrected
+    to c_s = T_s; each basis passes its own validation."""
     group = coxeter_group(label)
     weight = WeightFunction(group, {i: ab[0] if i == 1 else ab[1]
                                     for i in group.generators()})
     algebra = HeckeAlgebra(group, "weighted", weight)
-    basis = canonical_basis(algebra, validate=False)
+    basis = canonical_basis(algebra)
     assert basis.vectors == reference_canonical_basis(algebra)
 
 
@@ -699,6 +707,161 @@ def test_canonical_basis_takes_one_step_per_element(monkeypatch):
     assert calls == []
     assert 0 < products <= 5_000
     assert len(basis.vectors) == len(group.elements())
+
+
+def bar_oracle(algebra, vectors):
+    """The full bar check, the certificate's oracle: every c_z is
+    bar-invariant, has top term 1 and is supported on the ideal of z.  It
+    does not check that p(t, z) lies in v^-1 Z[v^-1]."""
+    group = algebra.group
+    return all(algebra.bar(x) == x and x.coeff(z) == ONE
+               and all(group.bruhat_leq(t, z) for t in x.terms)
+               for z, x in vectors.items())
+
+
+def valid_weights(group):
+    """Every weight function with values in {0, 1, 2, 3}."""
+    out = []
+    for values in itertools.product(range(4), repeat=len(group.generators())):
+        try:
+            out.append(WeightFunction(group, dict(zip(group.generators(), values))))
+        except ValueError:  # conjugate generators weighted differently
+            pass
+    return out
+
+
+CERTIFY_GROUPS = {  # spec, number of valid weights in {0, ..., 3}
+    "B2": ("B2", 16),
+    "B3": ("B3", 16),
+    "matrix:A3": (((1, 3, 2), (3, 1, 3), (2, 3, 1)), 4),
+    "matrix:H3": (KL_GROUPS["matrix:H3"], 4),
+    "matrix:I2(5)": (((1, 5), (5, 1)), 4),
+    "matrix:I2(6)": (((1, 6), (6, 1)), 16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFY_GROUPS))
+def test_certificate_agrees_with_the_bar_check(name):
+    """The certificate accepts every basis that the bar check accepts, on
+    all 60 valid weights in {0, ..., 3} of these six groups, zero weights
+    included."""
+    spec, count = CERTIFY_GROUPS[name]
+    group = coxeter_group(spec)
+    weights = valid_weights(group)
+    assert len(weights) == count
+    for weight in weights:
+        algebra = HeckeAlgebra(group, "weighted", weight)
+        basis = canonical_basis(algebra)
+        assert bar_oracle(algebra, basis.vectors), weight.values
+
+
+def test_certificate_agrees_with_the_bar_check_on_b4():
+    group = coxeter_group("B4")
+    algebra = HeckeAlgebra(group, "weighted", WeightFunction(group, {1: 2, 2: 1, 3: 1, 4: 1}))
+    basis = canonical_basis(algebra)
+    assert bar_oracle(algebra, basis.vectors)
+
+
+def mutate(algebra, vectors, kind):
+    """A copy of a B3 basis with one c_z broken in the way ``kind`` names."""
+    group = algebra.group
+    vectors = dict(vectors)
+    w0 = group.longest_element()
+    s1 = group.generator(1)
+    if kind in ("sign flipped at s1", "sign flipped at w0"):
+        z = s1 if kind.endswith("s1") else w0
+        vectors[z] = algebra.element(walk_step(algebra, vectors, z, sign=-1)[0])
+    elif kind == "correction dropped":
+        t, gamma = walk_step(algebra, vectors, w0)[1][0]
+        vectors[w0] = vectors[w0] + vectors[t].scale(gamma)
+    elif kind == "gamma not bar-symmetric":
+        t = group.right_mult_gen(w0, 1)
+        vectors[w0] = vectors[w0] + vectors[t].scale(v_power(-1))
+    elif kind == "coefficient at v^0":
+        p = vectors[w0].coeff(group.identity())
+        e = p.min_exp()
+        moved = p - Laurent({e: p.coeff(e)}) + Laurent({0: p.coeff(e)})
+        vectors[w0] = vectors[w0] + algebra.element({group.identity(): moved - p})
+    elif kind == "term above z":
+        z = group.from_word([1, 2])
+        vectors[z] = vectors[z] + algebra.element({group.generator(3): v_power(-1)})
+    return vectors
+
+
+MUTATIONS = {  # kind: (the certificate's message, whether bar-invariance broke)
+    "sign flipped at s1": ("not bar-invariant", True),
+    "sign flipped at w0": ("not bar-invariant", True),
+    "correction dropped": (r"not in v\^-1", False),
+    "gamma not bar-symmetric": ("not bar-invariant", True),
+    "coefficient at v^0": (r"not in v\^-1", True),
+    "term above z": ("leaked above z", True),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MUTATIONS))
+def test_certificate_refuses_a_mutated_basis(kind):
+    """Each mutation of a B3 (2, 1, 1) basis is refused, with the message
+    of the property it breaks.  The bar check refuses it too wherever
+    bar-invariance broke; a dropped correction keeps c_z bar-invariant and
+    breaks only p(t, z) in v^-1 Z[v^-1], which the bar check does not test."""
+    group = coxeter_group("B3")
+    algebra = HeckeAlgebra(group, "weighted", WeightFunction(group, {1: 2, 2: 1, 3: 1}))
+    vectors = canonical_basis(algebra).vectors
+    mutated = mutate(algebra, vectors, kind)
+    assert mutated != vectors
+    message, bar_broke = MUTATIONS[kind]
+    with pytest.raises(AssertionError, match=message):
+        _certify(algebra, mutated)
+    assert bar_oracle(algebra, mutated) is not bar_broke
+
+
+def test_validation_bars_only_the_generators(monkeypatch):
+    """Validated B4 (2, 1, 1, 1) expands bar once per generator, where a
+    bar check of every c_z would make 383 expansions, and forms one product
+    c_{zs} · c_s with ``multiply`` for each of the 379 elements of length
+    at least 2.  Products that bar folds inside itself are not counted."""
+    counts = {"bar": 0, "multiply": 0}
+    in_bar = False
+    bar, multiply = HeckeAlgebra.bar, HeckeAlgebra.multiply
+
+    def counted_bar(self, h):
+        nonlocal in_bar
+        counts["bar"] += 1
+        in_bar = True
+        try:
+            return bar(self, h)
+        finally:
+            in_bar = False
+
+    def counted_multiply(self, x, y):
+        counts["multiply"] += not in_bar
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(HeckeAlgebra, "bar", counted_bar)
+    monkeypatch.setattr(HeckeAlgebra, "multiply", counted_multiply)
+    group = coxeter_group("B4")
+    algebra = HeckeAlgebra(group, "weighted", WeightFunction(group, {1: 2, 2: 1, 3: 1, 4: 1}))
+    canonical_basis(algebra)
+    assert counts == {"bar": 4, "multiply": 379}
+
+
+def test_canonical_basis_keeps_each_term_once():
+    """Each c_z is built from its column of pool indices after the walk,
+    popping the column, so the two copies never coexist in full: on B4
+    (2, 1, 1, 1) the unvalidated call peaks at 1.9 times what it retains,
+    and at 2.7 times if each c_z is built beside its column in the walk."""
+    group = coxeter_group("B4")
+    for w in group.elements():
+        group.bruhat_mask(w)
+    algebra = HeckeAlgebra(group, "weighted", WeightFunction(group, {1: 2, 2: 1, 3: 1, 4: 1}))
+    tracemalloc.start()
+    try:
+        basis = canonical_basis(algebra, validate=False)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(basis.vectors) == 384
+    assert peak < 2.2 * retained
 
 
 def test_canonical_basis_rejects_geometric(b2):
