@@ -1,14 +1,13 @@
 """End-to-end checks for the worked rank-4 example, with frozen reference data.
 
 This module packages the expected outputs of the whole pipeline on the
-signed-permutation group of rank 4 with parabolic set J = {1,2}: the
-double-coset representatives, the twisted normalizer N with its weight
-function and sign character, the restriction expansions of the induced
-basis elements through every pair (t, z) in N x N, the transition
-patterns chi, the cuspidal scalars X, and the unequal-parameter
-canonical-basis values p.  Everything is recorded as explicit integer
-data, so the checks compare exact Laurent polynomials with zero
-tolerance.
+Coxeter group B4 with parabolic set J = {1,2}: the double-coset
+representatives, the twisted normalizer N with its weight function and
+sign character, the restriction expansions of the induced basis elements
+through every pair (t, z) in N x N, the transition patterns chi, the
+cuspidal scalars X, and the unequal-parameter canonical-basis values p.
+Everything is recorded as explicit integer data, so the checks compare
+exact Laurent polynomials with zero tolerance.
 
 The 64 pairs (t, z) fall into seven behaviour classes, named here by
 what the restriction does to the four non-unit character classes
@@ -47,7 +46,6 @@ from .charsheaf_b4 import (
     restriction_coefficients,
     solve_chi,
 )
-from .hecke import KLTable
 
 
 def _pol(*terms: tuple[int, int]) -> Laurent:
@@ -497,14 +495,9 @@ def check_conjectures(ctx: B4Context,
                    "comparable pairs")
 
 
-def run_example(kl: KLTable | None = None) -> ExampleOutcome:
-    """Build the context and run every frozen check.
-
-    An existing Kazhdan-Lusztig table for the rank-4 group may be passed
-    in (for instance one loaded from a cache file) to skip the cold
-    build.
-    """
-    ctx = build_context(kl=kl)
+def run_example() -> ExampleOutcome:
+    """Build the context and run every frozen check."""
+    ctx = build_context()
     report = conjecture_report(ctx)
     checks = (
         check_group_facts(ctx),

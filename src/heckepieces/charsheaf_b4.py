@@ -63,6 +63,7 @@ from .hecke import (
     kl_table,
 )
 from .laurent import Laurent, ONE, ZERO, add_into, v_power
+from .pieces import twisted_normalizer
 
 SYMBOLS = ("1", "rho", "sigma", "sigma'", "theta", "S")
 NONUNIT = ("rho", "sigma", "sigma'", "theta", "S")
@@ -183,7 +184,6 @@ class B4Context:
     N: tuple[Element, ...]                 # normalizer, display order
     name_of: dict[Element, str]
     by_name: dict[str, Element]
-    dihedral_word: dict[Element, str]      # words in the atoms e, f
     mirror: CoxeterGroup                   # N as an abstract Coxeter group
     to_mirror: dict[Element, Element]
     pbasis: CanonicalBasis
@@ -221,8 +221,6 @@ def _normalizer_mirror(group: CoxeterGroup, J: frozenset) -> tuple:
     >>> [W.word_str(a) for a in atoms], mirror.matrix
     (['4', '32123'], ((1, 4), (4, 1)))
     """
-    from .pieces import twisted_normalizer
-
     N = twisted_normalizer(group, J, group.automorphism())
     length, product = group._length, group._product
     composite = {ab for a in N[1:] for b in N[1:]
@@ -273,7 +271,7 @@ def build_context(kl: KLTable | None = None) -> B4Context:
 
     return B4Context(
         group=group, J=J, WJ=WJ, kl=kl, ikl=ikl, N=N,
-        name_of=name_of, by_name=by_name, dihedral_word=dihedral_word,
+        name_of=name_of, by_name=by_name,
         mirror=mirror, to_mirror=to_mirror, pbasis=pbasis,
         weight_L=weight_L, eps=eps, cs_table=cs_table, probes=probes,
     )

@@ -51,6 +51,8 @@ import os
 import sys
 from typing import Iterator, NoReturn
 
+from .b4_example import run_example
+from .charsheaf_b4 import report_as_dict, report_text
 from .coxeter import CoxeterGroup, DiagramAutomorphism, coxeter_group, mask_bits
 from .laurent import Laurent, ONE, ZERO
 from .hecke import KLTable, kl_table
@@ -236,15 +238,6 @@ def load_kl_cache(path: str, group: CoxeterGroup) -> KLTable:
     return table
 
 
-def _obtain_kl(group: CoxeterGroup, cache: str | None) -> KLTable:
-    if cache is not None and os.path.isfile(cache):
-        return load_kl_cache(cache, group)
-    table = kl_table(group)
-    if cache is not None:
-        save_kl_cache(table, cache)
-    return table
-
-
 # --------------------------------------------------------------------------
 # argument handling
 # --------------------------------------------------------------------------
@@ -275,10 +268,10 @@ def _make_group(type_spec: str) -> CoxeterGroup:
 
 
 def _parse_J(text: str, group: CoxeterGroup) -> frozenset:
-    try:
-        indices = frozenset(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise CliError(f"bad index set {text!r}") from exc
+    parts = [part.strip() for part in text.split(",")]
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise CliError(f"bad index set {text!r}")
+    indices = frozenset(map(int, parts))
     if not indices or not all(1 <= i <= group.rank for i in indices):
         raise CliError(f"index set {text!r} out of range")
     return indices
@@ -385,7 +378,12 @@ def _kl_stats(table: KLTable) -> dict:
 
 def _cmd_kl(args: argparse.Namespace) -> int:
     group = _make_group(args.type)
-    table = _obtain_kl(group, args.cache)
+    if args.cache is not None and os.path.isfile(args.cache):
+        table = load_kl_cache(args.cache, group)
+    else:
+        table = kl_table(group)
+        if args.cache is not None:
+            save_kl_cache(table, args.cache)
     if args.pair is not None:
         y_word, w_word = args.pair
         try:
@@ -499,13 +497,7 @@ def _cmd_pieces(args: argparse.Namespace) -> int:
 
 
 def _cmd_example_b4(args: argparse.Namespace) -> int:
-    from .b4_example import run_example
-    from .charsheaf_b4 import report_as_dict, report_text
-
-    kl = None
-    if args.cache is not None:
-        kl = _obtain_kl(_make_group("B4"), args.cache)
-    outcome = run_example(kl=kl)
+    outcome = run_example()
     ctx = outcome.context
     check_lines = [
         f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.summary}"
@@ -582,8 +574,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_example = sub.add_parser(
         "example-b4",
         help="run all frozen checks of the rank-4 example")
-    p_example.add_argument("--cache", default=None,
-                           help="Kazhdan-Lusztig cache file to reuse")
     p_example.add_argument("--format", choices=("text", "json"),
                            default="text")
     p_example.add_argument("--out", default=None)

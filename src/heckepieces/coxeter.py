@@ -366,19 +366,13 @@ class CoxeterGroup:
             return self.identity()
         word = []
         for ch in text:
-            if not ch.isdigit() or not 1 <= int(ch) <= self.rank:
+            if not ("1" <= ch <= "9" and int(ch) <= self.rank):  # isdigit() passes "²", "١"
                 raise ValueError(f"bad generator {ch!r} in word {text!r}")
             word.append(int(ch))
         return self.from_word(word)
 
     def sort_key(self, w: Element) -> tuple[int, Word]:
         return (self.length(w), self.reduced_word(w))
-
-    def as_generator_index(self, w: Element) -> int | None:
-        """The index i with w = s_i, or None if w is not a generator."""
-        if self.length(w) != 1:
-            return None
-        return self.reduced_word(w)[0]
 
     def in_parabolic(self, w: Element, J: Iterable[int]) -> bool:
         """Whether w lies in the standard parabolic subgroup W_J (its
@@ -473,13 +467,6 @@ class CoxeterGroup:
             s = min(ds)
             a, b = rmul[s][a], lmul[s][b]
 
-    def left_quotient(self, w: Element, J: Iterable[int]) -> tuple[Element, Element]:
-        """The unique factorization w = b·a with b in W_J and a of minimal
-        length in W_J w (no left descents in J); lengths add.  It is the
-        right quotient of w^{-1}, inverted."""
-        a_inv, b_inv = self.right_quotient(self.inverse(w), J)
-        return self.inverse(b_inv), self.inverse(a_inv)
-
     def is_right_min(self, w: Element, J: Iterable[int]) -> bool:
         """w shortest in wW_J, i.e. no right descents in J."""
         self._check_element(w)
@@ -552,9 +539,6 @@ class DiagramAutomorphism:
 
     def on_set(self, J: Iterable[int]) -> frozenset:
         return frozenset(self.perm[i] for i in J)
-
-    def inv_on_set(self, J: Iterable[int]) -> frozenset:
-        return frozenset(self._inv_perm[i] for i in J)
 
     def apply(self, w: Element) -> Element:
         return self._rewrite(self.perm, w)

@@ -200,10 +200,6 @@ class HeckeAlgebra:
         # is freed together with the algebra.
         self.mu_cache: dict[tuple, HeckeElement] = {}
 
-    def quad_coeffs(self, s: int) -> tuple[Laurent, Laurent]:
-        """(a_s, b_s) with T_s^2 = a_s T_s + b_s."""
-        return self._quad[s]
-
     # -- building elements --------------------------------------------------
 
     def zero(self) -> HeckeElement:

@@ -107,17 +107,6 @@ class BedardData:
             raise ValueError("tau left the target parabolic; stabilization data is corrupt")
         return out
 
-    def tau_gen_map(self) -> dict[int, int]:
-        """tau on generator indices of the target parabolic."""
-        group = self.group
-        out = {}
-        for k in sorted(self.target_parabolic):
-            img = group.as_generator_index(self.tau(group.generator(k)))
-            if img is None:
-                raise ValueError("tau does not permute the target generators")
-            out[k] = img
-        return out
-
     def tau_element(self, h: HeckeElement) -> HeckeElement:
         """tau applied basiswise, T_x ↦ T_{tau(x)} — an algebra map because
         tau permutes the generators of the target parabolic."""

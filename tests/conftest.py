@@ -1,6 +1,5 @@
 import pytest
 
-from heckepieces.cli import save_kl_cache
 from heckepieces.coxeter import coxeter_group
 from heckepieces.hecke import kl_table
 from heckepieces.charsheaf_b4 import build_context
@@ -29,10 +28,3 @@ def b4_kl(b4):
 @pytest.fixture(scope="session")
 def ctx(b4_kl):
     return build_context(kl=b4_kl)
-
-
-@pytest.fixture(scope="session")
-def b4_cache(tmp_path_factory, b4_kl):
-    path = tmp_path_factory.mktemp("kl") / "b4.klcache"
-    save_kl_cache(b4_kl, str(path))
-    return str(path)

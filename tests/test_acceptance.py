@@ -122,13 +122,13 @@ def test_5_transition_solutions(ctx):
     assert result.passed
 
 
-def test_6_scalars_conjectures_and_cli_gate(ctx, b4_cache, capsys):
+def test_6_scalars_conjectures_and_cli_gate(ctx, capsys):
     report = conjecture_report(ctx)
     result = check_conjectures(ctx, report)
     _fail_on(result.failures)
     assert result.passed
     assert report.all_pass
-    assert main(["example-b4", "--cache", b4_cache]) == 0
+    assert main(["example-b4"]) == 0
     out = capsys.readouterr().out
     assert "all checks pass" in out
 

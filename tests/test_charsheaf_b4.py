@@ -61,8 +61,8 @@ def test_context_sanity(ctx):
         assert ctx.eps[z] == NORMALIZER_SIGNS[name]
     # the normalizer order embeds the dihedral mirror faithfully
     for z in ctx.N:
-        assert ctx.mirror.length(ctx.to_mirror[z]) == \
-            len(ctx.dihedral_word[z])
+        word = "" if ctx.name_of[z] == "1" else ctx.name_of[z]
+        assert ctx.mirror.length(ctx.to_mirror[z]) == len(word)
     assert ctx.n_leq(ctx.by_name["e"], ctx.by_name["efe"])
     assert not ctx.n_leq(ctx.by_name["efe"], ctx.by_name["e"])
     assert not ctx.n_leq(ctx.by_name["e"], ctx.by_name["f"])
@@ -71,36 +71,33 @@ def test_context_sanity(ctx):
 def reference_normalizer_names(group):
     """N spelled the way ``build_context`` spelled it before deriving it:
     atoms picked by lengths 1 and 5, eight fixed words in them, and B2 as
-    the mirror.  Returns (order, name_of, by_name, dihedral_word, to_mirror,
-    weight_L, eps)."""
+    the mirror.  Returns (order, name_of, by_name, to_mirror, weight_L,
+    eps)."""
     N = twisted_normalizer(group, frozenset({1, 2}), group.automorphism())
     by_len = {group.length(z): z for z in N}
     atoms = {"e": by_len[1], "f": by_len[5]}
     mirror = coxeter_group("B2")
     weight = WeightFunction(mirror, {1: ATOM_WEIGHTS[0], 2: ATOM_WEIGHTS[1]})
-    order, name_of, by_name, dihedral_word, to_mirror, weight_L, eps = (
-        [], {}, {}, {}, {}, {}, {})
+    order, name_of, by_name, to_mirror, weight_L, eps = [], {}, {}, {}, {}, {}
     for wd in ("", "e", "f", "fe", "ef", "efe", "fef", "efef"):
         z = group.product(*(atoms[ch] for ch in wd)) if wd else group.identity()
         order.append(z)
         name_of[z] = wd or "1"
         by_name[wd or "1"] = z
-        dihedral_word[z] = wd
         to_mirror[z] = mirror.from_word({"e": 1, "f": 2}[ch] for ch in wd)
         weight_L[z] = weight.of(to_mirror[z])
         eps[z] = (-1) ** wd.count("f")
     assert sorted(order) == list(N)
-    return order, name_of, by_name, dihedral_word, to_mirror, weight_L, eps
+    return order, name_of, by_name, to_mirror, weight_L, eps
 
 
 def test_derived_normalizer_matches_spelled_reference(b4_kl):
     fresh = build_context(kl=b4_kl)
-    order, name_of, by_name, dihedral_word, to_mirror, weight_L, eps = \
+    order, name_of, by_name, to_mirror, weight_L, eps = \
         reference_normalizer_names(fresh.group)
     assert list(fresh.N) == order
     assert fresh.name_of == name_of
     assert fresh.by_name == by_name
-    assert fresh.dihedral_word == dihedral_word
     assert fresh.to_mirror == to_mirror
     assert fresh.weight_L == weight_L
     assert fresh.eps == eps
@@ -287,7 +284,7 @@ def test_family_partition():
 # -- the bundled example -------------------------------------------------------
 
 def test_run_example_all_checks_pass(b4_kl):
-    outcome = run_example(kl=b4_kl)
+    outcome = run_example()
     assert [c.name for c in outcome.checks] == [
         "group facts", "restriction tables", "transition patterns",
         "scalars and conjectures",
@@ -298,4 +295,6 @@ def test_run_example_all_checks_pass(b4_kl):
     assert outcome.all_pass
     assert outcome.report.all_pass
     assert len(outcome.report.pairs) == 64
-    assert outcome.context.kl is b4_kl
+    kl = outcome.context.kl  # built by the run itself, equal to the fixture's
+    assert kl is not b4_kl and list(kl.pairs()) == list(b4_kl.pairs())
+    assert all(kl.get(y, w) == b4_kl.get(y, w) for y, w in kl.pairs())

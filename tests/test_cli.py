@@ -52,9 +52,13 @@ def b2_cache(tmp_path):
     ["group", "--type", "B2", "--format", "yaml"],
     ["kl", "--type", "B2", "--pair", "7", "121"],
     ["kl", "--type", "B2", "--pair", "1x", "121"],
+    ["kl", "--type", "B2", "--pair", "١", "١٢١"],     # Arabic-Indic digits
+    ["kl", "--type", "B2", "--pair", "²", "121"],
     ["pieces", "--type", "B2", "--J", "0", ],
     ["pieces", "--type", "B2", "--J", "1,5"],
     ["pieces", "--type", "B2", "--J", "one"],
+    ["pieces", "--type", "B2", "--J", "١"],
+    ["pieces", "--type", "B2", "--J", "1,²"],
     ["pieces", "--type", "B2", "--J", "1", "--delta", "swap"],
     ["pieces", "--type", "B2", "--J", "1", "--delta", "perm:/no/such/file"],
     ["group", "--type", "matrix:/no/such/file.json"],
@@ -627,9 +631,8 @@ def test_output_is_byte_identical(argv, tmp_path, capsys):
 
 # -- example-b4 -------------------------------------------------------------------
 
-def test_example_b4_json(b4_cache, capsys):
-    assert main(["example-b4", "--cache", b4_cache,
-                 "--format", "json"]) == 0
+def test_example_b4_json(capsys):
+    assert main(["example-b4", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema"] == 1
     assert payload["all_pass"] is True
@@ -651,10 +654,9 @@ def test_example_b4_json(b4_cache, capsys):
                                  "ef": 4, "efe": 5, "fef": 7, "efef": 8}
 
 
-def test_example_b4_text_to_file(b4_cache, tmp_path, capsys):
+def test_example_b4_text_to_file(tmp_path, capsys):
     out = tmp_path / "report.txt"
-    assert main(["example-b4", "--cache", b4_cache,
-                 "--out", str(out)]) == 0
+    assert main(["example-b4", "--out", str(out)]) == 0
     echoed = capsys.readouterr().out
     assert "all checks pass" in echoed          # verdict still on stdout
     text = out.read_text(encoding="utf-8")
@@ -664,3 +666,12 @@ def test_example_b4_text_to_file(b4_cache, tmp_path, capsys):
     assert "PASS scalars and conjectures" in text
     assert text.rstrip().endswith("all checks pass")
     assert "FAIL" not in text
+
+
+def test_example_b4_takes_no_cache(tmp_path, capsys):
+    """``kl --type B4 --cache F`` is the one cache command; example-b4
+    refuses the option and creates no file."""
+    path = tmp_path / "b4.klcache"
+    assert main(["example-b4", "--cache", str(path)]) == 2
+    assert "unrecognized arguments: --cache" in capsys.readouterr().err
+    assert not path.exists()

@@ -305,38 +305,71 @@ def test_b5_table_core_matches_window_formulas(word_a, word_b):
 
 
 # The reflection representation (Humphreys, Reflection Groups and Coxeter
-# Groups, §5.3-5.4), an oracle outside the enumeration for crystallographic
-# types: s_i(α_j) = α_j - c_ij α_i on the root basis.  An element is the
-# tuple of its images of the simple roots, taken along its reduced word.
+# Groups, §5.3-5.4), an oracle outside the enumeration: s_i(α_j) = α_j -
+# c_ij α_i on the root basis.  An element is the tuple of its images of the
+# simple roots, taken along its reduced word.  Coordinates lie in Z[φ],
+# φ = (1 + √5)/2 with φ² = φ + 1, so that m = 5 needs no floats: a + bφ is
+# the pair (a, b).
+
+def _mul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c + b * d, a * d + b * c + b * d
+
+
+def _sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _dot(xs, ys):
+    """sum_i x_i y_i in Z[φ]."""
+    a = b = 0
+    for (p, q), (r, t) in zip(xs, ys):
+        a, b = a + p * r + q * t, b + p * t + q * r + q * t
+    return a, b
+
+
+def _sign(x):
+    """-1, 0 or 1 for a + bφ: twice it is (2a + b) + b√5, and where the two
+    parts differ in sign, the larger square wins."""
+    p, b = 2 * x[0] + x[1], x[1]
+    if p * b >= 0:
+        return (p > 0 or b > 0) - (p < 0 or b < 0)
+    return (p > 0) - (p < 0) if p * p > 5 * b * b else (b > 0) - (b < 0)
+
+
+# (c_ij, c_ji) by m: c_ij c_ji = 4cos²(π/m), which is φ + 1 = φ·φ for m = 5;
+# for odd m the two are equal, so that no simple root's orbit holds a
+# rescaled copy of another simple root
+CARTAN_PAIRS = {2: ((0, 0), (0, 0)), 3: ((-1, 0), (-1, 0)), 4: ((-1, 0), (-2, 0)),
+                5: ((0, -1), (0, -1)), 6: ((-1, 0), (-3, 0))}
+
 
 def cartan_matrix(coxeter):
-    """An integer Cartan matrix with c_ij c_ji = 0, 1, 2, 3 for m = 2, 3, 4,
-    6.  On a tree diagram every such choice is the geometric representation
-    up to a positive rescaling of the roots, which keeps their signs."""
+    """A Cartan matrix over Z[φ] from ``CARTAN_PAIRS``.  On a tree diagram
+    every such choice is the geometric representation up to a positive
+    rescaling of the roots, which keeps their signs."""
     n = len(coxeter)
-    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    cartan = [[(2, 0) if i == j else (0, 0) for j in range(n)] for i in range(n)]
     for i, j in itertools.combinations(range(n), 2):
-        product = {2: 0, 3: 1, 4: 2, 6: 3}[coxeter[i][j]]
-        if product:
-            cartan[i][j], cartan[j][i] = -1, -product
+        cartan[i][j], cartan[j][i] = CARTAN_PAIRS[coxeter[i][j]]
     return cartan
 
 
 def _simple_roots(n):
-    return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+    return tuple(tuple((int(i == j), 0) for i in range(n)) for j in range(n))
 
 
 def _reflect(cartan, s, v):
     """s(v) = v - (sum_j c_sj v_j) α_s."""
     k = s - 1
-    coeff = sum(c * x for c, x in zip(cartan[k], v))
-    return tuple(x - coeff if i == k else x for i, x in enumerate(v))
+    coeff = _dot(cartan[k], v)
+    return tuple(_sub(x, coeff) if i == k else x for i, x in enumerate(v))
 
 
 def _times_reflection(cartan, images, s):
     """The images under w·s from those under w: (ws)(α_j) = w(α_j) - c_sj w(α_s)."""
     k = s - 1
-    return tuple(tuple(a - cartan[k][j] * b for a, b in zip(image, images[k]))
+    return tuple(tuple(_sub(a, _mul(cartan[k][j], b)) for a, b in zip(image, images[k]))
                  for j, image in enumerate(images))
 
 
@@ -349,7 +382,7 @@ def _images_of_word(cartan, word):
 
 def _act(images, v):
     """w(v) = sum_j v_j w(α_j)."""
-    return tuple(sum(a * image[i] for a, image in zip(v, images)) for i in range(len(v)))
+    return tuple(_dot(v, [image[i] for image in images]) for i in range(len(v)))
 
 
 def _positive_roots(cartan):
@@ -363,45 +396,59 @@ def _positive_roots(cartan):
             if u not in roots:
                 roots.add(u)
                 frontier.append(u)
-    return [v for v in roots if min(v) >= 0]
+    return [v for v in roots if min(map(_sign, v)) >= 0]
 
 
 def _is_negative(v):
-    return max(v) <= 0  # a root has all coordinates of one sign
+    return max(map(_sign, v)) <= 0  # a root has all coordinates of one sign
 
 
+# name: (Coxeter matrix, number of positive roots, elements checked or None for all)
 REFLECTION_GROUPS = {
-    "matrix:A4": (_coxeter_matrix(4, [(1, 2, 3), (2, 3, 3), (3, 4, 3)]), 10),
-    "matrix:D4": (CENSUS_CASES["D4"][0], 12),
-    "matrix:F4": (CENSUS_CASES["F4"][0], 24),
+    "matrix:A4": (_coxeter_matrix(4, [(1, 2, 3), (2, 3, 3), (3, 4, 3)]), 10, None),
+    "matrix:D4": (CENSUS_CASES["D4"][0], 12, None),
+    "matrix:F4": (CENSUS_CASES["F4"][0], 24, None),
+    "matrix:H3": (CENSUS_CASES["H3"][0], 15, None),
+    "matrix:I2(5)": (_coxeter_matrix(2, [(1, 2, 5)]), 5, None),
+    "matrix:H4": (CENSUS_CASES["H4"][0], 60, 60),
+    "matrix:E6": (CENSUS_CASES["E6"][0], 36, 60),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REFLECTION_GROUPS))
 def test_table_core_matches_reflection_representation(name):
-    """On every element: the length is the number of positive roots sent
-    negative, the right descents are the s with w(α_s) < 0, the left
-    descents are the right descents of w^-1 (the reversed word), and the
-    inverse and one-generator products act as the representation says."""
-    matrix, n_positive = REFLECTION_GROUPS[name]
+    """On every element, or on a seeded sample of the larger groups: the
+    length is the number of positive roots sent negative, the right descents
+    are the s with w(α_s) < 0, the left descents are the right descents of
+    w^-1 (the reversed word), and the inverse and one-generator products act
+    as the representation says."""
+    matrix, n_positive, sample = REFLECTION_GROUPS[name]
     cartan = cartan_matrix(matrix)
     positive = _positive_roots(cartan)
     assert len(positive) == n_positive
     group = coxeter_group(matrix)
     gens = group.generators()
-    images = [_images_of_word(cartan, group.reduced_word(w)) for w in group.elements()]
-    assert len(set(images)) == len(images)
-    for w, image in enumerate(images):
-        word = group.reduced_word(w)
+    elements = group.elements()
+    checked = elements if sample is None else random.Random(11).sample(elements, sample)
+    images = {}
+
+    def image_of(w):
+        if w not in images:
+            images[w] = _images_of_word(cartan, group.reduced_word(w))
+        return images[w]
+
+    assert len({image_of(w) for w in checked}) == len(checked)
+    for w in checked:
+        image, word = image_of(w), group.reduced_word(w)
         sent_negative = sum(_is_negative(_act(image, root)) for root in positive)
         assert group.length(w) == len(word) == sent_negative
         inverse = _images_of_word(cartan, word[::-1])
         assert group.right_descents(w) == {s for s in gens if _is_negative(image[s - 1])}
         assert group.left_descents(w) == {s for s in gens if _is_negative(inverse[s - 1])}
-        assert images[group.inverse(w)] == inverse
+        assert image_of(group.inverse(w)) == inverse
         for s in gens:
-            assert images[group.right_mult_gen(w, s)] == _times_reflection(cartan, image, s)
-            assert images[group.left_mult_gen(s, w)] == tuple(
+            assert image_of(group.right_mult_gen(w, s)) == _times_reflection(cartan, image, s)
+            assert image_of(group.left_mult_gen(s, w)) == tuple(
                 _reflect(cartan, s, v) for v in image)
 
 
@@ -447,6 +494,10 @@ def test_word_str_round_trip(b3):
         b3.parse_word("14")
     with pytest.raises(ValueError):
         b3.parse_word("x")
+    # digits outside ASCII are no letters: superscript two, Arabic-Indic one
+    for text in ("²", "١", "1١2", "١٢١"):
+        with pytest.raises(ValueError, match="bad generator"):
+            b3.parse_word(text)
 
 
 def test_descents_match_length_drop(b3):
@@ -457,13 +508,6 @@ def test_descents_match_length_drop(b3):
               if b3.length(b3.left_mult_gen(s, w)) < b3.length(w)}
         assert b3.right_descents(w) == rd
         assert b3.left_descents(w) == ld
-
-
-def test_as_generator_index(b3):
-    for s in b3.generators():
-        assert b3.as_generator_index(b3.generator(s)) == s
-    assert b3.as_generator_index(b3.identity()) is None
-    assert b3.as_generator_index(b3.from_word((1, 2))) is None
 
 
 # -- Bruhat order --------------------------------------------------------------
@@ -616,11 +660,6 @@ def test_quotients_exhaustive(b3):
             assert b in WJ
             assert b3.is_right_min(a, J)
             assert b3.length(a) + b3.length(b) == b3.length(w)
-            b2_, a2 = b3.left_quotient(w, J)
-            assert b3.product(b2_, a2) == w
-            assert b2_ in WJ
-            assert b3.is_left_min(a2, J)
-            assert b3.length(a2) + b3.length(b2_) == b3.length(w)
 
 
 def test_min_double_coset_exhaustive(b3):
@@ -665,7 +704,6 @@ def test_automorphism_a3_swap():
         assert group.length(delta.apply(x)) == group.length(x)
         assert delta.apply_inv(delta.apply(x)) == x
     assert delta.on_set({1, 2}) == frozenset({2, 3})
-    assert delta.inv_on_set({2, 3}) == frozenset({1, 2})
 
 
 def test_automorphism_inverse_undoes_a_three_cycle():
@@ -706,8 +744,7 @@ def test_parabolic_lookups_refuse_elements_outside_the_group(b3):
     element."""
     delta = b3.automorphism()
     lookups = [delta.apply, delta.apply_inv, lambda w: b3.right_quotient(w, {1}),
-               lambda w: b3.left_quotient(w, {1}), lambda w: b3.is_left_min(w, {1}),
-               lambda w: b3.is_right_min(w, {1}),
+               lambda w: b3.is_left_min(w, {1}), lambda w: b3.is_right_min(w, {1}),
                lambda w: b3.min_double_coset({1}, {2}, w)]
     for bad in (-1, 48):
         for lookup in lookups:

@@ -24,6 +24,17 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_package_imports_only_at_module_level():
+    """No import sits inside a function, class or branch, so a module's
+    imports all run when it is loaded."""
+    nested = []
+    for path in sorted((ROOT / "src" / "heckepieces").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        nested += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body]
+    assert nested == []
+
+
 def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies = \[\]$", text, re.M)

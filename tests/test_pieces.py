@@ -82,7 +82,7 @@ def test_sequence_trace_single_generator(b4, b4_data):
     data = datas[w]
     assert [(sorted(Jn), wn) for Jn, wn in data.steps] == \
         [([1, 2], w), ([1], w)]
-    assert data.tau_gen_map() == {1: 1}
+    assert data.tau(b4.generator(1)) == b4.generator(1)
 
     w32 = b4.parse_word("32")
     assert [(sorted(Jn), b4.word_str(wn)) for Jn, wn in datas[w32].steps] == \
