@@ -175,6 +175,7 @@ class CoxeterGroup:
         if order > _ENUM_CAP:
             raise ValueError(f"group order {order} exceeds enumeration cap {_ENUM_CAP}")
         self._parabolic_cache: dict[frozenset, tuple[Element, ...]] = {}
+        self._generator_set = frozenset(self.generators())  # see _check_subset
         self._build_tables(order)
 
     def _build_tables(self, order: int) -> None:
@@ -435,7 +436,7 @@ class CoxeterGroup:
 
     def _check_subset(self, J: Iterable[int]) -> frozenset:
         Jf = frozenset(J)
-        if not Jf <= set(self.generators()):
+        if not Jf <= self._generator_set:
             raise ValueError(f"not a subset of generators: {sorted(Jf)}")
         return Jf
 
@@ -515,7 +516,7 @@ class DiagramAutomorphism:
     """A permutation δ of the generator indices with m(δi, δj) = m(i, j),
     acting on the group by rewriting reduced words letterwise."""
 
-    __slots__ = ("group", "perm", "_inv_perm")
+    __slots__ = ("group", "perm", "_inv_perm", "_hash")
 
     def __init__(self, group: CoxeterGroup, mapping: dict[int, int]):
         for i in (*mapping, *mapping.values()):
@@ -533,6 +534,8 @@ class DiagramAutomorphism:
         self.group = group
         self.perm = dict(mapping)
         self._inv_perm = {v: k for k, v in mapping.items()}
+        # hashed once: ``pieces.mu_J`` keys its memo by (J, δ) on every call
+        self._hash = hash((id(group), frozenset(self.perm.items())))
 
     def __call__(self, i: int) -> int:
         return self.perm[i]
@@ -562,7 +565,7 @@ class DiagramAutomorphism:
         return self.group is other.group and self.perm == other.perm
 
     def __hash__(self) -> int:
-        return hash((id(self.group), frozenset(self.perm.items())))
+        return self._hash
 
 
 def coxeter_group(spec: str | Sequence[Sequence[int]]) -> CoxeterGroup:

@@ -196,9 +196,10 @@ class HeckeAlgebra:
             for s, (a, _) in quad.items()
         }
         self._bar_basis: dict[Element, HeckeElement] = {}
-        # Memo of ``pieces.mu_J`` on basis elements; held here so that it
-        # is freed together with the algebra.
-        self.mu_cache: dict[tuple, HeckeElement] = {}
+        # Memo of ``pieces.mu_J`` on basis elements: one dict
+        # {y: terms of mu(T_y)} per (J, δ), held here so that it is freed
+        # together with the algebra.
+        self.mu_cache: dict[tuple, dict[Element, dict[Element, Laurent]]] = {}
 
     # -- building elements --------------------------------------------------
 
@@ -230,13 +231,14 @@ class HeckeAlgebra:
         generator step."""
         length, times_s = self.group._length, self.group._rmul[s]
         a, b = self._quad[s]
+        unit_b = b == ONE  # the weighted normalization: T_s^2 = a_s T_s + 1
         pairs = []
         for w, c in terms.items():
             ws = times_s[w]
             if length[ws] > length[w]:
                 pairs.append((ws, c))
             else:
-                pairs += ((w, c * a), (ws, c * b))
+                pairs += ((w, c * a), (ws, c if unit_b else c * b))
         return add_into({}, pairs)
 
     def multiply(self, x: HeckeElement, y: HeckeElement) -> HeckeElement:
@@ -249,7 +251,7 @@ class HeckeAlgebra:
             terms = x.terms
             for s in self.group.reduced_word(w):
                 terms = self._times_gen(terms, s)
-            add_into(out, terms.items(), c)
+            add_into(out, terms.items(), None if c == ONE else c)
         return HeckeElement(self, out)
 
     # -- bar involution ----------------------------------------------------------

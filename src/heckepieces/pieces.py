@@ -19,7 +19,14 @@ T_y ↦ T_{δ^{-1}(y_*)} · T_{y^*} for the decomposition y = y^* y_* with
 y_* in W_{δ(J)} and y^* shortest in its coset; ``E_operator`` composes n of
 these contractions along the stabilization sequence and then projects onto
 the coset w^{-1} W_{δ(J_inf)}.  The operator is independent of n up to the
-generator twist tau: E_{n+1}(T_y) = tau(E_n(T_y)).
+generator twist tau: E_{n+1}(T_y) = tau(E_n(T_y)).  mu_∅ is the identity and
+is not computed.  Otherwise the factor a = δ^{-1}(y_*) lies in W_J and is
+short, while y^* can be nearly as long as w_0, so T_a · T_{y^*} is formed as
+ι(T_{(y^*)^{-1}} · T_{a^{-1}}) with the anti-involution ι(T_w) = T_{w^{-1}}
+(Lusztig, Hecke algebras with unequal parameters, CRM Monograph 18, 2003),
+in l(a) generator steps.  Images of basis elements are memoized on the
+algebra, in ``algebra.mu_cache[J, δ]``: one dict {y: terms of the image}
+per pair (J, δ).
 
 The closure order on piece indices is w' ≤ w iff δ(u) w' u^{-1} ≤ w in
 Bruhat order for some u in W_J.
@@ -28,11 +35,13 @@ Bruhat order for some u in W_J.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from .coxeter import CoxeterGroup, DiagramAutomorphism, Element, mask_bits
 from .hecke import HeckeAlgebra, HeckeElement
-from .laurent import add_into
+from .laurent import ONE, Laurent, add_into
 
 
 def ad_indices(group: CoxeterGroup, w: Element, K: Iterable[int]) -> frozenset:
@@ -193,7 +202,8 @@ def piece_indices(group: CoxeterGroup, J: Iterable[int],
                   delta: DiagramAutomorphism) -> tuple[Element, ...]:
     """All piece indices: elements with no left descent in δ(J), sorted."""
     dJ = delta.on_set(group._check_subset(J))
-    return tuple(w for w in group.elements() if group.is_left_min(w, dJ))
+    ldesc = group._ldesc
+    return tuple(w for w in group.elements() if not ldesc[w] & dJ)
 
 
 def twisted_normalizer(group: CoxeterGroup, J: Iterable[int],
@@ -211,14 +221,12 @@ def twisted_normalizer(group: CoxeterGroup, J: Iterable[int],
 # -- closure order -----------------------------------------------------------
 
 
-def _orbit_mask(group: CoxeterGroup, Jf: frozenset, delta: DiagramAutomorphism,
-                w: Element) -> int:
-    """{δ(u) w u^{-1} : u in W_J}, as a bitmask of elements; w comes from
-    the group's own tables or was checked by the caller."""
-    mask = 0
-    for u in group.parabolic_elements(Jf):
-        mask |= 1 << group._product(delta.apply(u), w, group._inv[u])
-    return mask
+def _orbit(group: CoxeterGroup, Jf: frozenset, delta: DiagramAutomorphism,
+           w: Element) -> list[Element]:
+    """δ(u) w u^{-1} for each u in W_J, repeats included; w comes from the
+    group's own tables or was checked by the caller."""
+    inv = group._inv
+    return [group._product(delta.apply(u), w, inv[u]) for u in group.parabolic_elements(Jf)]
 
 
 def closure_leq(group: CoxeterGroup, J: Iterable[int], delta: DiagramAutomorphism,
@@ -228,7 +236,8 @@ def closure_leq(group: CoxeterGroup, J: Iterable[int], delta: DiagramAutomorphis
     Jf = group._check_subset(J)
     _validate_index(group, Jf, delta, w1)
     _validate_index(group, Jf, delta, w2)
-    return bool(_orbit_mask(group, Jf, delta, w1) & group.bruhat_mask(w2))
+    ideal = group.bruhat_mask(w2)
+    return any(ideal >> x & 1 for x in _orbit(group, Jf, delta, w1))
 
 
 def closure_hasse(group: CoxeterGroup, J: Iterable[int],
@@ -239,11 +248,16 @@ def closure_hasse(group: CoxeterGroup, J: Iterable[int],
     order for genuine stabilization data)."""
     Jf = group._check_subset(J)
     idx = piece_indices(group, Jf, delta)
-    orbits = [_orbit_mask(group, Jf, delta, w) for w in idx]
-    ideals = [group.bruhat_mask(w) for w in idx]
-    # below[j]: the positions i != j with idx[i] < idx[j], as a bitmask
-    below = [sum(1 << i for i, orbit in enumerate(orbits) if i != j and orbit & ideal)
-             for j, ideal in enumerate(ideals)]
+    # holders[x]: the positions whose orbit holds x, as a bitmask
+    holders = [0] * len(group.elements())
+    for i, w in enumerate(idx):
+        for x in _orbit(group, Jf, delta, w):
+            holders[x] |= 1 << i
+    # below[j]: the positions i != j with idx[i] < idx[j], that is those
+    # whose orbit meets the ideal of idx[j], as a bitmask
+    held = holders.__getitem__
+    below = [reduce(or_, map(held, mask_bits(group.bruhat_mask(w))), 0) & ~(1 << j)
+             for j, w in enumerate(idx)]
     covers = []
     for j, under in enumerate(below):
         between = 0  # the positions below some position below j
@@ -282,28 +296,57 @@ def piece_dimension(group: CoxeterGroup, J: Iterable[int], w: Element,
 # -- Hecke operators ---------------------------------------------------------
 
 
-def _mu_on_basis(algebra: HeckeAlgebra, Jf: frozenset,
-                 delta: DiagramAutomorphism, y: Element) -> HeckeElement:
-    key = (Jf, delta, y)
-    cached = algebra.mu_cache.get(key)
-    if cached is None:
-        y_min, y_par = algebra.group.right_quotient(y, delta.on_set(Jf))
-        cached = algebra.multiply(
-            algebra.basis(delta.apply_inv(y_par)), algebra.basis(y_min)
-        )
-        algebra.mu_cache[key] = cached
-    return cached
+def _mu_on_basis(algebra: HeckeAlgebra, dJ: frozenset, delta: DiagramAutomorphism,
+                 y: Element) -> dict[Element, Laurent]:
+    """The terms of T_a · T_b, for y = b·y_* with y_* in W_{δ(J)} = W_{dJ},
+    b = y^* shortest in y W_{δ(J)} and a = δ^{-1}(y_*) in W_J.
+
+    a is short, while b can be nearly as long as w_0, and ``multiply`` takes
+    one generator step per letter of its right operand.  So the product is
+    formed as T_a · T_b = ι(T_{b^{-1}} · T_{a^{-1}}), with ι the
+    anti-involution T_w ↦ T_{w^{-1}} (Lusztig, Hecke algebras with unequal
+    parameters, CRM Monograph 18, 2003): l(a) steps, not l(b).  When a = e
+    the image is T_b and no product is formed."""
+    group = algebra.group
+    b, y_par = group.right_quotient(y, dJ)
+    a = delta.apply_inv(y_par)
+    if a == group.identity():
+        return {b: ONE}
+    inv = group._inv
+    swapped = algebra.multiply(algebra.basis(inv[b]), algebra.basis(inv[a]))
+    return {inv[w]: c for w, c in swapped.terms.items()}
 
 
 def mu_J(h: HeckeElement, J: Iterable[int], delta: DiagramAutomorphism) -> HeckeElement:
     """The parabolic contraction T_y ↦ T_{δ^{-1}(y_*)} · T_{y^*}, extended
     linearly; y = y^* y_* with y_* in W_{δ(J)} and y^* shortest in y W_{δ(J)}.
+
+    mu_∅ is the identity (y_* = e for every y), so h itself is returned.
+    Otherwise the image of each T_y is read from ``algebra.mu_cache[J, δ]``,
+    one dict {y: terms of the image} per (J, δ), filled by ``_mu_on_basis``
+    on first use; J is checked and the dict and δ(J) are found once per
+    call, not once per term.  A coefficient ONE, of a term of h or of an
+    image T_b, is not multiplied.
     """
     algebra = h.algebra
     Jf = algebra.group._check_subset(J)
+    if not Jf:
+        return h
+    images = algebra.mu_cache.get((Jf, delta))
+    if images is None:
+        images = algebra.mu_cache[Jf, delta] = {}
+    dJ = delta.on_set(Jf)
     out: dict = {}
     for y, c in h.terms.items():
-        add_into(out, _mu_on_basis(algebra, Jf, delta, y).terms.items(), c)
+        image = images.get(y)
+        if image is None:
+            image = images[y] = _mu_on_basis(algebra, dJ, delta, y)
+        if c == ONE:
+            add_into(out, image.items())
+        else:
+            # ``is`` finds the shared ONE of the T_b images without a
+            # comparison; an equal copy is multiplied, which is only slower
+            add_into(out, [(x, c if p is ONE else c * p) for x, p in image.items()])
     return HeckeElement(algebra, out)
 
 

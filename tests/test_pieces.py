@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from heckepieces.coxeter import coxeter_group
-from heckepieces.hecke import HeckeAlgebra
+from heckepieces.hecke import HeckeAlgebra, WeightFunction
 from heckepieces.laurent import Laurent, ONE
 from heckepieces.pieces import (
     E_operator,
@@ -352,6 +352,131 @@ def test_mu_is_linear(b4):
     h2 = algebra.basis(b4.parse_word("431"))
     assert mu_J(h1 + h2, J, delta) == \
         mu_J(h1, J, delta) + mu_J(h2, J, delta)
+
+
+def reference_mu_J(h, J, delta):
+    """mu_J as first computed, with no memo: each T_y goes to
+    T_{δ^{-1}(y_*)} · T_{y^*}, multiplied in that order by ``multiply``."""
+    algebra, group = h.algebra, h.algebra.group
+    out = algebra.zero()
+    for y, c in h.terms.items():
+        y_min, y_par = group.right_quotient(y, delta.on_set(J))
+        image = algebra.multiply(algebra.basis(delta.apply_inv(y_par)), algebra.basis(y_min))
+        out = out + image.scale(c)
+    return out
+
+
+def reference_E_operator(h, data, n):
+    """n reference contractions along the sequence, then T_y ↦ T_{wy} on
+    the terms with wy in the target parabolic."""
+    group = data.group
+    for k in range(n):
+        h = reference_mu_J(h, data.J_at(k), data.delta)
+    moved = {group.product(data.w, y): c for y, c in h.terms.items()}
+    return h.algebra.element({x: c for x, c in moved.items()
+                              if group.in_parabolic(x, data.target_parabolic)})
+
+
+def _subsets(group):
+    gens = list(group.generators())
+    return [frozenset(c) for k in range(len(gens) + 1) for c in itertools.combinations(gens, k)]
+
+
+def _d4_deltas(d4):
+    """The five non-identity diagram automorphisms of D4 (they permute the
+    leaves 1, 3, 4 around the node 2)."""
+    return [d4.automorphism({1: a, 2: 2, 3: b, 4: c})
+            for a, b, c in itertools.permutations((1, 3, 4)) if (a, b, c) != (1, 3, 4)]
+
+
+def test_mu_J_matches_reference(b3, b4):
+    """On every basis element and every J: B3 in both normalizations, B4,
+    and D4 under each non-identity δ.  Each group shares one algebra across
+    its subsets and automorphisms, so a memo that confused two (J, δ)
+    would hand one the images of the other."""
+    cases = [
+        (HeckeAlgebra(b3), [b3.automorphism()]),
+        (HeckeAlgebra(b3, "weighted", WeightFunction(b3, {1: 2, 2: 1, 3: 1})),
+         [b3.automorphism()]),
+        (HeckeAlgebra(b4), [b4.automorphism()]),
+    ]
+    d4 = coxeter_group(D4_MATRIX)
+    cases.append((HeckeAlgebra(d4), _d4_deltas(d4)))
+    for algebra, deltas in cases:
+        group = algebra.group
+        for delta in deltas:
+            for Jsub in _subsets(group):
+                for y in group.elements():
+                    h = algebra.basis(y)
+                    assert mu_J(h, Jsub, delta) == reference_mu_J(h, Jsub, delta), \
+                        (group.type_tag, delta.perm, sorted(Jsub), group.word_str(y))
+
+
+def _seeded_element(algebra, data, rng):
+    """One term the projection keeps and two drawn from the whole group."""
+    group = algebra.group
+    coeff = lambda: Laurent({rng.randint(-3, 3): rng.choice((-2, -1, 1, 2, 3))})
+    terms = {group.inverse(data.w): coeff()}
+    for _ in range(2):
+        terms[rng.choice(group.elements())] = coeff()
+    return algebra.element(terms)
+
+
+def test_E_operator_matches_reference(b4):
+    rng = random.Random(20)
+    d4 = coxeter_group(D4_MATRIX)
+    cases = [(b4, frozenset({2}), [b4.automorphism()]),
+             *((d4, frozenset(Jsub), _d4_deltas(d4)) for Jsub in ({2}, {1, 3}))]
+    for group, Jsub, deltas in cases:
+        algebra = HeckeAlgebra(group)
+        for delta in deltas:
+            for w in piece_indices(group, Jsub, delta):
+                data = bedard_sequence(group, Jsub, delta, w)
+                h = _seeded_element(algebra, data, rng)
+                for n in (data.n0, data.n0 + 1):
+                    assert E_operator(h, data, n) == reference_E_operator(h, data, n), \
+                        (group.type_tag, delta.perm, sorted(Jsub), group.word_str(w), n)
+
+
+def test_E_operator_step_budget(b4, monkeypatch):
+    """mu_J forms T_a · T_b in l(a) generator steps, a = δ^{-1}(y_*) in
+    W_J, once per distinct (J, y) with a ≠ e: neither T_y ↦ T_y (J = ∅ or
+    y_* = e) nor the length of y^* costs a step."""
+    Jsub, delta = frozenset({2}), b4.automorphism()
+    datas = [bedard_sequence(b4, Jsub, delta, w) for w in piece_indices(b4, Jsub, delta)]
+    rng, source = random.Random(5), HeckeAlgebra(b4)
+    inputs = [(data, _seeded_element(source, data, rng)) for data in datas]
+    budget, seen = 0, set()
+    for data, h in inputs:  # replay the contractions to list the (J, y) met
+        for k in range(data.n0):
+            Jk = data.J_at(k)
+            for y in h.terms:
+                if (Jk, y) not in seen:
+                    seen.add((Jk, y))
+                    budget += b4.length(b4.right_quotient(y, delta.on_set(Jk))[1])
+            h = reference_mu_J(h, Jk, delta)
+    calls = 0
+    times_gen = HeckeAlgebra._times_gen
+
+    def counted(self, terms, s):
+        nonlocal calls
+        calls += 1
+        return times_gen(self, terms, s)
+
+    monkeypatch.setattr(HeckeAlgebra, "_times_gen", counted)
+    algebra = HeckeAlgebra(b4)
+    for data, h in inputs:
+        E_operator(algebra.element(h.terms), data, data.n0)
+    assert 0 < calls <= budget
+
+
+def test_mu_empty_J_is_the_identity():
+    d4 = coxeter_group(D4_MATRIX)
+    algebra = HeckeAlgebra(d4)
+    h = algebra.element({d4.parse_word("2134"): Laurent({-1: 3}),
+                         d4.longest_element(): ONE})
+    for delta in (d4.automorphism(), *_d4_deltas(d4)):
+        assert mu_J(h, set(), delta) == h
 
 
 def test_mu_cache_dies_with_its_algebra(b2):
