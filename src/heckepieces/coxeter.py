@@ -6,9 +6,11 @@ length at a time.  Its elements are the integers 0, 1, ..., |W| - 1 in
 last element is the longest, and integer order is ``sort_key`` order.  For
 every element the group stores its length, canonical reduced word, both
 descent sets, both one-generator products and its inverse in lists indexed
-by the element, so every structural question is a lookup.  Two more lists
-are filled lazily: Bruhat ideals as int bitmasks (``bruhat_mask``), and word
-strings (``word_str``), filled in one pass with the map back from each string
+by the element, so every structural question is a lookup.  Three more
+lists are filled lazily: the coatoms of every element in Bruhat order, in one
+pass; Bruhat ideals as int bitmasks (``bruhat_mask``), each one bit ORed with
+its coatoms' masks, in element order up to the largest element asked for; and
+word strings (``word_str``), in one pass with the map back from each string
 that ``parse_word`` reads.  Type B_n is built from its Coxeter matrix
 (``type_b_matrix``), like any other group.
 
@@ -246,7 +248,8 @@ class CoxeterGroup:
         self._words, self._length, self._rmul, self._lmul = words, length, rmul, lmul
         self._inv, self._rdesc = inv, rdesc
         self._ldesc = [rdesc[x] for x in inv]
-        self._masks = [1] + [0] * (order - 1)  # see bruhat_mask
+        self._coatom_lists: list[tuple[Element, ...]] = []  # see _coatoms
+        self._masks: list[int] = []  # see bruhat_mask
         self._strs: list[str] = []  # see _word_strs
         self._element_of_str: dict[str, Element] = {}
 
@@ -392,31 +395,54 @@ class CoxeterGroup:
 
     # -- Bruhat order ----------------------------------------------------------
 
+    def _coatoms(self) -> list[tuple[Element, ...]]:
+        """The Bruhat coatoms {y <= x : l(y) = l(x) - 1} of every x, indexed
+        by x, built in one pass on first use.
+
+        For x != e with s the last letter of its canonical word and z = x·s,
+        the ideal of x is that of z together with its image under y ↦ y·s
+        (the lifting property, Björner–Brenti, GTM 231, Prop. 2.2.7).  Its
+        elements of length l(x) - 1 are z and the c·s for the coatoms c of
+        z with c·s > c, so each coatom list comes from a shorter one.
+        Elements are numbered by length, so c·s > c compares integers.
+
+        >>> W = coxeter_group("B2")
+        >>> [[W.word_str(y) for y in W._coatoms()[x]] for x in (5, 7)]
+        [['12', '21'], ['121', '212']]
+        """
+        coatoms = self._coatom_lists
+        if not coatoms:
+            coatoms.append(())
+            rmul, words = self._rmul, self._words
+            for x in range(1, len(words)):
+                ys = rmul[words[x][-1]]
+                z = ys[x]
+                coatoms.append((z, *[y for c in coatoms[z] if (y := ys[c]) > c]))
+        return coatoms
+
     def bruhat_mask(self, w: Element) -> int:
         """The Bruhat ideal {y : y <= w} as an int with bit y set for each
         y; no bit lies above w, since elements are numbered by length.
 
-        Built on first use by the lifting property (Björner–Brenti, GTM 231,
-        Prop. 2.2.7): {y <= z·s} = {y <= z} ∪ {y·s : y <= z} for z < z·s.
-        Canonical words are prefix-closed, so the walk goes down w's word to
-        the nearest built mask and fills upward.
+        By the subword property (Björner–Brenti, GTM 231, §2.2) every
+        y < x lies below a coatom of x, so the ideal of x is x together
+        with the ideals of its coatoms: one OR per Bruhat cover.  Masks are
+        filled in element order, every coatom before x, up to the largest
+        w asked for.
 
         >>> W = coxeter_group("B2")
         >>> W.word_str(6), bin(W.bruhat_mask(6))  # all but 121 (5) and 1212 (7)
         ('212', '0b1011111')
         """
         self._check_element(w)
-        masks, pending = self._masks, []
-        while not masks[w]:  # 0: not built; every ideal holds the identity
-            ys = self._rmul[self._words[w][-1]]
-            pending.append((w, ys))
-            w = ys[w]
-        for y, ys in reversed(pending):
-            digits = bytearray(b"0") * (y + 1)
-            for x in mask_bits(masks[w]):
-                digits[ys[x]] = 49  # ord("1"); bit b is digit b from the end
-            masks[y] = masks[w] | int(digits[::-1], 2)
-            w = y
+        masks = self._masks
+        if w >= len(masks):
+            coatoms = self._coatoms()
+            for x in range(len(masks), w + 1):
+                mask = 1 << x
+                for c in coatoms[x]:
+                    mask |= masks[c]
+                masks.append(mask)
         return masks[w]
 
     def bruhat_leq(self, y: Element, w: Element) -> bool:

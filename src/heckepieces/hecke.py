@@ -132,10 +132,11 @@ class HeckeElement:
         return HeckeElement(self.algebra, add_into(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return HeckeElement(self.algebra, add_into(dict(self.terms), other.terms.items(), -1))
+        negated = ((w, -c) for w, c in other.terms.items())
+        return HeckeElement(self.algebra, add_into(dict(self.terms), negated))
 
     def __neg__(self) -> "HeckeElement":
-        return HeckeElement(self.algebra, add_into({}, self.terms.items(), -1))
+        return HeckeElement(self.algebra, {w: -c for w, c in self.terms.items()})
 
     def scale(self, c: Laurent | int) -> "HeckeElement":
         return HeckeElement(self.algebra, {w: c * x for w, x in self.terms.items()})

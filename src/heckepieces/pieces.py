@@ -35,9 +35,7 @@ Bruhat order for some u in W_J.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .coxeter import CoxeterGroup, DiagramAutomorphism, Element, mask_bits
 from .hecke import HeckeAlgebra, HeckeElement
@@ -221,12 +219,28 @@ def twisted_normalizer(group: CoxeterGroup, J: Iterable[int],
 # -- closure order -----------------------------------------------------------
 
 
-def _orbit(group: CoxeterGroup, Jf: frozenset, delta: DiagramAutomorphism,
-           w: Element) -> list[Element]:
-    """δ(u) w u^{-1} for each u in W_J, repeats included; w comes from the
-    group's own tables or was checked by the caller."""
-    inv = group._inv
-    return [group._product(delta.apply(u), w, inv[u]) for u in group.parabolic_elements(Jf)]
+def _orbits(group: CoxeterGroup, Jf: frozenset, delta: DiagramAutomorphism,
+            ws: Iterable[Element]) -> Iterator[list[Element]]:
+    """For each w of ws, δ(u) w u^{-1} for every u in W_J, repeats
+    included; each w comes from the group's own tables or was checked by
+    the caller.
+
+    For u != e with first letter s, u = s·u' and δ(u) w u^{-1} is
+    δ(s)·(δ(u') w u'^{-1})·s, one left and one right step from the entry of
+    the shorter u', which ``parabolic_elements`` lists earlier.  Those
+    steps are found once per call, not once per w."""
+    parabolic = group.parabolic_elements(Jf)
+    position = {u: i for i, u in enumerate(parabolic)}
+    lmul, rmul, words = group._lmul, group._rmul, group._words
+    steps = []
+    for u in parabolic[1:]:
+        s = words[u][0]
+        steps.append((position[lmul[s][u]], lmul[delta(s)], rmul[s]))
+    for w in ws:
+        orbit = [w]
+        for i, left, right in steps:
+            orbit.append(left[right[orbit[i]]])
+        yield orbit
 
 
 def closure_leq(group: CoxeterGroup, J: Iterable[int], delta: DiagramAutomorphism,
@@ -237,7 +251,7 @@ def closure_leq(group: CoxeterGroup, J: Iterable[int], delta: DiagramAutomorphis
     _validate_index(group, Jf, delta, w1)
     _validate_index(group, Jf, delta, w2)
     ideal = group.bruhat_mask(w2)
-    return any(ideal >> x & 1 for x in _orbit(group, Jf, delta, w1))
+    return any(ideal >> x & 1 for x in next(_orbits(group, Jf, delta, [w1])))
 
 
 def closure_hasse(group: CoxeterGroup, J: Iterable[int],
@@ -245,19 +259,28 @@ def closure_hasse(group: CoxeterGroup, J: Iterable[int],
     """Covering pairs (a, b), a strictly below b with nothing between, of the
     closure order on all piece indices, sorted by the positions of a and b.
     Raises if the computed relation is not antisymmetric (it is a partial
-    order for genuine stabilization data)."""
+    order for genuine stabilization data).
+
+    Index i lies below index j iff the orbit of idx[i] meets the Bruhat
+    ideal of idx[j].  That ideal is idx[j] together with the ideals of its
+    coatoms (the subword property, Björner–Brenti, GTM 231, §2.2), so the
+    positions whose orbit meets the ideal of x are found for every x in
+    element order, one OR per Bruhat cover, and no ideal is built."""
     Jf = group._check_subset(J)
     idx = piece_indices(group, Jf, delta)
-    # holders[x]: the positions whose orbit holds x, as a bitmask
-    holders = [0] * len(group.elements())
-    for i, w in enumerate(idx):
-        for x in _orbit(group, Jf, delta, w):
-            holders[x] |= 1 << i
-    # below[j]: the positions i != j with idx[i] < idx[j], that is those
-    # whose orbit meets the ideal of idx[j], as a bitmask
-    held = holders.__getitem__
-    below = [reduce(or_, map(held, mask_bits(group.bruhat_mask(w))), 0) & ~(1 << j)
-             for j, w in enumerate(idx)]
+    # reach[x]: the positions whose orbit meets the ideal of x, as a bitmask;
+    # first only those whose orbit holds x
+    reach = [0] * len(group.elements())
+    for i, orbit in enumerate(_orbits(group, Jf, delta, idx)):
+        for x in orbit:
+            reach[x] |= 1 << i
+    for x, coatoms in enumerate(group._coatoms()[:idx[-1] + 1]):
+        r = reach[x]
+        for c in coatoms:
+            r |= reach[c]
+        reach[x] = r
+    # below[j]: the positions i != j with idx[i] < idx[j]
+    below = [reach[w] & ~(1 << j) for j, w in enumerate(idx)]
     covers = []
     for j, under in enumerate(below):
         between = 0  # the positions below some position below j

@@ -1,6 +1,7 @@
 """Command-line interface: output formats, cache handling, exit codes."""
 
 import errno
+import hashlib
 import json
 import tracemalloc
 
@@ -557,6 +558,16 @@ def test_pieces_json_b4(capsys):
     assert by_word["32"]["n0"] == 2
     assert by_word["32"]["index_sets"] == [[1, 2], [1], []]
     assert by_word["32"]["coset_minima"] == ["3", "32", "32"]
+
+
+def test_pieces_json_b5_digest(capsys):
+    """The whole B5 pieces payload for J = {2}, closure covers included,
+    pinned by digest (1,194,352 bytes)."""
+    assert main(["pieces", "--type", "B5", "--J", "2", "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 1_194_352
+    assert hashlib.sha256(out).hexdigest() == \
+        "a3ccd3160d4bd4602243e7c862185bb1e14a8b1912398d19ccc3dbb4f22ed9fa"
 
 
 def test_pieces_dot_b4(capsys):

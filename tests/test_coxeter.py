@@ -14,6 +14,7 @@ from heckepieces.coxeter import (
     DiagramAutomorphism,
     coxeter_group,
     coxeter_order,
+    mask_bits,
     type_b_matrix,
 )
 from heckepieces.hecke import kl_table
@@ -609,6 +610,63 @@ def test_bruhat_masks_match_kept_oracles(name):
         for y in group.elements():
             assert group.bruhat_leq(y, w) == reference_bruhat_leq(group, y, w) \
                 == (y in lower[w])
+
+
+def reference_lifting_masks(group, ws):
+    """{w: the ideal of w as an int bitmask} for each w of ws, by the
+    lifting property as the library first built them: {y <= z·s} =
+    {y <= z} ∪ {y·s : y <= z} for z = w·s with s the last letter of w's
+    canonical word, walking down the word's prefixes to the nearest built
+    mask and filling upwards."""
+    masks = [1] + [0] * (len(group.elements()) - 1)  # 0: not built
+    out = {}
+    for w in ws:
+        top, pending = w, []
+        while not masks[w]:
+            ys = group._rmul[group.reduced_word(w)[-1]]
+            pending.append((w, ys))
+            w = ys[w]
+        for y, ys in reversed(pending):
+            digits = bytearray(b"0") * (y + 1)
+            for x in mask_bits(masks[w]):
+                digits[ys[x]] = 49  # ord("1"); bit b is digit b from the end
+            masks[y] = masks[w] | int(digits[::-1], 2)
+            w = y
+        out[top] = masks[top]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(BRUHAT_GROUPS) + ["matrix:F4"])
+def test_bruhat_masks_match_lifting_property(name):
+    """Masks from coatoms against the lifting-property build they
+    replaced, on every element."""
+    spec = BRUHAT_GROUPS.get(name) or CENSUS_CASES["F4"][0]
+    group = coxeter_group(spec)
+    expected = reference_lifting_masks(group, group.elements())
+    assert [group.bruhat_mask(w) for w in group.elements()] == list(expected.values())
+
+
+def test_bruhat_masks_match_lifting_property_sampled_h4():
+    group = coxeter_group(CENSUS_CASES["H4"][0])
+    sample = random.Random(21).sample(group.elements(), 40)
+    for w, mask in reference_lifting_masks(group, sample).items():
+        assert group.bruhat_mask(w) == mask, group.word_str(w)
+
+
+@pytest.mark.parametrize("name", sorted(BRUHAT_GROUPS))
+def test_coatoms_are_the_ideal_one_length_down(name):
+    group = coxeter_group(BRUHAT_GROUPS[name])
+    lower = reference_bruhat_ideals(group)
+    coatoms = group._coatoms()
+    assert len(coatoms) == len(group.elements())
+    for x in group.elements():
+        assert len(set(coatoms[x])) == len(coatoms[x])
+        assert set(coatoms[x]) == {y for y in lower[x] if group.length(y) == group.length(x) - 1}
+
+
+@pytest.mark.parametrize("spec,total", [("B4", 1_740), ("B5", 24_612)])
+def test_bruhat_cover_totals(spec, total):
+    assert sum(map(len, coxeter_group(spec)._coatoms())) == total
 
 
 def test_bruhat_lookups_refuse_elements_outside_the_group(b3):

@@ -159,6 +159,29 @@ def test_iota_reverses_products(x, y, which):
         reference_multiply(algebra, iota(hy), iota(hx))
 
 
+def test_negation_makes_no_laurent_product(monkeypatch):
+    """-h and h - g negate each coefficient by ``Laurent.__neg__``, with no
+    product by -1, and agree with scaling by -1."""
+    algebra = B3_ALGEBRAS[0]
+    h = algebra.element({w: Laurent({w % 3 - 1: w % 2 * 2 - 1}) for w in B3.elements()[:12]})
+    g = algebra.element({w: v_power(1) + 2 for w in B3.elements()[6:20]})
+    expected_neg, expected_diff = h.scale(-ONE), h + g.scale(-ONE)
+    products = 0
+    mul = Laurent.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Laurent, "__mul__", counted)
+    monkeypatch.setattr(Laurent, "__rmul__", counted)
+    assert -h == expected_neg
+    assert h - g == expected_diff
+    assert (h - h).terms == {}
+    assert products == 0
+
+
 def test_weight_function_validation(b3):
     # m(2,3) = 3 is odd, so generators 2 and 3 must share a weight
     with pytest.raises(ValueError):

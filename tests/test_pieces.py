@@ -234,7 +234,7 @@ def _closure_cases():
         for Jsub in itertools.combinations((1, 2, 3), k):
             yield b3, Jsub, None
     b4 = coxeter_group("B4")
-    for Jsub in ((2,), (1, 3), (1, 2)):
+    for Jsub in ((2,), (1, 3), (1, 2), (2, 3)):
         yield b4, Jsub, None
     d4 = coxeter_group(D4_MATRIX)
     for Jsub in ((2,), (1, 3)):
@@ -247,6 +247,17 @@ def test_closure_hasse_matches_reference():
         delta = group.automorphism(mapping)
         assert closure_hasse(group, Jsub, delta) == \
             reference_closure_hasse(group, frozenset(Jsub), delta), (group.type_tag, Jsub)
+
+
+def test_closure_hasse_builds_no_bruhat_ideal():
+    group = coxeter_group("B4")
+    assert closure_hasse(group, {2}, group.automorphism())
+    assert group._masks == []
+
+
+def test_closure_hasse_b5_cover_count():
+    group = coxeter_group("B5")
+    assert len(closure_hasse(group, {2}, group.automorphism())) == 11_088
 
 
 def test_closure_rejects_non_indices(b4):
