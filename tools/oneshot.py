@@ -16,7 +16,7 @@ turns going first, row by row.  The rows:
 - ``pieces_B5_J2``: ``pieces --type B5 --J 2 --format json`` through
   ``cli.main``, the import of the CLI included; ``sha256`` is its output's.
 - ``covers_B5``, ``covers_B6``: the coatom table of a fresh group and its
-  total; skipped where the checkout has no such table.
+  total; skipped, with no wall time, where the checkout has no such table.
 
 The file also records each side's git revision (with a flag for
 uncommitted changes), the Python version and ``nproc``.  Standard library
@@ -70,11 +70,11 @@ def _pieces() -> tuple[float, dict]:
     return wall, {"exit": code, "bytes": len(text), "sha256": hashlib.sha256(text).hexdigest()}
 
 
-def _covers(rank: int) -> tuple[float, dict]:
+def _covers(rank: int) -> tuple[float | None, dict]:
     from heckepieces.coxeter import coxeter_group
     group = coxeter_group(f"B{rank}")
     if not hasattr(group, "_coatoms"):
-        return 0.0, {"skipped": "no coatom table in this checkout"}
+        return None, {"skipped": "no coatom table in this checkout"}
     start = time.perf_counter()
     coatoms = group._coatoms()
     return time.perf_counter() - start, {"covers": sum(map(len, coatoms))}
@@ -91,7 +91,7 @@ def run_row(row: str) -> dict:
         "covers_B6": lambda: _covers(6),
     }[row]()
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    return {"wall_s": round(wall, 4), "peak_rss_mib": round(peak, 1), **extra}
+    return {"wall_s": wall and round(wall, 4), "peak_rss_mib": round(peak, 1), **extra}
 
 
 def revision(root: Path) -> dict:
