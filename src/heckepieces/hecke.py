@@ -22,7 +22,11 @@ or P_{yt,w} for a left or right descent t of w with a longer product
 (Kazhdan-Lusztig, Invent. Math. 53, 1979, (2.3.g)).  The table keeps each
 distinct polynomial once in a pool and each column as an array of pool
 indices aligned with the bits of w's Bruhat ideal, so a lookup is one mask
-test and one popcount.  Inverse KL polynomials on a downward-closed
+test and one popcount.  The recursion itself runs on one integer per pool
+polynomial, its value at q = 2^64, and decodes each new value once into
+its coefficients; it raises OverflowError rather than decode a value whose
+coefficients could reach 2^63, a bound it checks column by column.
+Inverse KL polynomials on a downward-closed
 support come from the inversion formula
 P'_{x,z} = (-1)^(l(x)+l(z)) P_{w0 z, w0 x}.  A weighted canonical basis
 element c_z starts from c_{zs} · c_s, read off term by term from the
@@ -50,8 +54,6 @@ from dataclasses import dataclass
 
 from .coxeter import CoxeterGroup, Element, mask_bits
 from .laurent import Laurent, ONE, ZERO, _is_int, add_into, bar_symmetric_head, v_power
-
-Q = v_power(2)
 
 
 class WeightFunction:
@@ -282,6 +284,9 @@ class HeckeAlgebra:
 
 # -- Kazhdan-Lusztig tables ------------------------------------------------------
 
+# kl_table evaluates its polynomials at q = 2^_K; see there for the bound.
+_K = 64
+
 
 def _frozen(indices: Iterable[int], pool: list) -> array:
     """A finished column of pool indices as an unsigned array: 16 bits
@@ -301,14 +306,17 @@ class KLTable:
     above y, the popcount of ``bruhat_mask(w) >> y``
     (du Cloux, Experiment. Math. 11, 2002, keeps each KL row the same way).
     P_{y,w} for incomparable pairs is 0 and is not stored.  ``get`` and
-    ``mu`` read one pair, and ``pairs`` lists the comparable ones.  Tables
-    compare and hash by identity.
+    ``mu`` read one pair, and ``pairs`` lists the comparable ones.
+    ``extremal`` is the number of pairs off the diagonal that ran the
+    recursion of ``kl_table``.  Tables compare and hash by identity.
     """
 
-    def __init__(self, group: CoxeterGroup, pool: list[Laurent], columns: list[array]):
+    def __init__(self, group: CoxeterGroup, pool: list[Laurent], columns: list[array],
+                 extremal: int):
         self.group = group
         self.pool = pool
         self.columns = columns
+        self.extremal = extremal
         self._masks = group._masks  # every mask is built once a column exists
         self._order = len(columns)
 
@@ -353,6 +361,26 @@ class KLTable:
         return [(y, w) for w in self.group.elements() for y in mask_bits(masks[w])]
 
 
+def _decode(code: int, k: int) -> Laurent:
+    """The polynomial P in q = v^2 with P(2^k) = code and every coefficient
+    in [-2^(k-1), 2^(k-1)): the balanced base-2^k digits of code, lowest
+    first.  Only one polynomial has both properties, so the caller must
+    know that the P it evaluated has coefficients that small.
+
+    >>> _decode(3 - (2 << 64) + (1 << 128), 64).text()
+    '3 - 2v^2 + v^4'
+    """
+    terms, digit, half, e = {}, (1 << k) - 1, 1 << (k - 1), 0
+    while code:
+        c = code & digit
+        if c >= half:
+            c -= 1 << k
+        terms[e] = c
+        code = (code - c) >> k
+        e += 2
+    return Laurent(terms)
+
+
 def kl_table(group: CoxeterGroup) -> KLTable:
     """Compute every P_{y,w}, column by column and each column downwards:
     the only maker of a ``KLTable``.
@@ -370,27 +398,42 @@ def kl_table(group: CoxeterGroup) -> KLTable:
 
     the sum over y <= z <= sw with sz < z, reading the finished columns of
     sw and z.  Off the diagonal, B4 has 2,076 extremal pairs among its
-    40,249 comparable ones, and B5 85,458 among 3,089,459.  Each new
-    polynomial enters the pool once: B4's pairs hold 41 distinct ones, B5's
-    1,035.  A column is kept as a dict from y to pool index while it fills
-    and frozen to an array in bit order when it is done.
+    40,249 comparable ones, and B5 85,458 among 3,089,459; the table's
+    ``extremal`` counts them.  Each new polynomial enters the pool once:
+    B4's pairs hold 41 distinct ones, B5's 1,035.  A column fills a list
+    indexed by element, reused from column to column, and is frozen to an
+    array in bit order when it is done; every entry the column reads was
+    written in the same column, so what earlier columns left is never read.
+
+    The recursion runs on integer codes: each pool polynomial P is also
+    kept as P(2^K), K = ``_K`` = 64, evaluation at q = 2^K being a ring map,
+    so the sum above is a few big-int additions and shifts, and ``index``
+    is keyed by the code.  A new code is decoded once, by ``_decode``, into
+    the ``Laurent`` appended to ``pool``.  The decoding is exact while
+    every coefficient of the new P lies below 2^(K-1) in absolute value.
+    With M the largest such coefficient in the pool so far, the terms of
+    the sum bound each coefficient of P_{y,w} by M (2 + sum_z |mu(z, sw)|),
+    since all of them are read from earlier columns; a column whose bound
+    reaches 2^(K-1) raises OverflowError before it forms a value.  The
+    largest coefficient is 5 on B4 and 35 on B5.
 
     A copy P_{u,w} with y < u < w has degree at most
     (l(w)-l(u)-1)/2 = (l(w)-l(y)-2)/2, so mu(y, w) can be nonzero only at an
     extremal y or where the copy is from u = w (mu = 1); the mu lists are
     collected in the same walk."""
+    k = _K
     e = group.identity()
     elements = group.elements()
     length, ldesc, rdesc = group._length, group._ldesc, group._rdesc
     masks = [group.bruhat_mask(w) for w in elements]
     pool: list[Laurent] = [ONE]
-    index: dict[Laurent, int] = {ONE: 0}
+    codes = [1]  # codes[i] = pool[i] at q = 2^k
+    index: dict[int, int] = {1: 0}
+    largest = 1  # the largest |coefficient| in the pool
     columns: list[array] = []
     mu_lists: dict[Element, tuple[tuple[Element, int], ...]] = {}
-
-    def read(y: Element, z: Element) -> Laurent:  # P_{y,z} from a finished column
-        above = masks[z] >> y
-        return pool[columns[z][-above.bit_count()]] if above & 1 else ZERO
+    column = [0] * len(elements)  # y -> pool index in the column that fills
+    extremal = 0
 
     for w in elements:
         if w == e:
@@ -403,10 +446,15 @@ def kl_table(group: CoxeterGroup) -> KLTable:
         lw = length[w]
         # y -> ty for t in DL(w) and y -> yt for t in DR(w)
         steps = [group._lmul[t] for t in ldesc[w]] + [group._rmul[t] for t in rdesc[w]]
-        # the z of the mu-sum: mu(z, sw) != 0 and sz < z
-        mu_terms = [(z, m, masks[z]) for z, m in mu_lists[sw] if s in ldesc[z]]
+        # the z of the mu-sum, mu(z, sw) != 0 and sz < z, with the shift of q^((l(w)-l(z))/2)
+        mu_terms = [(masks[z], columns[z], m, k * (lw - length[z]) // 2)
+                    for z, m in mu_lists[sw] if s in ldesc[z]]
+        if largest * (2 + sum(abs(term[2]) for term in mu_terms)) >= 1 << (k - 1):
+            raise OverflowError(f"the column of {group.word_str(w)} may hold KL coefficients "
+                                f"of 2^{k - 1} or more, which base-2^{k} codes cannot decode")
+        below_sw, column_sw = masks[sw], columns[sw]
         ideal = mask_bits(masks[w])
-        column = {w: 0}  # y -> pool index
+        column[w] = 0
         mus = []
         for y in ideal[-2::-1]:  # below w, downwards
             ly = length[y]
@@ -418,19 +466,30 @@ def kl_table(group: CoxeterGroup) -> KLTable:
                         mus.append((y, 1))
                     break
             else:  # y is extremal
-                val = read(s_times[y], sw) + Q * read(y, sw)
-                for z, m, below_z in mu_terms:
-                    if below_z >> y & 1:
-                        val = val - read(y, z).shift(lw - length[z]) * m
-                i = column[y] = index.setdefault(val, len(pool))
-                if i == len(pool):
-                    pool.append(val)
+                extremal += 1
+                above = below_sw >> s_times[y]
+                val = codes[column_sw[-above.bit_count()]] if above & 1 else 0
+                above = below_sw >> y
+                if above & 1:
+                    val += codes[column_sw[-above.bit_count()]] << k
+                for below_z, column_z, m, shift in mu_terms:
+                    above = below_z >> y
+                    if above & 1:
+                        val -= m * codes[column_z[-above.bit_count()]] << shift
+                i = index.get(val)
+                if i is None:
+                    i = index[val] = len(pool)
+                    p = _decode(val, k)
+                    pool.append(p)
+                    codes.append(val)
+                    largest = max([largest] + [abs(c) for _, c in p.items()])
+                column[y] = i
                 d = lw - ly
-                if d % 2 == 1 and val.coeff(d - 1):
-                    mus.append((y, val.coeff(d - 1)))
+                if d % 2 == 1 and pool[i].coeff(d - 1):
+                    mus.append((y, pool[i].coeff(d - 1)))
         columns.append(_frozen(map(column.__getitem__, ideal), pool))
         mu_lists[w] = tuple(mus)
-    return KLTable(group, pool, columns)
+    return KLTable(group, pool, columns, extremal)
 
 
 def inverse_kl(table: KLTable, support: Iterable[Element]) -> dict[tuple[Element, Element], Laurent]:

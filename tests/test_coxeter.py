@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -308,100 +309,115 @@ def test_b5_table_core_matches_window_formulas(word_a, word_b):
 # The reflection representation (Humphreys, Reflection Groups and Coxeter
 # Groups, §5.3-5.4), an oracle outside the enumeration: s_i(α_j) = α_j -
 # c_ij α_i on the root basis.  An element is the tuple of its images of the
-# simple roots, taken along its reduced word.  Coordinates lie in Z[φ],
-# φ = (1 + √5)/2 with φ² = φ + 1, so that m = 5 needs no floats: a + bφ is
-# the pair (a, b).
+# simple roots, taken along its reduced word.  Coordinates lie in a ring
+# Z[x] of quadratic integers, so that no m needs floats: a + bx is the pair
+# (a, b).  Z[φ], φ = (1 + √5)/2 with φ² = φ + 1, holds m = 5, and Z[√2]
+# holds m = 8.
 
-def _mul(x, y):
-    (a, b), (c, d) = x, y
-    return a * c + b * d, a * d + b * c + b * d
+class QuadraticIntegers(NamedTuple):
+    """Z[x] with x² = p·x + n, where x = (p + √D)/2 > 0 and D = p² + 4n."""
+
+    p: int
+    n: int
+
+    def mul(self, x, y):
+        (a, b), (c, d) = x, y
+        return a * c + self.n * b * d, a * d + b * c + self.p * b * d
+
+    def dot(self, xs, ys):
+        """sum_i x_i y_i."""
+        a = b = 0
+        for x, y in zip(xs, ys):
+            c, d = self.mul(x, y)
+            a, b = a + c, b + d
+        return a, b
+
+    def sign(self, x):
+        """-1, 0 or 1 for a + bx: twice it is (2a + pb) + b√D, and where the
+        two parts differ in sign, the larger square wins."""
+        r, b = 2 * x[0] + self.p * x[1], x[1]
+        if r * b >= 0:
+            return (r > 0 or b > 0) - (r < 0 or b < 0)
+        if r * r > (self.p * self.p + 4 * self.n) * b * b:
+            return (r > 0) - (r < 0)
+        return (b > 0) - (b < 0)
+
+
+GOLDEN = QuadraticIntegers(1, 1)  # Z[φ]
+ROOT_2 = QuadraticIntegers(0, 2)  # Z[√2]
 
 
 def _sub(x, y):
     return x[0] - y[0], x[1] - y[1]
 
 
-def _dot(xs, ys):
-    """sum_i x_i y_i in Z[φ]."""
-    a = b = 0
-    for (p, q), (r, t) in zip(xs, ys):
-        a, b = a + p * r + q * t, b + p * t + q * r + q * t
-    return a, b
-
-
-def _sign(x):
-    """-1, 0 or 1 for a + bφ: twice it is (2a + b) + b√5, and where the two
-    parts differ in sign, the larger square wins."""
-    p, b = 2 * x[0] + x[1], x[1]
-    if p * b >= 0:
-        return (p > 0 or b > 0) - (p < 0 or b < 0)
-    return (p > 0) - (p < 0) if p * p > 5 * b * b else (b > 0) - (b < 0)
-
-
-# (c_ij, c_ji) by m: c_ij c_ji = 4cos²(π/m), which is φ + 1 = φ·φ for m = 5;
-# for odd m the two are equal, so that no simple root's orbit holds a
-# rescaled copy of another simple root
+# (c_ij, c_ji) by m: c_ij c_ji = 4cos²(π/m), which is φ + 1 = φ·φ for m = 5
+# and 2 + √2 for m = 8; for odd m the two are equal, so that no simple
+# root's orbit holds a rescaled copy of another simple root
 CARTAN_PAIRS = {2: ((0, 0), (0, 0)), 3: ((-1, 0), (-1, 0)), 4: ((-1, 0), (-2, 0)),
-                5: ((0, -1), (0, -1)), 6: ((-1, 0), (-3, 0))}
+                5: ((0, -1), (0, -1)), 6: ((-1, 0), (-3, 0)), 8: ((-1, 0), (-2, -1))}
 
 
 def cartan_matrix(coxeter):
-    """A Cartan matrix over Z[φ] from ``CARTAN_PAIRS``.  On a tree diagram
-    every such choice is the geometric representation up to a positive
-    rescaling of the roots, which keeps their signs."""
+    """A Cartan matrix from ``CARTAN_PAIRS`` and the ring of its entries:
+    Z[√2] where some m is 8, Z[φ] otherwise.  On a tree diagram every such
+    choice is the geometric representation up to a positive rescaling of
+    the roots, which keeps their signs."""
     n = len(coxeter)
+    labels = {m for row in coxeter for m in row}
+    assert not {5, 8} <= labels, "no one ring here holds both cos(π/5) and cos(π/8)"
     cartan = [[(2, 0) if i == j else (0, 0) for j in range(n)] for i in range(n)]
     for i, j in itertools.combinations(range(n), 2):
         cartan[i][j], cartan[j][i] = CARTAN_PAIRS[coxeter[i][j]]
-    return cartan
+    return (ROOT_2 if 8 in labels else GOLDEN), cartan
 
 
 def _simple_roots(n):
     return tuple(tuple((int(i == j), 0) for i in range(n)) for j in range(n))
 
 
-def _reflect(cartan, s, v):
+def _reflect(ring, cartan, s, v):
     """s(v) = v - (sum_j c_sj v_j) α_s."""
     k = s - 1
-    coeff = _dot(cartan[k], v)
+    coeff = ring.dot(cartan[k], v)
     return tuple(_sub(x, coeff) if i == k else x for i, x in enumerate(v))
 
 
-def _times_reflection(cartan, images, s):
+def _times_reflection(ring, cartan, images, s):
     """The images under w·s from those under w: (ws)(α_j) = w(α_j) - c_sj w(α_s)."""
     k = s - 1
-    return tuple(tuple(_sub(a, _mul(cartan[k][j], b)) for a, b in zip(image, images[k]))
+    return tuple(tuple(_sub(a, ring.mul(cartan[k][j], b)) for a, b in zip(image, images[k]))
                  for j, image in enumerate(images))
 
 
-def _images_of_word(cartan, word):
+def _images_of_word(ring, cartan, word):
     images = _simple_roots(len(cartan))
     for s in word:
-        images = _times_reflection(cartan, images, s)
+        images = _times_reflection(ring, cartan, images, s)
     return images
 
 
-def _act(images, v):
+def _act(ring, images, v):
     """w(v) = sum_j v_j w(α_j)."""
-    return tuple(_dot(v, [image[i] for image in images]) for i in range(len(v)))
+    return tuple(ring.dot(v, [image[i] for image in images]) for i in range(len(v)))
 
 
-def _positive_roots(cartan):
+def _positive_roots(ring, cartan):
     """The orbit of the simple roots under the reflections, positive half."""
     roots = set(_simple_roots(len(cartan)))
     frontier = list(roots)
     while frontier:
         v = frontier.pop()
         for s in range(1, len(cartan) + 1):
-            u = _reflect(cartan, s, v)
+            u = _reflect(ring, cartan, s, v)
             if u not in roots:
                 roots.add(u)
                 frontier.append(u)
-    return [v for v in roots if min(map(_sign, v)) >= 0]
+    return [v for v in roots if min(map(ring.sign, v)) >= 0]
 
 
-def _is_negative(v):
-    return max(map(_sign, v)) <= 0  # a root has all coordinates of one sign
+def _is_negative(ring, v):
+    return max(map(ring.sign, v)) <= 0  # a root has all coordinates of one sign
 
 
 # name: (Coxeter matrix, number of positive roots, elements checked or None for all)
@@ -411,6 +427,7 @@ REFLECTION_GROUPS = {
     "matrix:F4": (CENSUS_CASES["F4"][0], 24, None),
     "matrix:H3": (CENSUS_CASES["H3"][0], 15, None),
     "matrix:I2(5)": (_coxeter_matrix(2, [(1, 2, 5)]), 5, None),
+    "matrix:I2(8)": (_coxeter_matrix(2, [(1, 2, 8)]), 8, None),
     "matrix:H4": (CENSUS_CASES["H4"][0], 60, 60),
     "matrix:E6": (CENSUS_CASES["E6"][0], 36, 60),
 }
@@ -424,8 +441,8 @@ def test_table_core_matches_reflection_representation(name):
     w^-1 (the reversed word), and the inverse and one-generator products act
     as the representation says."""
     matrix, n_positive, sample = REFLECTION_GROUPS[name]
-    cartan = cartan_matrix(matrix)
-    positive = _positive_roots(cartan)
+    ring, cartan = cartan_matrix(matrix)
+    positive = _positive_roots(ring, cartan)
     assert len(positive) == n_positive
     group = coxeter_group(matrix)
     gens = group.generators()
@@ -435,22 +452,25 @@ def test_table_core_matches_reflection_representation(name):
 
     def image_of(w):
         if w not in images:
-            images[w] = _images_of_word(cartan, group.reduced_word(w))
+            images[w] = _images_of_word(ring, cartan, group.reduced_word(w))
         return images[w]
+
+    def negative(v):
+        return _is_negative(ring, v)
 
     assert len({image_of(w) for w in checked}) == len(checked)
     for w in checked:
         image, word = image_of(w), group.reduced_word(w)
-        sent_negative = sum(_is_negative(_act(image, root)) for root in positive)
+        sent_negative = sum(negative(_act(ring, image, root)) for root in positive)
         assert group.length(w) == len(word) == sent_negative
-        inverse = _images_of_word(cartan, word[::-1])
-        assert group.right_descents(w) == {s for s in gens if _is_negative(image[s - 1])}
-        assert group.left_descents(w) == {s for s in gens if _is_negative(inverse[s - 1])}
+        inverse = _images_of_word(ring, cartan, word[::-1])
+        assert group.right_descents(w) == {s for s in gens if negative(image[s - 1])}
+        assert group.left_descents(w) == {s for s in gens if negative(inverse[s - 1])}
         assert image_of(group.inverse(w)) == inverse
         for s in gens:
-            assert image_of(group.right_mult_gen(w, s)) == _times_reflection(cartan, image, s)
+            assert image_of(group.right_mult_gen(w, s)) == _times_reflection(ring, cartan, image, s)
             assert image_of(group.left_mult_gen(s, w)) == tuple(
-                _reflect(cartan, s, v) for v in image)
+                _reflect(ring, cartan, s, v) for v in image)
 
 
 def test_signed_permutation_arithmetic(b3):

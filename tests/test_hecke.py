@@ -7,12 +7,13 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, strategies as st
 
+from heckepieces import hecke
 from heckepieces.coxeter import CoxeterGroup, coxeter_group, mask_bits
 from heckepieces.hecke import (
-    Q,
     HeckeAlgebra,
     WeightFunction,
     _certify,
+    _decode,
     _frozen,
     canonical_basis,
     inverse_kl,
@@ -22,6 +23,8 @@ from heckepieces.hecke import (
 from heckepieces.laurent import Laurent, ONE, ZERO, add_into, bar_symmetric_head, v_power
 
 from expected_b4 import SPOT_P
+
+Q = v_power(2)
 
 
 def poly(*pairs):
@@ -396,21 +399,55 @@ def test_kl_table_matches_reference(name):
             assert table.mu(y, w) == reference_mu(group, reference, y, w)
 
 
-def test_kl_table_recurses_only_on_extremal_pairs(monkeypatch):
-    """On B4 only the 2,076 extremal pairs off the diagonal run the
-    recursion: 3,326 Laurent products, where copying along one left
-    descent alone left 19,741 pairs to it and took 34,556."""
-    products = 0
-    mul = Laurent.__mul__
+def test_kl_table_recurses_only_on_extremal_pairs():
+    """On B4 exactly the 2,076 pairs y < w with DL(y) ⊇ DL(w) and
+    DR(y) ⊇ DR(w) run the recursion, where copying along one left descent
+    alone left 19,741 pairs to it."""
+    group = coxeter_group("B4")
+    ldesc, rdesc = group._ldesc, group._rdesc
+    extremal = sum(ldesc[y] >= ldesc[w] and rdesc[y] >= rdesc[w]
+                   for y, w in reference_kl_table(group) if y != w)
+    assert kl_table(group).extremal == extremal == 2_076
 
-    def counted(self, other):
-        nonlocal products
-        products += 1
-        return mul(self, other)
 
-    monkeypatch.setattr(Laurent, "__mul__", counted)
-    kl_table(coxeter_group("B4"))
-    assert 0 < products <= 4_000
+def test_decode_reads_balanced_digits():
+    """Codes decode digit by digit, lowest first, each digit in
+    [-2^(k-1), 2^(k-1)): a negative digit borrows from the next one."""
+    assert _decode(0, 64) == ZERO
+    assert _decode(1, 64) == ONE
+    assert _decode(-3, 64) == poly((-3, 0))
+    assert _decode((1 << 64) - 1, 64) == poly((-1, 0), (1, 2))  # -1 + q
+    assert _decode(-(1 << 128) + (2 << 64), 64) == poly((2, 2), (-1, 4))  # 2q - q^2
+    assert _decode(-(1 << 63), 64) == poly((-(1 << 63), 0))
+    assert _decode(1 << 63, 64) == poly((-(1 << 63), 0), (1, 2))
+    assert _decode(7 + (8 << 4), 4) == poly((7, 0), (-8, 2), (1, 4))
+
+
+@given(k=st.integers(2, 70), data=st.data())
+def test_decode_inverts_evaluation_at_a_power_of_two(k, data):
+    """Every polynomial with coefficients in [-2^(k-1), 2^(k-1)) comes back
+    from its value at q = 2^k."""
+    coeffs = data.draw(st.lists(st.integers(-(1 << (k - 1)), (1 << (k - 1)) - 1), max_size=8))
+    code = sum(c << (k * j) for j, c in enumerate(coeffs))
+    assert _decode(code, k) == Laurent({2 * j: c for j, c in enumerate(coeffs)})
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_kl_table_refuses_codes_too_small_for_its_coefficients(monkeypatch, k):
+    """A digit of base 2^k holds less than 2^(k-1) in absolute value.  On
+    B4, whose coefficients reach 5, the bound M (2 + sum |mu|), with M the
+    pool's largest coefficient so far, reaches 2^3, 2^4 and 2^5 on the
+    way: the build raises rather than return a table."""
+    monkeypatch.setattr(hecke, "_K", k)
+    with pytest.raises(OverflowError):
+        kl_table(coxeter_group("B4"))
+
+
+def test_kl_table_codes_in_base_2_to_the_7_suffice_for_b4(monkeypatch, b4_kl):
+    """The bound stays below 2^6 on B4, so base 2^7 gives the same pool."""
+    monkeypatch.setattr(hecke, "_K", 7)
+    assert kl_table(coxeter_group("B4")).pool == b4_kl.pool
+    assert max(abs(c) for p in b4_kl.pool for _, c in p.items()) == 5
 
 
 def test_kl_mu(b2):

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""One-shot timings of the Bruhat-order layers, side by side for several
-checkouts, written to one JSON file.
+"""One-shot timings of the Bruhat-order and Kazhdan-Lusztig layers, side by
+side for several checkouts, written to one JSON file.
 
-    python3 tools/oneshot.py --side parent=../parent --side change=. --out BENCH_21.json
+    python3 tools/oneshot.py --side parent=../parent --side change=. --out BENCH_22.json
 
 Each ``--side NAME=DIR`` names a checkout whose ``src/`` holds the package.
 Every row runs once per side, each run in a fresh interpreter with that
@@ -17,6 +17,14 @@ turns going first, row by row.  The rows:
   ``cli.main``, the import of the CLI included; ``sha256`` is its output's.
 - ``covers_B5``, ``covers_B6``: the coatom table of a fresh group and its
   total; skipped, with no wall time, where the checkout has no such table.
+- ``kl_table_B5``: ``kl_table`` on a fresh B5 whose masks are built before
+  the timer starts; ``pool`` is the number of distinct polynomials and
+  ``extremal`` the table's count of pairs that ran the recursion (null
+  where the checkout does not count them).
+- ``kl_cache_B5``: ``save_kl_cache`` of that table and then
+  ``load_kl_cache`` of the file, in a temporary directory; ``save_s`` and
+  ``load_s`` time each, ``wall_s`` is their sum, and ``sha256`` is the
+  file's.
 
 The file also records each side's git revision (with a flag for
 uncommitted changes), the Python version and ``nproc``.  Standard library
@@ -34,11 +42,12 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROWS = ("masks_B5", "masks_B6", "closure_hasse_B5_J2", "pieces_B5_J2",
-        "covers_B5", "covers_B6")
+        "covers_B5", "covers_B6", "kl_table_B5", "kl_cache_B5")
 
 
 def _masks(rank: int) -> tuple[float, dict]:
@@ -80,6 +89,40 @@ def _covers(rank: int) -> tuple[float | None, dict]:
     return time.perf_counter() - start, {"covers": sum(map(len, coatoms))}
 
 
+def _b5_table() -> tuple[float, object]:
+    """A fresh B5's KL table, its masks built before the timer starts."""
+    from heckepieces.coxeter import coxeter_group
+    from heckepieces.hecke import kl_table
+    group = coxeter_group("B5")
+    for w in group.elements():
+        group.bruhat_mask(w)
+    start = time.perf_counter()
+    table = kl_table(group)
+    return time.perf_counter() - start, table
+
+
+def _kl_table() -> tuple[float, dict]:
+    wall, table = _b5_table()
+    return wall, {"pool": len(table.pool), "extremal": getattr(table, "extremal", None)}
+
+
+def _kl_cache() -> tuple[float, dict]:
+    from heckepieces.cli import load_kl_cache, save_kl_cache
+    _, table = _b5_table()
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "B5.klcache")
+        start = time.perf_counter()
+        save_kl_cache(table, path)
+        saved = time.perf_counter()
+        load_kl_cache(path, table.group)
+        loaded = time.perf_counter()
+        with open(path, "rb") as handle:  # in chunks: the B5 file is about 95 MB
+            digest = hashlib.file_digest(handle, "sha256").hexdigest()
+        size = os.path.getsize(path)
+    return loaded - start, {"save_s": round(saved - start, 4), "load_s": round(loaded - saved, 4),
+                            "bytes": size, "sha256": digest}
+
+
 def run_row(row: str) -> dict:
     """Run one row in this interpreter and return its result."""
     wall, extra = {
@@ -89,6 +132,8 @@ def run_row(row: str) -> dict:
         "pieces_B5_J2": _pieces,
         "covers_B5": lambda: _covers(5),
         "covers_B6": lambda: _covers(6),
+        "kl_table_B5": _kl_table,
+        "kl_cache_B5": _kl_cache,
     }[row]()
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     return {"wall_s": wall and round(wall, 4), "peak_rss_mib": round(peak, 1), **extra}
