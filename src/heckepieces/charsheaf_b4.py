@@ -44,6 +44,14 @@ and ``conjecture_report`` checks, over all 64 pairs (t, z):
   2. the 4x4 block transition matrix is nondegenerate whenever t <= z;
   3. X = ε(z) ε(t) p(t, z), where p is the unequal-parameter canonical
      basis coefficient of the weighted dihedral Hecke algebra of N.
+
+The context does each piece of work once.  It keeps every restriction
+expansion (the report and the checks ask for 384 triples (t, z, u) on B4),
+the probe divisors of each z (8 maps of 4 entries, from 32
+``boundary_dims`` calls) and every ``solve_chi`` solution (64), so the
+report and the frozen checks of ``b4_example`` share them.  All three grow
+with the normalizer; on B6 (|N| = 384) they must be dropped z by z, which
+is safe because ``pairs()`` walks z in the outer loop.
 """
 
 from __future__ import annotations
@@ -191,8 +199,20 @@ class B4Context:
     eps: dict[Element, int]
     cs_table: dict[Element, CSVector]
     probes: dict[str, Element]
+    # u' -> ((u'', P'_{u'',u'}) for every u'' <= u'): the inverse KL data of
+    # W_J grouped by its second index, so a restriction sum reads one column
+    ikl_columns: dict[Element, tuple[tuple[Element, Laurent], ...]]
     # (t, z, u) -> the restriction_coefficients expansion, kept once computed
     _expansions: dict[tuple[Element, Element, Element], dict[Element, Laurent]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    # z -> {probe word: the boundary coefficient every probe equation at z
+    # is divided by}, kept once computed: 8 maps of 4 entries on B4
+    _divisors: dict[Element, dict[str, Laurent]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    # (t, z) -> the solve_chi solution, kept once computed: 64 on B4.  Like
+    # _expansions, these grow with |N|^2; a B6 run (|N| = 384, 147,456
+    # pairs) must drop them z by z.
+    _solutions: dict[tuple[Element, Element], "ChiSolution"] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def n_leq(self, t: Element, z: Element) -> bool:
@@ -268,12 +288,16 @@ def build_context(kl: KLTable | None = None) -> B4Context:
     if set(cs_table) != set(WJ):
         raise AssertionError("character sheaf table does not cover W_J")
     probes = {wd: group.parse_word(wd) for wd in PROBE_WORDS}
+    ikl_columns: dict[Element, list[tuple[Element, Laurent]]] = {u1: [] for u1 in WJ}
+    for (u2, u1), pp in ikl.items():
+        ikl_columns[u1].append((u2, pp))
 
     return B4Context(
         group=group, J=J, WJ=WJ, kl=kl, ikl=ikl, N=N,
         name_of=name_of, by_name=by_name,
         mirror=mirror, to_mirror=to_mirror, pbasis=pbasis,
         weight_L=weight_L, eps=eps, cs_table=cs_table, probes=probes,
+        ikl_columns={u1: tuple(col) for u1, col in ikl_columns.items()},
     )
 
 
@@ -285,26 +309,21 @@ def restriction_coefficients(ctx: B4Context, t: Element, z: Element,
     """Expansion coefficients of [z^{-1}u] restricted to the stratum at t,
     over the classes [u'']_t for u'' in W_J.
 
-    The context keeps each (t, z, u) expansion once it is computed, so the
-    report and the checks expand each triple once; every call returns a
-    fresh dict."""
+    The sum runs over the u' with P_{t^{-1}u', z^{-1}u} nonzero only, each
+    adding P times the column of P'_{u'',u'}.  The context keeps each
+    (t, z, u) expansion once it is computed, so the report and the checks
+    expand each triple once; every call returns a fresh dict."""
     kept = ctx._expansions.get((t, z, u))
     if kept is not None:
         return dict(kept)
-    group = ctx.group
+    group, get = ctx.group, ctx.kl.get
     zu = group.product(group.inverse(z), u)
     t_inv = group.inverse(t)
-    p_of = {u1: ctx.kl.get(group._product(t_inv, u1), zu) for u1 in ctx.WJ}  # W_J from the group
     out: dict[Element, Laurent] = {}
-    for u2 in ctx.WJ:
-        acc = ZERO
-        for u1 in ctx.WJ:
-            pp = ctx.ikl.get((u2, u1))
-            if pp is None or not p_of[u1]:
-                continue
-            acc = acc + pp * p_of[u1]
-        if acc:
-            out[u2] = acc
+    for u1, column in ctx.ikl_columns.items():
+        p = get(group._product(t_inv, u1), zu)  # u1 in W_J, from the group
+        if p:
+            add_into(out, column, p)
     ctx._expansions[(t, z, u)] = out
     return dict(out)
 
@@ -370,19 +389,49 @@ class ChiSolution:
         ]
 
 
+# the 24 permutations of four columns, each with its sign (-1)^inversions
+_SIGNED_PERMUTATIONS = tuple(
+    (perm, (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)))
+    for perm in itertools.permutations(range(4)))
+
+
 def _det4(m: list[list[Laurent]]) -> Laurent:
+    """The Leibniz sum over the 24 permutations; a permutation is dropped
+    at its first zero factor, which most are on the sparse block matrices."""
     acc = ZERO
-    for perm in itertools.permutations(range(4)):
-        sign = 1
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = ONE
-        for i in range(4):
+    for perm, sign in _SIGNED_PERMUTATIONS:
+        term = m[0][perm[0]]
+        for i in range(1, 4):
+            if not term:
+                break
             term = term * m[i][perm[i]]
-        acc = acc + (term if sign == 1 else -term)
+        if term:
+            acc = acc + term if sign == 1 else acc - term
     return acc
+
+
+def _probe_divisors(ctx: B4Context, z: Element) -> dict[str, Laurent]:
+    """For each probe word u, the boundary coefficient c_u that the probe
+    equations at z are divided by: the boundary restriction at (z, z, u)
+    must be c_u on the two block sheaves of ``PROBE_SUPPORT[u]`` and zero on
+    the other non-unit symbols.  Depends on z only, so the context keeps
+    it per z; the map is shared, not copied, and read only."""
+    kept = ctx._divisors.get(z)
+    if kept is not None:
+        return kept
+    div: dict[str, Laurent] = {}
+    for wd in PROBE_WORDS:
+        nd = boundary_dims(ctx, z, ctx.probes[wd])
+        pair = PROBE_SUPPORT[wd]
+        c0 = nd.get(pair[0], ZERO)
+        if not c0 or nd.get(pair[1], ZERO) != c0:
+            raise AssertionError("boundary data lost its two-point support")
+        for sym in NONUNIT:
+            if sym not in pair and nd.get(sym):
+                raise AssertionError("boundary data lost its two-point support")
+        div[wd] = c0
+    ctx._divisors[z] = div
+    return div
 
 
 def solve_chi(ctx: B4Context, t: Element, z: Element) -> ChiSolution:
@@ -394,23 +443,24 @@ def solve_chi(ctx: B4Context, t: Element, z: Element) -> ChiSolution:
         chi[theta] + chi[sigma'] = r_121,   chi[theta] + chi[sigma] = r_212,
         chi[rho]   + chi[sigma'] = r_2,     chi[rho]   + chi[sigma] = r_1,
 
-    after dividing by the common boundary coefficient; consistency requires
-    r_1 + r_121 = r_2 + r_212, and the kernel direction (+1,-1,-1,+1) is
-    fixed as documented on ChiSolution."""
-    rhs: dict[str, CSVector] = {}
-    div: dict[str, Laurent] = {}
-    for wd in PROBE_WORDS:
-        u = ctx.probes[wd]
-        rhs[wd] = normalized_restriction(ctx, t, z, u)
-        nd = boundary_dims(ctx, z, u)
-        pair = PROBE_SUPPORT[wd]
-        c0 = nd.get(pair[0], ZERO)
-        if not c0 or nd.get(pair[1], ZERO) != c0:
-            raise AssertionError("boundary data lost its two-point support")
-        for sym in NONUNIT:
-            if sym not in pair and nd.get(sym):
-                raise AssertionError("boundary data lost its two-point support")
-        div[wd] = c0
+    after dividing by the common boundary coefficient (``_probe_divisors``);
+    consistency requires r_1 + r_121 = r_2 + r_212, and the kernel direction
+    (+1,-1,-1,+1) is fixed as documented on ChiSolution.
+
+    The context keeps each (t, z) solution once it is solved, so the report
+    and ``check_chi`` solve each pair once; every call returns a fresh
+    ChiSolution with its own ``chi`` dicts."""
+    kept = ctx._solutions.get((t, z))
+    if kept is None:
+        kept = ctx._solutions[(t, z)] = _solve(ctx, t, z)
+    return ChiSolution(t, z, {C: dict(row) for C, row in kept.chi.items()},
+                       kept.unique, kept.witnesses)
+
+
+def _solve(ctx: B4Context, t: Element, z: Element) -> ChiSolution:
+    """The solve of one pair (t, z), as ``solve_chi`` documents it."""
+    div = _probe_divisors(ctx, z)
+    rhs = {wd: normalized_restriction(ctx, t, z, ctx.probes[wd]) for wd in PROBE_WORDS}
 
     chi: dict[str, dict[str, Laurent]] = {C: {} for C in BLOCK}
     witnesses: list[tuple[str, int, int, int]] = []

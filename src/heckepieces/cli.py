@@ -116,16 +116,21 @@ def _cache_blocks(table: KLTable) -> Iterator[str]:
     records per w by w-word, each block's records by y-word.  The one place
     that spells the record format and decides its order; each pool
     polynomial is rendered once and each record picks its text by pool
-    index."""
+    index.  The words are sorted once; a column sorts its ideal by each
+    element's integer rank in that order."""
     group = table.group
     words = group._word_strs()
     texts = [_coefficient_text(_q_coefficients(p)) for p in table.pool]
+    by_word = sorted(group.elements(), key=words.__getitem__)
+    rank = [0] * len(by_word)
+    for i, w in enumerate(by_word):
+        rank[w] = i
     yield _cache_header(group) + "\n"
-    for w in sorted(group.elements(), key=words.__getitem__):
+    for w in by_word:
         ideal = mask_bits(group.bruhat_mask(w))
-        by_word = sorted(range(len(ideal)), key=[words[y] for y in ideal].__getitem__)
         column, tail = table.columns[w], f"\t{words[w]}\t"
-        yield "".join(f"{words[ideal[i]]}{tail}{texts[column[i]]}\n" for i in by_word)
+        order = sorted(range(len(ideal)), key=[rank[y] for y in ideal].__getitem__)
+        yield "".join(f"{words[ideal[i]]}{tail}{texts[column[i]]}\n" for i in order)
 
 
 def save_kl_cache(table: KLTable, path: str) -> None:

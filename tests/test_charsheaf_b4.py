@@ -1,8 +1,12 @@
 """The rank-4 pipeline: restrictions, transition solutions, scalar shapes,
 and the bundled example checks, compared against independent records."""
 
+import itertools
+import random
+
 import pytest
 
+from heckepieces import charsheaf_b4
 from heckepieces.b4_example import (
     FAMILY_PAIRS,
     check_chi,
@@ -15,6 +19,11 @@ from heckepieces.b4_example import (
 from heckepieces.charsheaf_b4 import (
     ATOM_WEIGHTS,
     BLOCK,
+    NONUNIT,
+    PROBE_SUPPORT,
+    PROBE_WORDS,
+    ChiSolution,
+    _det4,
     _normalizer_mirror,
     boundary_dims,
     build_context,
@@ -239,6 +248,100 @@ def test_transition_spot_values(ctx):
             assert sol.chi[src] == {tgt: poly(pairs) for tgt, pairs in row.items()}
 
 
+def reference_solve_chi(ctx, t, z):
+    """``solve_chi`` before the context kept its solutions and divisors:
+    the boundary data of every probe recomputed for each pair (t, z)."""
+    rhs, div = {}, {}
+    for wd in PROBE_WORDS:
+        u = ctx.probes[wd]
+        rhs[wd] = normalized_restriction(ctx, t, z, u)
+        nd = boundary_dims(ctx, z, u)
+        pair = PROBE_SUPPORT[wd]
+        c0 = nd.get(pair[0], ZERO)
+        if not c0 or nd.get(pair[1], ZERO) != c0:
+            raise AssertionError("boundary data lost its two-point support")
+        for sym in NONUNIT:
+            if sym not in pair and nd.get(sym):
+                raise AssertionError("boundary data lost its two-point support")
+        div[wd] = c0
+
+    chi = {C: {} for C in BLOCK}
+    witnesses = []
+    unique = True
+    for coord in NONUNIT:
+        r = {wd: rhs[wd].coeff(coord).exact_div(div[wd]) for wd in PROBE_WORDS}
+        if r["1"] + r["121"] != r["2"] + r["212"]:
+            raise AssertionError("probe equations are inconsistent")
+        x0 = {"rho": r["1"] - r["212"], "sigma": r["212"], "sigma'": r["121"], "theta": ZERO}
+        if t == z:
+            k = ONE if coord == "theta" else ZERO
+        else:
+            kterms = {}
+            for e in sorted(set().union(*(x.support() for x in x0.values()))):
+                lo = max(-x0["rho"].coeff(e), -x0["theta"].coeff(e))
+                hi = min(x0["sigma"].coeff(e), x0["sigma'"].coeff(e))
+                if lo > hi:
+                    raise AssertionError(f"no nonnegative solution at {coord}, exponent {e}")
+                if lo < hi:
+                    unique = False
+                    witnesses.append((coord, e, lo, hi))
+                if lo:
+                    kterms[e] = lo
+            k = Laurent(kterms)
+        sol = {"rho": x0["rho"] + k, "sigma": x0["sigma"] - k,
+               "sigma'": x0["sigma'"] - k, "theta": x0["theta"] + k}
+        if t == z:
+            if sol != {C: (ONE if C == coord else ZERO) for C in BLOCK}:
+                raise AssertionError("boundary transition is not the identity")
+        elif not all(sol[C].has_nonneg_coeffs() for C in BLOCK):
+            raise AssertionError("solved transition has a negative coefficient")
+        for C in BLOCK:
+            if sol[C]:
+                chi[C][coord] = sol[C]
+    return ChiSolution(t, z, chi, unique, tuple(witnesses))
+
+
+def test_solve_chi_matches_reference(b4_kl):
+    """All 64 pairs, each asked twice: once solved, once kept."""
+    fresh = build_context(kl=b4_kl)
+    for _ in range(2):
+        for t, z in fresh.pairs():
+            assert solve_chi(fresh, t, z) == reference_solve_chi(fresh, t, z)
+
+
+def test_kept_solutions_are_not_shared(ctx):
+    """Each call returns its own ChiSolution and ``chi`` dicts, so a
+    caller's edit cannot reach the solution the context keeps."""
+    t, z = ctx.by_name["e"], ctx.by_name["efe"]
+    first = solve_chi(ctx, t, z)
+    want = reference_solve_chi(ctx, t, z)
+    assert first == want
+    first.chi["rho"].clear()
+    first.chi["sigma"]["S"] = ONE
+    first.chi["theta"] = {}
+    assert solve_chi(ctx, t, z) == want != first
+
+
+def test_report_and_checks_solve_each_pair_once(b4_kl, monkeypatch):
+    """The report and ``check_chi`` ask for 128 solutions of 64 pairs: the
+    solve runs once per pair, and the boundary data once per (z, probe),
+    8 · 4 = 32 times; solving on every call made 128 solves and 512
+    boundary computations."""
+    fresh = build_context(kl=b4_kl)
+    solves, boundaries = [], []
+    solve, dims = charsheaf_b4._solve, charsheaf_b4.boundary_dims
+    monkeypatch.setattr(charsheaf_b4, "_solve",
+                        lambda ctx, t, z: solves.append((t, z)) or solve(ctx, t, z))
+    monkeypatch.setattr(charsheaf_b4, "boundary_dims",
+                        lambda ctx, z, u: boundaries.append((z, u)) or dims(ctx, z, u))
+    report = conjecture_report(fresh)
+    checks = (check_group_facts(fresh), check_restrictions(fresh), check_chi(fresh),
+              check_conjectures(fresh, report))
+    assert all(check.passed for check in checks)
+    assert len(boundaries) <= 32
+    assert len(solves) == 64 == len(set(solves))
+
+
 def test_all_solutions_unique(ctx):
     for t, z in ctx.pairs():
         sol = solve_chi(ctx, t, z)
@@ -251,6 +354,42 @@ def test_boundary_transition_is_identity(ctx):
         sol = solve_chi(ctx, z, z)
         for src in BLOCK:
             assert sol.chi[src] == {src: ONE}
+
+
+def laplace_det(m):
+    """The determinant by cofactor expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    acc = ZERO
+    for j, entry in enumerate(m[0]):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = entry * laplace_det(minor)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def test_det4_matches_cofactor_expansion_on_block_matrices(ctx):
+    checked = 0
+    for t, z in ctx.pairs():
+        if ctx.n_leq(t, z):
+            m = solve_chi(ctx, t, z).block_matrix()
+            assert _det4(m) == laplace_det(m)
+            checked += 1
+    assert checked == 33
+
+
+def test_det4_matches_cofactor_expansion_on_sparse_matrices():
+    rng = random.Random(23)
+    for density in (0.2, 0.4, 0.6, 0.9):
+        for _ in range(10):
+            m = [[Laurent({e: rng.choice((-2, -1, 1, 3)) for e in rng.sample(range(-3, 4), 2)})
+                  if rng.random() < density else ZERO for _ in range(4)] for _ in range(4)]
+            assert _det4(m) == laplace_det(m)
+    # a permutation matrix has determinant the sign of its permutation
+    for perm in itertools.permutations(range(4)):
+        m = [[ONE if perm[i] == j else ZERO for j in range(4)] for i in range(4)]
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        assert _det4(m) == laplace_det(m) == (ONE if inversions % 2 == 0 else -ONE)
 
 
 def test_cuspidal_scalar_shapes(ctx):

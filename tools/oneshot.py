@@ -2,7 +2,7 @@
 """One-shot timings of the Bruhat-order and Kazhdan-Lusztig layers, side by
 side for several checkouts, written to one JSON file.
 
-    python3 tools/oneshot.py --side parent=../parent --side change=. --out BENCH_22.json
+    python3 tools/oneshot.py --side parent=../parent --side change=. --out BENCH_23.json
 
 Each ``--side NAME=DIR`` names a checkout whose ``src/`` holds the package.
 Every row runs once per side, each run in a fresh interpreter with that
@@ -25,6 +25,9 @@ turns going first, row by row.  The rows:
   ``load_kl_cache`` of the file, in a temporary directory; ``save_s`` and
   ``load_s`` time each, ``wall_s`` is their sum, and ``sha256`` is the
   file's.
+- ``example_b4``: ``example-b4 --format json`` through ``cli.main``, the
+  import of the CLI and the B4 KL table included; ``sha256`` is its
+  output's.
 
 The file also records each side's git revision (with a flag for
 uncommitted changes), the Python version and ``nproc``.  Standard library
@@ -47,7 +50,7 @@ import time
 from pathlib import Path
 
 ROWS = ("masks_B5", "masks_B6", "closure_hasse_B5_J2", "pieces_B5_J2",
-        "covers_B5", "covers_B6", "kl_table_B5", "kl_cache_B5")
+        "covers_B5", "covers_B6", "kl_table_B5", "kl_cache_B5", "example_b4")
 
 
 def _masks(rank: int) -> tuple[float, dict]:
@@ -68,12 +71,13 @@ def _closure() -> tuple[float, dict]:
     return time.perf_counter() - start, {"covers": len(covers)}
 
 
-def _pieces() -> tuple[float, dict]:
+def _cli(*argv: str) -> tuple[float, dict]:
+    """``cli.main(argv)`` in this interpreter, the CLI import included."""
     out = io.StringIO()
     start = time.perf_counter()
     from heckepieces.cli import main
     with contextlib.redirect_stdout(out):
-        code = main(["pieces", "--type", "B5", "--J", "2", "--format", "json"])
+        code = main(list(argv))
     wall = time.perf_counter() - start
     text = out.getvalue().encode()
     return wall, {"exit": code, "bytes": len(text), "sha256": hashlib.sha256(text).hexdigest()}
@@ -129,11 +133,12 @@ def run_row(row: str) -> dict:
         "masks_B5": lambda: _masks(5),
         "masks_B6": lambda: _masks(6),
         "closure_hasse_B5_J2": _closure,
-        "pieces_B5_J2": _pieces,
+        "pieces_B5_J2": lambda: _cli("pieces", "--type", "B5", "--J", "2", "--format", "json"),
         "covers_B5": lambda: _covers(5),
         "covers_B6": lambda: _covers(6),
         "kl_table_B5": _kl_table,
         "kl_cache_B5": _kl_cache,
+        "example_b4": lambda: _cli("example-b4", "--format", "json"),
     }[row]()
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     return {"wall_s": wall and round(wall, 4), "peak_rss_mib": round(peak, 1), **extra}
