@@ -31,7 +31,6 @@ from .pieces import (
 )
 from .charsheaf_b4 import (
     B4Context,
-    CSVector,
     build_context,
     conjecture_report,
     restriction_coefficients,

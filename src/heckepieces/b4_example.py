@@ -34,18 +34,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import Laurent, ZERO, ONE, v_power
+from .laurent import Laurent, ZERO, ONE, add_into, v_power
 from .charsheaf_b4 import (
     B4Context,
     BLOCK,
-    CSVector,
-    CS_TABLE_BY_WORD,
     ConjectureReport,
     build_context,
     conjecture_report,
+    piece_restriction,
     restriction_coefficients,
     solve_chi,
 )
+from .pieces import piece_dimension
 
 
 def _pol(*terms: tuple[int, int]) -> Laurent:
@@ -368,6 +368,9 @@ def check_group_facts(ctx: B4Context) -> CheckResult:
     for name, sg in NORMALIZER_SIGNS.items():
         if ctx.eps[ctx.by_name[name]] != sg:
             failures.append(f"sign of {name} != {sg}")
+    for word, dim in PIECE_DIMENSIONS.items():
+        if piece_dimension(group, ctx.J, group.parse_word(word)) != dim:
+            failures.append(f"dimension of piece {word or '1'} != {dim}")
     return _result("group facts", failures,
                    f"order {GROUP_ORDER}, {len(DOUBLE_COSET_REP_WORDS)} "
                    f"double-coset reps, normalizer of size {len(ctx.N)}")
@@ -412,12 +415,12 @@ def check_restrictions(ctx: B4Context) -> CheckResult:
                 if got != want:
                     failures.append(f"expansion ({tn},{zn},{uw})")
                     continue
-                sim_got = _to_classes(got).nonunit()
-                sim_want = CSVector({})
+                sim_got = piece_restriction(ctx, t, z, u)
+                sim_got.pop("1", None)
+                sim_want: dict[str, Laurent] = {}
                 for poly, symbols in SIM_TABLES[fam][uw]:
-                    sim_want = sim_want + CSVector(
-                        {s: poly for s in symbols})
-                if sim_got != sim_want.nonunit():
+                    add_into(sim_want, ((s, poly) for s in symbols))
+                if sim_got != sim_want:
                     failures.append(f"reduced form ({tn},{zn},{uw})")
     for t in ctx.N:
         for z in ctx.N:
@@ -433,13 +436,6 @@ def check_restrictions(ctx: B4Context) -> CheckResult:
     return _result("restriction tables", failures,
                    f"{n_checked} identities over {len(named)} recorded "
                    f"pairs + {64 - len(named)} vanishing pairs")
-
-
-def _to_classes(word_coeffs: dict[str, Laurent]) -> CSVector:
-    out = CSVector({})
-    for uw, c in word_coeffs.items():
-        out = out + CS_TABLE_BY_WORD[uw].scale(c)
-    return out
 
 
 def check_chi(ctx: B4Context) -> CheckResult:

@@ -10,9 +10,11 @@ parabolic W_J is of type B_2 and supports six character sheaves labelled
     1, rho, sigma, sigma', theta, S,
 
 of which {rho, sigma, sigma', theta} form the block acted on by the
-transition maps and S is cuspidal.  ``CS_TABLE`` records, for each u in W_J,
-the class [u] of the corresponding piece closure in the character-sheaf
-basis (graded by powers of v); this table is input data for the pipeline.
+transition maps and S is cuspidal.  ``CS_TABLE_BY_WORD`` records, for each
+u in W_J (by its reduced word), the class [u] of the corresponding piece
+closure in the character-sheaf basis as a map symbol -> Laurent polynomial
+in v; ``ctx.cs_table`` holds the same maps keyed by element.  This table is
+input data for the pipeline.
 
 For z in N, t in N and u in W_J, the class [z^{-1}u] restricted to the
 boundary stratum at t expands as
@@ -58,7 +60,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from .coxeter import CoxeterGroup, Element, coxeter_group
 from .hecke import (
@@ -70,10 +71,9 @@ from .hecke import (
     inverse_kl,
     kl_table,
 )
-from .laurent import Laurent, ONE, ZERO, add_into, v_power
+from .laurent import Laurent, ONE, ZERO, add_into
 from .pieces import twisted_normalizer
 
-SYMBOLS = ("1", "rho", "sigma", "sigma'", "theta", "S")
 NONUNIT = ("rho", "sigma", "sigma'", "theta", "S")
 BLOCK = ("rho", "sigma", "sigma'", "theta")
 IOTA = {"rho": 1, "sigma": -1, "sigma'": -1, "theta": 1}
@@ -93,88 +93,25 @@ PROBE_SUPPORT = {
 }
 
 
-class CSVector:
-    """A Z[v,v^-1]-combination of the six character-sheaf symbols."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[str, Laurent] | None = None):
-        cleaned = {}
-        if coeffs:
-            for sym, c in coeffs.items():
-                if sym not in SYMBOLS:
-                    raise ValueError(f"unknown symbol {sym!r}")
-                if c:
-                    cleaned[sym] = c
-        self.coeffs = cleaned
-
-    def coeff(self, sym: str) -> Laurent:
-        return self.coeffs.get(sym, ZERO)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CSVector):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "CSVector") -> "CSVector":
-        return CSVector(add_into(dict(self.coeffs), other.coeffs.items()))
-
-    def __sub__(self, other: "CSVector") -> "CSVector":
-        return CSVector(add_into(dict(self.coeffs), other.coeffs.items(), -1))
-
-    def scale(self, c: Laurent | int) -> "CSVector":
-        return CSVector({sym: c * x for sym, x in self.coeffs.items()})
-
-    def nonunit(self) -> dict[str, Laurent]:
-        """The coefficients away from the unit symbol."""
-        return {sym: c for sym, c in self.coeffs.items() if sym != "1"}
-
-    def text(self) -> str:
-        if not self.coeffs:
-            return "0"
-        chunks = []
-        for sym in SYMBOLS:
-            c = self.coeffs.get(sym)
-            if c is None:
-                continue
-            if c == ONE and sym != "1":
-                chunks.append(GLYPH[sym])
-            elif sym == "1":
-                chunks.append(f"({c.text()})")
-            else:
-                chunks.append(f"({c.text()}){GLYPH[sym]}")
-        return " + ".join(chunks)
-
-    def __repr__(self) -> str:
-        return f"CSVector({self.text()})"
-
-
 # the class [u] of each W_J piece closure in the character-sheaf basis
 # (keyed by the reduced word of u); input data for the whole pipeline
-CS_TABLE_BY_WORD: dict[str, CSVector] = {
-    "": CSVector({"1": ONE, "rho": Laurent({0: 2}), "sigma": ONE, "sigma'": ONE,
-                  "S": ONE}),
-    "1": CSVector({"1": Laurent({0: 1, 2: 1}), "rho": Laurent({0: 1, 2: 1}),
-                   "sigma": Laurent({0: 1, 2: 1})}),
-    "2": CSVector({"1": Laurent({0: 1, 2: 1}), "rho": Laurent({0: 1, 2: 1}),
-                   "sigma'": Laurent({0: 1, 2: 1})}),
-    "12": CSVector({"1": Laurent({0: 1, 2: 2, 4: 1}), "rho": Laurent({2: 1}),
-                    "sigma": Laurent({2: 1}), "sigma'": Laurent({2: 1}),
-                    "theta": Laurent({2: 1})}),
-    "21": CSVector({"1": Laurent({0: 1, 2: 2, 4: 1}), "rho": Laurent({2: 1}),
-                    "sigma": Laurent({2: 1}), "sigma'": Laurent({2: 1}),
-                    "theta": Laurent({2: 1})}),
-    "121": CSVector({"1": Laurent({0: 1, 2: 1, 4: 1, 6: 1}),
-                     "sigma'": Laurent({2: 1, 4: 1}), "theta": Laurent({2: 1, 4: 1})}),
-    "212": CSVector({"1": Laurent({0: 1, 2: 1, 4: 1, 6: 1}),
-                     "sigma": Laurent({2: 1, 4: 1}), "theta": Laurent({2: 1, 4: 1})}),
-    "1212": CSVector({"1": Laurent({0: 1, 2: 2, 4: 2, 6: 2, 8: 1})}),
+CS_TABLE_BY_WORD: dict[str, dict[str, Laurent]] = {
+    "": {"1": ONE, "rho": Laurent({0: 2}), "sigma": ONE, "sigma'": ONE, "S": ONE},
+    "1": {"1": Laurent({0: 1, 2: 1}), "rho": Laurent({0: 1, 2: 1}),
+          "sigma": Laurent({0: 1, 2: 1})},
+    "2": {"1": Laurent({0: 1, 2: 1}), "rho": Laurent({0: 1, 2: 1}),
+          "sigma'": Laurent({0: 1, 2: 1})},
+    "12": {"1": Laurent({0: 1, 2: 2, 4: 1}), "rho": Laurent({2: 1}),
+           "sigma": Laurent({2: 1}), "sigma'": Laurent({2: 1}),
+           "theta": Laurent({2: 1})},
+    "21": {"1": Laurent({0: 1, 2: 2, 4: 1}), "rho": Laurent({2: 1}),
+           "sigma": Laurent({2: 1}), "sigma'": Laurent({2: 1}),
+           "theta": Laurent({2: 1})},
+    "121": {"1": Laurent({0: 1, 2: 1, 4: 1, 6: 1}),
+            "sigma'": Laurent({2: 1, 4: 1}), "theta": Laurent({2: 1, 4: 1})},
+    "212": {"1": Laurent({0: 1, 2: 1, 4: 1, 6: 1}),
+            "sigma": Laurent({2: 1, 4: 1}), "theta": Laurent({2: 1, 4: 1})},
+    "1212": {"1": Laurent({0: 1, 2: 2, 4: 2, 6: 2, 8: 1})},
 }
 
 
@@ -188,7 +125,6 @@ class B4Context:
     J: frozenset
     WJ: tuple[Element, ...]
     kl: KLTable
-    ikl: dict[tuple[Element, Element], Laurent]
     N: tuple[Element, ...]                 # normalizer, display order
     name_of: dict[Element, str]
     by_name: dict[str, Element]
@@ -197,7 +133,7 @@ class B4Context:
     pbasis: CanonicalBasis
     weight_L: dict[Element, int]
     eps: dict[Element, int]
-    cs_table: dict[Element, CSVector]
+    cs_table: dict[Element, dict[str, Laurent]]
     probes: dict[str, Element]
     # u' -> ((u'', P'_{u'',u'}) for every u'' <= u'): the inverse KL data of
     # W_J grouped by its second index, so a restriction sum reads one column
@@ -271,7 +207,6 @@ def build_context(kl: KLTable | None = None) -> B4Context:
         group = kl.group
     J = frozenset({1, 2})
     WJ = group.parabolic_elements(J)
-    ikl = inverse_kl(kl, WJ)
 
     N, atoms, mirror, to_mirror = _normalizer_mirror(group, J)
     if len(atoms) != len(ATOM_WEIGHTS):
@@ -289,11 +224,11 @@ def build_context(kl: KLTable | None = None) -> B4Context:
         raise AssertionError("character sheaf table does not cover W_J")
     probes = {wd: group.parse_word(wd) for wd in PROBE_WORDS}
     ikl_columns: dict[Element, list[tuple[Element, Laurent]]] = {u1: [] for u1 in WJ}
-    for (u2, u1), pp in ikl.items():
+    for (u2, u1), pp in inverse_kl(kl, WJ).items():
         ikl_columns[u1].append((u2, pp))
 
     return B4Context(
-        group=group, J=J, WJ=WJ, kl=kl, ikl=ikl, N=N,
+        group=group, J=J, WJ=WJ, kl=kl, N=N,
         name_of=name_of, by_name=by_name,
         mirror=mirror, to_mirror=to_mirror, pbasis=pbasis,
         weight_L=weight_L, eps=eps, cs_table=cs_table, probes=probes,
@@ -328,28 +263,31 @@ def restriction_coefficients(ctx: B4Context, t: Element, z: Element,
     return dict(out)
 
 
-def piece_restriction(ctx: B4Context, t: Element, z: Element, u: Element) -> CSVector:
-    """[z^{-1}u]_(t) pushed through the character-sheaf table."""
+def piece_restriction(ctx: B4Context, t: Element, z: Element,
+                      u: Element) -> dict[str, Laurent]:
+    """[z^{-1}u]_(t) pushed through the character-sheaf table: a fresh map
+    symbol -> coefficient without zero values."""
     out: dict[str, Laurent] = {}
     for u2, c in restriction_coefficients(ctx, t, z, u).items():
-        add_into(out, ctx.cs_table[u2].coeffs.items(), c)
-    return CSVector(out)
+        add_into(out, ctx.cs_table[u2].items(), c)
+    return out
 
 
 def normalized_restriction(ctx: B4Context, t: Element, z: Element,
-                           u: Element) -> CSVector:
+                           u: Element) -> dict[str, Laurent]:
     """v^(-l(z)+l(t)-l(u)) [z^{-1}u]_(t)."""
     group = ctx.group
     shift = -group.length(z) + group.length(t) - group.length(u)
-    return piece_restriction(ctx, t, z, u).scale(v_power(shift))
+    return {sym: c.shift(shift) for sym, c in piece_restriction(ctx, t, z, u).items()}
 
 
 def boundary_dims(ctx: B4Context, z: Element, u: Element) -> dict[str, Laurent]:
     """The non-unit coefficients of the boundary restriction (t = z),
     each required to be bar-symmetric with nonnegative coefficients."""
-    vec = normalized_restriction(ctx, z, z, u)
     out = {}
-    for sym, c in vec.nonunit().items():
+    for sym, c in normalized_restriction(ctx, z, z, u).items():
+        if sym == "1":
+            continue
         if not c.is_bar_symmetric() or not c.has_nonneg_coeffs():
             raise AssertionError(
                 f"boundary coefficient of {GLYPH[sym]} is not a symmetric dimension: {c.text()}"
@@ -466,7 +404,7 @@ def _solve(ctx: B4Context, t: Element, z: Element) -> ChiSolution:
     witnesses: list[tuple[str, int, int, int]] = []
     unique = True
     for coord in NONUNIT:
-        r = {wd: rhs[wd].coeff(coord).exact_div(div[wd]) for wd in PROBE_WORDS}
+        r = {wd: rhs[wd].get(coord, ZERO).exact_div(div[wd]) for wd in PROBE_WORDS}
         if r["1"] + r["121"] != r["2"] + r["212"]:
             raise AssertionError("probe equations are inconsistent")
         x0 = {

@@ -604,7 +604,7 @@ def coxeter_group(spec: str | Sequence[Sequence[int]]) -> CoxeterGroup:
     """
     if isinstance(spec, str):
         tag = spec.strip()
-        if tag.startswith("B") and tag[1:].isdigit():
+        if tag.startswith("B") and tag[1:].isascii() and tag[1:].isdigit():
             rank = int(tag[1:])
             if rank < 1:
                 raise ValueError("rank must be >= 1")

@@ -63,6 +63,9 @@ def b2_cache(tmp_path):
     ["pieces", "--type", "B2", "--J", "1", "--delta", "swap"],
     ["pieces", "--type", "B2", "--J", "1", "--delta", "perm:/no/such/file"],
     ["group", "--type", "matrix:/no/such/file.json"],
+    ["group", "--type", "B٤"],     # Arabic-Indic digit
+    ["group", "--type", "B４"],    # fullwidth digit
+    ["group", "--type", "B²"],
 ])
 def test_bad_arguments_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -663,6 +666,17 @@ def test_example_b4_json(capsys):
     }
     assert report["weights"] == {"1": 0, "e": 1, "f": 3, "fe": 4,
                                  "ef": 4, "efe": 5, "fef": 7, "efef": 8}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ([], "fc6308e25764cacd48cf6cb40b7d20654c445acb6e8f8e936d72195474e0e240"),
+    (["--format", "json"], "15133641529513e3b880d2576c900a4f0987fb0bab131229c34744df76076254"),
+])
+def test_example_b4_digest(argv, digest, capsys):
+    """The whole example-b4 output, text and JSON, pinned by digest."""
+    assert main(["example-b4", *argv]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 def test_example_b4_text_to_file(tmp_path, capsys):

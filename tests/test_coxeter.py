@@ -38,6 +38,9 @@ def test_factory_validation():
         coxeter_group("Q9")
     with pytest.raises(ValueError):
         coxeter_group("B1x")
+    for tag in ("B٤", "B４", "B²"):  # digits outside ASCII
+        with pytest.raises(ValueError, match="unknown group type"):
+            coxeter_group(tag)
     with pytest.raises(ValueError):
         coxeter_group([[1, 2], [3, 1]])  # asymmetric
     with pytest.raises(ValueError):
