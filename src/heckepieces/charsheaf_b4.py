@@ -566,9 +566,10 @@ def report_as_dict(ctx: B4Context, report: ConjectureReport) -> dict:
             "canonical_match": r.canonical_match,
         })
     return {
-        "type": "B4",
+        "type": ctx.group.type_tag,
         "J": sorted(ctx.J),
-        "atom_weights": {"e": ATOM_WEIGHTS[0], "f": ATOM_WEIGHTS[1]},
+        "atom_weights": {ctx.name_of[z]: ctx.weight_L[z] for z in ctx.N
+                         if ctx.mirror.length(ctx.to_mirror[z]) == 1},
         "weights": {ctx.name_of[z]: ctx.weight_L[z] for z in ctx.N},
         "signs": {ctx.name_of[z]: ctx.eps[z] for z in ctx.N},
         "pairs": pairs,

@@ -247,21 +247,20 @@ def load_kl_cache(path: str, group: CoxeterGroup) -> KLTable:
 # argument handling
 # --------------------------------------------------------------------------
 
-def _load_matrix(path: str) -> list[list[int]]:
+def _read_json(path: str, what: str):
+    """The JSON value in the UTF-8 file ``path``; ``what`` names the file in errors."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            return json.load(handle)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read matrix file {path}: {exc}") from exc
-    if (not isinstance(data, list)
-            or not all(isinstance(row, list) for row in data)):
-        raise CliError("matrix file must hold a JSON array of arrays")
-    return data
+        raise CliError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def _make_group(type_spec: str) -> CoxeterGroup:
     if type_spec.startswith("matrix:"):
-        spec = _load_matrix(type_spec[len("matrix:"):])
+        spec = _read_json(type_spec[len("matrix:"):], "matrix")
+        if not isinstance(spec, list) or not all(isinstance(row, list) for row in spec):
+            raise CliError("matrix file must hold a JSON array of arrays")
         if len(spec) > 9:
             raise CliError("word serialization supports ranks up to 9")
     else:
@@ -287,12 +286,7 @@ def _parse_delta(text: str, group: CoxeterGroup) -> DiagramAutomorphism:
         return group.automorphism()
     if not text.startswith("perm:"):
         raise CliError("--delta must be 'id' or 'perm:FILE'")
-    path = text[len("perm:"):]
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            images = json.load(handle)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read permutation file {path}: {exc}") from exc
+    images = _read_json(text[len("perm:"):], "permutation")
     if not isinstance(images, list) or len(images) != group.rank:
         raise CliError("permutation file must hold a JSON array of "
                        f"{group.rank} generator indices")
@@ -332,11 +326,8 @@ def _as_csv(rows: list[list]) -> str:
 def _cmd_group(args: argparse.Namespace) -> int:
     group = _make_group(args.type)
     elements = group.elements()
-    census: dict[int, int] = {}
-    for w in elements:
-        length = group.length(w)
-        census[length] = census.get(length, 0) + 1
     longest = elements[-1]
+    census = [group._length.count(k) for k in range(group.length(longest) + 1)]
     if args.format == "json":
         payload = {
             "type": group.type_tag,
@@ -344,7 +335,7 @@ def _cmd_group(args: argparse.Namespace) -> int:
             "order": len(elements),
             "longest_word": group.word_str(longest),
             "longest_length": group.length(longest),
-            "length_census": [census[k] for k in sorted(census)],
+            "length_census": census,
         }
         _emit(_as_json(payload), args.out)
     elif args.format == "csv":
@@ -358,8 +349,7 @@ def _cmd_group(args: argparse.Namespace) -> int:
             f"order: {len(elements)}",
             f"longest element: {group.word_str(longest)} "
             f"(length {group.length(longest)})",
-            "elements by length: "
-            + " ".join(str(census[k]) for k in sorted(census)),
+            "elements by length: " + " ".join(map(str, census)),
         ]
         _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -390,10 +380,8 @@ def _cmd_kl(args: argparse.Namespace) -> int:
         if args.cache is not None:
             save_kl_cache(table, args.cache)
     if args.pair is not None:
-        y_word, w_word = args.pair
         try:
-            y = group.parse_word(y_word)
-            w = group.parse_word(w_word)
+            y, w = (group.parse_word(word) for word in args.pair)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         p = table.get(y, w)
@@ -544,46 +532,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_group = sub.add_parser("group", help="order and element census")
-    p_group.add_argument("--type", required=True,
-                         help="B<rank> or matrix:FILE (JSON Coxeter matrix)")
-    p_group.add_argument("--format", choices=("text", "json", "csv"),
-                         default="text")
-    p_group.add_argument("--out", default=None, help="write output here")
-    p_group.set_defaults(func=_cmd_group)
+    def command(name, func, summary, formats=("text", "json", "csv"), typed=True):
+        """A subcommand with the options every subcommand shares."""
+        p = sub.add_parser(name, help=summary)
+        if typed:
+            p.add_argument("--type", required=True,
+                           help="B<rank> or matrix:FILE (JSON Coxeter matrix)")
+        p.add_argument("--format", choices=formats, default="text")
+        p.add_argument("--out", default=None, help="write output here")
+        p.set_defaults(func=func)
+        return p
 
-    p_kl = sub.add_parser("kl", help="Kazhdan-Lusztig table")
-    p_kl.add_argument("--type", required=True)
+    command("group", _cmd_group, "order and element census")
+    p_kl = command("kl", _cmd_kl, "Kazhdan-Lusztig table")
     p_kl.add_argument("--cache", default=None,
                       help="cache file: loaded if present, created if not")
     p_kl.add_argument("--pair", nargs=2, metavar=("Y", "W"), default=None,
                       help="print the single polynomial for words Y, W")
-    p_kl.add_argument("--format", choices=("text", "json", "csv"),
-                      default="text")
-    p_kl.add_argument("--out", default=None)
-    p_kl.set_defaults(func=_cmd_kl)
-
-    p_pieces = sub.add_parser(
-        "pieces", help="piece indices, normalizer, closure order")
-    p_pieces.add_argument("--type", required=True)
+    p_pieces = command("pieces", _cmd_pieces, "piece indices, normalizer, closure order",
+                       formats=("text", "json", "csv", "dot"))
     p_pieces.add_argument("--J", required=True,
                           help="comma-separated generator indices")
     p_pieces.add_argument("--delta", default="id",
                           help="'id' or perm:FILE (JSON list of images)")
-    p_pieces.add_argument("--format",
-                          choices=("text", "json", "csv", "dot"),
-                          default="text")
-    p_pieces.add_argument("--out", default=None)
-    p_pieces.set_defaults(func=_cmd_pieces)
-
-    p_example = sub.add_parser(
-        "example-b4",
-        help="run all frozen checks of the rank-4 example")
-    p_example.add_argument("--format", choices=("text", "json"),
-                           default="text")
-    p_example.add_argument("--out", default=None)
-    p_example.set_defaults(func=_cmd_example_b4)
-
+    command("example-b4", _cmd_example_b4, "run all frozen checks of the rank-4 example",
+            formats=("text", "json"), typed=False)
     return parser
 
 

@@ -498,11 +498,15 @@ def inverse_kl(table: KLTable, support: Iterable[Element]) -> dict[tuple[Element
     P'_{x,z} = (-1)^(l(x)+l(z)) P_{w0 z, w0 x} for x <= z (Kazhdan-Lusztig,
     Invent. Math. 53, 1979, §3).
 
-    Raises if the support is not closed under going down in Bruhat order
-    (the inverse of a unitriangular matrix needs the whole lower set).
+    Raises ``ValueError`` on an entry that is not an element, and if the
+    support is not closed under going down in Bruhat order (the inverse of
+    a unitriangular matrix needs the whole lower set).
     """
     group = table.group
-    supp = sorted(set(support))
+    given = set(support)
+    for w in given:
+        group._check_element(w)  # sorted() and 1 << w would refuse None, -1, 0.5 otherwise
+    supp = sorted(given)
     supp_mask = sum(1 << w for w in supp)  # the elements are distinct
     for w in supp:
         if group.bruhat_mask(w) & ~supp_mask:

@@ -1,6 +1,7 @@
 """The rank-4 pipeline: restrictions, transition solutions, scalar shapes,
 and the bundled example checks, compared against independent records."""
 
+import dataclasses
 import itertools
 import random
 
@@ -30,6 +31,7 @@ from heckepieces.charsheaf_b4 import (
     conjecture_report,
     cuspidal_scalar,
     normalized_restriction,
+    report_as_dict,
     restriction_coefficients,
     solve_chi,
 )
@@ -434,6 +436,17 @@ def test_group_facts_check_reads_piece_dimensions(ctx, monkeypatch):
     assert not failed.passed
     assert failed.failures == ("dimension of piece 4 != 26",)
     assert failed.summary == passed.summary
+
+
+def test_report_header_reads_the_context(ctx):
+    """The report's type and atom weights come from the context: the atoms
+    are the elements of N of mirror length 1, named and weighted as N is."""
+    report = conjecture_report(ctx)
+    header = report_as_dict(ctx, report)
+    assert header["type"] == ctx.group.type_tag == "B4"
+    assert header["atom_weights"] == {"e": ATOM_WEIGHTS[0], "f": ATOM_WEIGHTS[1]}
+    doubled = dataclasses.replace(ctx, weight_L={z: 2 * w for z, w in ctx.weight_L.items()})
+    assert report_as_dict(doubled, report)["atom_weights"] == {"e": 2, "f": 6}
 
 
 def test_run_example_all_checks_pass(b4_kl):

@@ -700,3 +700,27 @@ def test_example_b4_takes_no_cache(tmp_path, capsys):
     assert main(["example-b4", "--cache", str(path)]) == 2
     assert "unrecognized arguments: --cache" in capsys.readouterr().err
     assert not path.exists()
+
+
+# -- help pages ------------------------------------------------------------------
+
+@pytest.mark.parametrize("command, formats", [
+    ("group", "{text,json,csv}"),
+    ("kl", "{text,json,csv}"),
+    ("pieces", "{text,json,csv,dot}"),
+    ("example-b4", "{text,json}"),
+])
+def test_help_lists_the_shared_options(command, formats, capsys, monkeypatch):
+    """Every subcommand's --help shows --format with its choices and --out
+    with its help; all but example-b4 show --type with its help."""
+    monkeypatch.setenv("COLUMNS", "200")  # one option per line, unwrapped
+    assert main([command, "--help"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.split() == ["--format", formats] for line in lines)
+    assert any(line.split() == ["--out", "OUT", "write", "output", "here"] for line in lines)
+    typed = [line for line in lines if line.split()[:2] == ["--type", "TYPE"]]
+    if command == "example-b4":
+        assert not any("--type" in line for line in lines)
+    else:
+        assert [line.split(None, 2)[2] for line in typed] == [
+            "B<rank> or matrix:FILE (JSON Coxeter matrix)"]

@@ -606,6 +606,36 @@ def test_inverse_kl_requires_closed_support(b4, b4_kl):
         inverse_kl(b4_kl, [w for w in WJ if b4.length(w) != 1])
 
 
+@pytest.mark.parametrize("entry", [-1, 0.5, None, "order"])
+def test_inverse_kl_refuses_what_is_not_an_element(b2, entry):
+    """-1 would fail in ``1 << w`` with "negative shift count", 0.5 and None
+    with a TypeError, and |W| past the end of the length table."""
+    table = kl_table(b2)
+    if entry == "order":
+        entry = len(b2.elements())
+    with pytest.raises(ValueError, match="no element"):
+        inverse_kl(table, [b2.identity(), entry])
+
+
+def test_inverse_kl_inverts_b5_ideals():
+    """sum_y P'_{x,y} P_{y,z} = delta_{x,z} on B5, with P' from ``inverse_kl``
+    on the Bruhat ideal of 20 seeded z with l(z) <= 12, at 10 seeded x <= z
+    each; the other tests check it on B4 parabolics, B3 and I2(5) only."""
+    group = coxeter_group("B5")
+    table = kl_table(group)
+    rng = random.Random(5)
+    short = [z for z in group.elements() if 2 <= group.length(z) <= 12]
+    for z in rng.sample(short, 20):
+        ideal = mask_bits(group.bruhat_mask(z))
+        inverse = inverse_kl(table, ideal)
+        for x in rng.sample(ideal, min(10, len(ideal))):
+            total = ZERO
+            for y in ideal:
+                if (x, y) in inverse:
+                    total = total + inverse[(x, y)] * table.get(y, z)
+            assert total == (ONE if x == z else ZERO), (group.word_str(x), group.word_str(z))
+
+
 # -- canonical bases -------------------------------------------------------------
 
 def test_canonical_basis_unequal_dihedral(b2, ctx):

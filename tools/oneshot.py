@@ -2,7 +2,7 @@
 """One-shot timings of the Bruhat-order and Kazhdan-Lusztig layers, side by
 side for several checkouts, written to one JSON file.
 
-    python3 tools/oneshot.py --side parent=../parent --side change=. --out BENCH_23.json
+    python3 tools/oneshot.py --side parent=../parent --side change=. --out BENCH_<n>.json
 
 Each ``--side NAME=DIR`` names a checkout whose ``src/`` holds the package.
 Every row runs once per side, each run in a fresh interpreter with that
@@ -16,11 +16,10 @@ turns going first, row by row.  The rows:
 - ``pieces_B5_J2``: ``pieces --type B5 --J 2 --format json`` through
   ``cli.main``, the import of the CLI included; ``sha256`` is its output's.
 - ``covers_B5``, ``covers_B6``: the coatom table of a fresh group and its
-  total; skipped, with no wall time, where the checkout has no such table.
+  total.
 - ``kl_table_B5``: ``kl_table`` on a fresh B5 whose masks are built before
   the timer starts; ``pool`` is the number of distinct polynomials and
-  ``extremal`` the table's count of pairs that ran the recursion (null
-  where the checkout does not count them).
+  ``extremal`` the table's count of pairs that ran the recursion.
 - ``kl_cache_B5``: ``save_kl_cache`` of that table and then
   ``load_kl_cache`` of the file, in a temporary directory; ``save_s`` and
   ``load_s`` time each, ``wall_s`` is their sum, and ``sha256`` is the
@@ -48,9 +47,6 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-
-ROWS = ("masks_B5", "masks_B6", "closure_hasse_B5_J2", "pieces_B5_J2",
-        "covers_B5", "covers_B6", "kl_table_B5", "kl_cache_B5", "example_b4")
 
 
 def _masks(rank: int) -> tuple[float, dict]:
@@ -83,11 +79,9 @@ def _cli(*argv: str) -> tuple[float, dict]:
     return wall, {"exit": code, "bytes": len(text), "sha256": hashlib.sha256(text).hexdigest()}
 
 
-def _covers(rank: int) -> tuple[float | None, dict]:
+def _covers(rank: int) -> tuple[float, dict]:
     from heckepieces.coxeter import coxeter_group
     group = coxeter_group(f"B{rank}")
-    if not hasattr(group, "_coatoms"):
-        return None, {"skipped": "no coatom table in this checkout"}
     start = time.perf_counter()
     coatoms = group._coatoms()
     return time.perf_counter() - start, {"covers": sum(map(len, coatoms))}
@@ -107,7 +101,7 @@ def _b5_table() -> tuple[float, object]:
 
 def _kl_table() -> tuple[float, dict]:
     wall, table = _b5_table()
-    return wall, {"pool": len(table.pool), "extremal": getattr(table, "extremal", None)}
+    return wall, {"pool": len(table.pool), "extremal": table.extremal}
 
 
 def _kl_cache() -> tuple[float, dict]:
@@ -127,21 +121,24 @@ def _kl_cache() -> tuple[float, dict]:
                             "bytes": size, "sha256": digest}
 
 
+ROWS = {  # row name -> its run, in the order the rows are written
+    "masks_B5": lambda: _masks(5),
+    "masks_B6": lambda: _masks(6),
+    "closure_hasse_B5_J2": _closure,
+    "pieces_B5_J2": lambda: _cli("pieces", "--type", "B5", "--J", "2", "--format", "json"),
+    "covers_B5": lambda: _covers(5),
+    "covers_B6": lambda: _covers(6),
+    "kl_table_B5": _kl_table,
+    "kl_cache_B5": _kl_cache,
+    "example_b4": lambda: _cli("example-b4", "--format", "json"),
+}
+
+
 def run_row(row: str) -> dict:
     """Run one row in this interpreter and return its result."""
-    wall, extra = {
-        "masks_B5": lambda: _masks(5),
-        "masks_B6": lambda: _masks(6),
-        "closure_hasse_B5_J2": _closure,
-        "pieces_B5_J2": lambda: _cli("pieces", "--type", "B5", "--J", "2", "--format", "json"),
-        "covers_B5": lambda: _covers(5),
-        "covers_B6": lambda: _covers(6),
-        "kl_table_B5": _kl_table,
-        "kl_cache_B5": _kl_cache,
-        "example_b4": lambda: _cli("example-b4", "--format", "json"),
-    }[row]()
+    wall, extra = ROWS[row]()
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    return {"wall_s": wall and round(wall, 4), "peak_rss_mib": round(peak, 1), **extra}
+    return {"wall_s": round(wall, 4), "peak_rss_mib": round(peak, 1), **extra}
 
 
 def revision(root: Path) -> dict:
