@@ -492,6 +492,12 @@ class PairResult:
         return self.X == (self.p if self.eps == 1 else -self.p)
 
 
+# the report's checks as (property of ConjectureReport, label in the text)
+REPORT_CHECKS = (("all_unique", "solutions unique"), ("cuspidal_pattern", "cuspidal pattern"),
+                 ("block_nondegenerate", "block nondegenerate"),
+                 ("canonical_basis_match", "canonical basis match"))
+
+
 @dataclass
 class ConjectureReport:
     pairs: list[PairResult]
@@ -518,8 +524,7 @@ class ConjectureReport:
 
     @property
     def all_pass(self) -> bool:
-        return (self.all_unique and self.cuspidal_pattern
-                and self.block_nondegenerate and self.canonical_basis_match)
+        return all(getattr(self, name) for name, _ in REPORT_CHECKS)
 
 
 def conjecture_report(ctx: B4Context) -> ConjectureReport:
@@ -573,12 +578,7 @@ def report_as_dict(ctx: B4Context, report: ConjectureReport) -> dict:
         "weights": {ctx.name_of[z]: ctx.weight_L[z] for z in ctx.N},
         "signs": {ctx.name_of[z]: ctx.eps[z] for z in ctx.N},
         "pairs": pairs,
-        "checks": {
-            "all_unique": report.all_unique,
-            "cuspidal_pattern": report.cuspidal_pattern,
-            "block_nondegenerate": report.block_nondegenerate,
-            "canonical_basis_match": report.canonical_basis_match,
-        },
+        "checks": {name: getattr(report, name) for name, _ in REPORT_CHECKS},
         "all_pass": report.all_pass,
     }
 
@@ -595,9 +595,6 @@ def report_text(ctx: B4Context, report: ConjectureReport) -> str:
             f"X = {r.X.text():<24} p = {r.p.text():<24} {verdict}"
         )
     lines.append("-" * 72)
-    lines.append(f"solutions unique:          {report.all_unique}")
-    lines.append(f"cuspidal pattern:          {report.cuspidal_pattern}")
-    lines.append(f"block nondegenerate:       {report.block_nondegenerate}")
-    lines.append(f"canonical basis match:     {report.canonical_basis_match}")
-    lines.append(f"all checks pass:           {report.all_pass}")
+    for name, label in (*REPORT_CHECKS, ("all_pass", "all checks pass")):
+        lines.append(f"{label + ':':<27}{getattr(report, name)}")
     return "\n".join(lines) + "\n"

@@ -147,7 +147,9 @@ def save_kl_cache(table: KLTable, path: str) -> None:
         with contextlib.suppress(OSError):
             os.remove(temporary)
         if isinstance(exc, OSError):
-            raise CliError(f"cannot write cache {path}: {exc}") from exc
+            # the OS reason alone: the exception's text names the temporary
+            # file, whose pid would make the error differ from run to run
+            raise CliError(f"cannot write cache {path}: {exc.strerror or exc}") from exc
         raise
 
 

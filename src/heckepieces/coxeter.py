@@ -38,6 +38,8 @@ from itertools import compress
 from math import factorial
 from typing import Iterable, Sequence
 
+from .laurent import _is_int
+
 Element = int
 Word = tuple[int, ...]
 
@@ -63,7 +65,7 @@ def _validate_matrix(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
     n = len(matrix)
     rows = tuple(tuple(row) for row in matrix)
     for x in sum(rows, ()):
-        if not isinstance(x, int) or isinstance(x, bool):  # bool is a subclass of int
+        if not _is_int(x):
             raise ValueError(f"Coxeter matrix entries must be integers, not {x!r}")
     if any(len(row) != n for row in rows):
         raise ValueError("Coxeter matrix must be square")
@@ -295,12 +297,10 @@ class CoxeterGroup:
 
     def _mult_gen(self, table: dict[int, list[int]], i: int, w: Element) -> Element:
         """table[i][w], refusing what is not a generator or an element (a
-        bare list index would read -1 as the longest element)."""
-        try:
-            if 0 <= w < len(self._length):
-                return table[i][w]
-        except (KeyError, TypeError):
-            pass
+        bare list index would read -1 as the longest element, and True would
+        read as 1)."""
+        if _is_int(i) and i in table and _is_int(w) and 0 <= w < len(self._length):
+            return table[i][w]
         raise ValueError(f"no generator {i} or no element {w!r}")
 
     def generator(self, i: int) -> Element:
@@ -455,7 +455,7 @@ class CoxeterGroup:
         return frozenset(mask_bits(self.bruhat_mask(w)))
 
     def _check_element(self, w: Element) -> None:
-        if not (isinstance(w, int) and 0 <= w < len(self._length)):
+        if not (_is_int(w) and 0 <= w < len(self._length)):
             raise ValueError(f"no element {w!r}")  # -1 would read the last one
 
     # -- parabolic machinery ----------------------------------------------------
@@ -546,7 +546,7 @@ class DiagramAutomorphism:
 
     def __init__(self, group: CoxeterGroup, mapping: dict[int, int]):
         for i in (*mapping, *mapping.values()):
-            if not isinstance(i, int) or isinstance(i, bool):  # True would read as 1
+            if not _is_int(i):
                 raise ValueError(f"generator indices must be integers, not {i!r}")
         gens = set(group.generators())
         if set(mapping) != gens or set(mapping.values()) != gens:

@@ -10,9 +10,9 @@ descents in δ(J).  Each index w carries a stabilization sequence
 
 which becomes constant after finitely many steps; the stable pair
 (J_inf, w_inf) satisfies w_inf J_inf w_inf^{-1} = δ(J_inf) as generator sets,
-and w_inf equals the original w.  ``bedard_sequence`` computes the sequence,
-``bedard_inverse`` validates such a sequence and recovers its index, so the
-two are mutually inverse bijections.
+and w_inf equals the original w.  ``bedard_sequence`` computes the sequence;
+``bedard_inverse`` accepts exactly the sequences it computes and returns their
+last w_n, so the two are mutually inverse bijections.
 
 On the Hecke algebra side, ``mu_J`` is the parabolic contraction
 T_y ↦ T_{δ^{-1}(y_*)} · T_{y^*} for the decomposition y = y^* y_* with
@@ -158,42 +158,21 @@ def bedard_sequence(group: CoxeterGroup, J: Iterable[int],
 def bedard_inverse(group: CoxeterGroup, J: Iterable[int],
                    delta: DiagramAutomorphism,
                    steps: Sequence[tuple[Iterable[int], Element]]) -> Element:
-    """Validate a claimed stabilization sequence and return its piece index.
+    """The piece index whose stabilization sequence is ``steps``.
 
-    The conditions certifying that (J_n, w_n) arises from an index are:
-
-    * J_0 = J and J_n = J_{n-1} ∩ δ^{-1}(ad(w_{n-1}) J_{n-1}) for n >= 1;
-    * every w_n has no left descent in δ(J_n) and no right descent in J_n;
-    * w_n lies in w_{n-1} W_{J_{n-1}} for n >= 1;
-    * the tail is stable: recomputing the subset step from the last pair
-      reproduces its subset.
-
-    For a valid sequence the index is the last w_n.
+    The sequence is accepted exactly when it equals
+    ``bedard_sequence(group, J, delta, w).steps`` for its last element w,
+    which is returned; anything else raises ValueError.
     """
-    Jf = group._check_subset(J)
-    norm = [(frozenset(group._check_subset(Jn)), wn) for Jn, wn in steps]
+    norm = tuple((group._check_subset(Jn), wn) for Jn, wn in steps)
+    for _, wn in norm:
+        group._check_element(wn)
     if not norm:
         raise ValueError("empty sequence")
-    if norm[0][0] != Jf:
-        raise ValueError("sequence must start at the given subset J")
-    for n, (Jn, wn) in enumerate(norm):
-        # these lookups refuse a wn that is not an element
-        if not group.is_left_min(wn, delta.on_set(Jn)) or not group.is_right_min(wn, Jn):
-            raise ValueError(f"step {n}: not a minimal double coset representative")
-        if n >= 1:
-            Jprev, wprev = norm[n - 1]
-            ad = ad_indices(group, wprev, Jprev)
-            if Jn != frozenset(i for i in Jprev if delta(i) in ad):
-                raise ValueError(f"step {n}: subset does not follow the recursion")
-            if not group._in_parabolic(group._product(group._inv[wprev], wn), Jprev):
-                raise ValueError(f"step {n}: leaves the previous right coset")
-    J_last, w_last = norm[-1]
-    ad = ad_indices(group, w_last, J_last)
-    stable = frozenset(i for i in J_last if delta(i) in ad)
-    if stable != J_last:
-        raise ValueError("sequence has not stabilized; more steps are required")
-    _validate_index(group, Jf, delta, w_last)
-    return w_last
+    w = norm[-1][1]
+    if bedard_sequence(group, J, delta, w).steps != norm:
+        raise ValueError("not the stabilization sequence of its last element")
+    return w
 
 
 def piece_indices(group: CoxeterGroup, J: Iterable[int],

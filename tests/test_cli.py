@@ -3,7 +3,11 @@
 import errno
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -368,6 +372,21 @@ def test_failed_cache_write_leaves_no_file(tmp_path, b2, monkeypatch):
             save_kl_cache(table, str(target))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["good.klcache"]
     assert good.read_bytes() == before
+
+
+def test_cache_write_error_is_deterministic(tmp_path):
+    """The same failing ``kl --cache`` in two processes writes the same
+    error: the target and the OS reason, not the temporary file, whose
+    name holds the process id."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "heckepieces.cli",
+            "kl", "--type", "B2", "--cache", str(tmp_path / "missing" / "c")]
+    runs = [subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
+            for _ in range(2)]
+    assert [run.returncode for run in runs] == [2, 2]
+    assert runs[0].stderr == runs[1].stderr
+    assert runs[0].stderr.startswith("error: cannot write cache ")
+    assert ".tmp" not in runs[0].stderr
 
 
 @pytest.mark.parametrize("mangle,message", [

@@ -193,10 +193,11 @@ def test_groups_above_the_cap_are_refused_up_front():
     coxeter_group("B3"),
     coxeter_group(A3_MATRIX),
 ], ids=["B3", "matrix:A3"])
-@pytest.mark.parametrize("bad", [0, -1, 4])
+@pytest.mark.parametrize("bad", [0, -1, 4, True])
 def test_generators_outside_the_range_raise(group, bad):
     """Neither a generator outside 1..rank nor an element outside range(|W|)
-    is looked up; in particular element -1 must not wrap to the last one."""
+    is looked up; in particular element -1 must not wrap to the last one,
+    and True must not read as generator or element 1."""
     w = group.elements()[5]
     with pytest.raises(ValueError):
         group.right_mult_gen(w, bad)
@@ -204,7 +205,7 @@ def test_generators_outside_the_range_raise(group, bad):
         group.left_mult_gen(bad, w)
     with pytest.raises(ValueError):
         group.generator(bad)
-    for x in (-1, len(group.elements()), (1, 2, 3)):
+    for x in (-1, len(group.elements()), (1, 2, 3), True):
         with pytest.raises(ValueError):
             group.right_mult_gen(x, 1)
         with pytest.raises(ValueError):
@@ -709,12 +710,13 @@ def test_bruhat_lookups_refuse_elements_outside_the_group(b3):
 
 def test_table_lookups_refuse_elements_outside_the_group(b3):
     """Each public lookup refuses -1 (once read as the longest element:
-    ``length(-1)`` was 9), 48 and a non-integer."""
+    ``length(-1)`` was 9), 48, a non-integer and a bool (``length(True)``
+    was 1)."""
     lookups = [b3.length, b3.reduced_word, b3.word_str, b3.inverse,
                b3.left_descents, b3.right_descents,
                lambda w: b3.product(w, 1), lambda w: b3.product(1, w),
                lambda w: b3.in_parabolic(w, {1, 2})]
-    for bad in (-1, 48, (1, 2)):
+    for bad in (-1, 48, (1, 2), True, False):
         for lookup in lookups:
             with pytest.raises(ValueError):
                 lookup(bad)

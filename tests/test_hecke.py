@@ -221,7 +221,7 @@ def test_element_refuses_malformed_terms(b2):
         with pytest.raises(TypeError):
             algebra.element({1: coeff})
     top = len(b2.elements()) - 1
-    for w in (99, top + 1, -1, 0.0, None, "1"):
+    for w in (99, top + 1, -1, 0.0, None, "1", True):
         with pytest.raises(ValueError):
             algebra.element({w: ONE})
     h = algebra.element({1: v_power(2), top: ONE})
@@ -606,10 +606,11 @@ def test_inverse_kl_requires_closed_support(b4, b4_kl):
         inverse_kl(b4_kl, [w for w in WJ if b4.length(w) != 1])
 
 
-@pytest.mark.parametrize("entry", [-1, 0.5, None, "order"])
+@pytest.mark.parametrize("entry", [-1, 0.5, None, "order", True])
 def test_inverse_kl_refuses_what_is_not_an_element(b2, entry):
     """-1 would fail in ``1 << w`` with "negative shift count", 0.5 and None
-    with a TypeError, and |W| past the end of the length table."""
+    with a TypeError, |W| past the end of the length table, and True would
+    read as element 1."""
     table = kl_table(b2)
     if entry == "order":
         entry = len(b2.elements())

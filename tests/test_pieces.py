@@ -14,6 +14,8 @@ from heckepieces.hecke import HeckeAlgebra, WeightFunction
 from heckepieces.laurent import Laurent, ONE
 from heckepieces.pieces import (
     E_operator,
+    _validate_index,
+    ad_indices,
     bedard_inverse,
     bedard_sequence,
     closure_hasse,
@@ -125,6 +127,126 @@ def test_tampered_sequences_rejected(b4, b4_data):
     with pytest.raises(ValueError):  # not a minimal double coset representative
         bad = [(J, b4.parse_word("12"))]
         bedard_inverse(b4, J, delta, bad)
+
+
+def test_padded_sequences_rejected(b4, b4_data):
+    """A copy of the stable last step appended is not a sequence that
+    ``bedard_sequence`` computes (``reference_bedard_inverse`` accepts it)."""
+    delta, idx, datas = b4_data
+    for w in idx:
+        padded = [*datas[w].steps, datas[w].steps[-1]]
+        assert reference_bedard_inverse(b4, J, delta, padded) == w
+        with pytest.raises(ValueError):
+            bedard_inverse(b4, J, delta, padded)
+
+
+def reference_bedard_inverse(group, J, delta, steps):
+    """Validate a claimed stabilization sequence and return its piece index.
+
+    The conditions certifying that (J_n, w_n) arises from an index are:
+
+    * J_0 = J and J_n = J_{n-1} ∩ δ^{-1}(ad(w_{n-1}) J_{n-1}) for n >= 1;
+    * every w_n has no left descent in δ(J_n) and no right descent in J_n;
+    * w_n lies in w_{n-1} W_{J_{n-1}} for n >= 1;
+    * the tail is stable: recomputing the subset step from the last pair
+      reproduces its subset.
+
+    For a valid sequence the index is the last w_n.
+    """
+    Jf = group._check_subset(J)
+    norm = [(frozenset(group._check_subset(Jn)), wn) for Jn, wn in steps]
+    if not norm:
+        raise ValueError("empty sequence")
+    if norm[0][0] != Jf:
+        raise ValueError("sequence must start at the given subset J")
+    for n, (Jn, wn) in enumerate(norm):
+        # these lookups refuse a wn that is not an element
+        if not group.is_left_min(wn, delta.on_set(Jn)) or not group.is_right_min(wn, Jn):
+            raise ValueError(f"step {n}: not a minimal double coset representative")
+        if n >= 1:
+            Jprev, wprev = norm[n - 1]
+            ad = ad_indices(group, wprev, Jprev)
+            if Jn != frozenset(i for i in Jprev if delta(i) in ad):
+                raise ValueError(f"step {n}: subset does not follow the recursion")
+            if not group._in_parabolic(group._product(group._inv[wprev], wn), Jprev):
+                raise ValueError(f"step {n}: leaves the previous right coset")
+    J_last, w_last = norm[-1]
+    ad = ad_indices(group, w_last, J_last)
+    stable = frozenset(i for i in J_last if delta(i) in ad)
+    if stable != J_last:
+        raise ValueError("sequence has not stabilized; more steps are required")
+    _validate_index(group, Jf, delta, w_last)
+    return w_last
+
+
+def _candidate_sequences(group, Jf, delta):
+    """Depth-first, every sequence whose subsets follow the recursion and
+    whose w_n are minimal double coset representatives, each in the right
+    coset of the one before, ending at its first stable step.  These are
+    the rules of ``reference_bedard_inverse`` but for the last w being a
+    piece index; a sequence ending at a later stable step only repeats it."""
+    def extend(steps):
+        Jn, wn = steps[-1]
+        ad = ad_indices(group, wn, Jn)
+        Jnext = frozenset(i for i in Jn if delta(i) in ad)
+        if Jnext == Jn:
+            yield steps
+            return
+        for u in group.parabolic_elements(Jn):
+            w = group.product(wn, u)
+            if group.is_left_min(w, delta.on_set(Jnext)) and group.is_right_min(w, Jnext):
+                yield from extend(steps + ((Jnext, w),))
+
+    for w in group.double_coset_reps(delta.on_set(Jf), Jf):
+        yield from extend(((Jf, w),))
+
+
+def _accepts(inverse, group, Jf, delta, steps):
+    try:
+        return inverse(group, Jf, delta, steps)
+    except ValueError:
+        return None
+
+
+def _sequence_cases():
+    for rank in (2, 3, 4):
+        group = coxeter_group(f"B{rank}")
+        for Jf in _subsets(group)[1:]:
+            yield group, Jf, group.automorphism()
+    for matrix, flip, sizes in ((A3_MATRIX, {1: 3, 2: 2, 3: 1}, (1, 2)),
+                                (A4_MATRIX, {1: 4, 2: 3, 3: 2, 4: 1}, (1, 2, 3))):
+        group = coxeter_group(matrix)
+        for delta in (group.automorphism(), group.automorphism(flip)):
+            for Jf in _subsets(group):
+                if len(Jf) in sizes:
+                    yield group, Jf, delta
+    d4 = coxeter_group(D4_MATRIX)
+    for delta in (d4.automorphism(), *_d4_deltas(d4)):
+        for Jf in _subsets(d4):
+            if 1 <= len(Jf) <= 3:
+                yield d4, Jf, delta
+
+
+def test_bedard_inverse_accepts_exactly_the_computed_sequences():
+    """Against the rules of ``reference_bedard_inverse``, exhaustively: the
+    sequences they accept that end at their first stable step are exactly
+    one per piece index, each the one ``bedard_sequence`` computes, and
+    ``bedard_inverse`` accepts these and nothing else the search meets,
+    nor any of them padded with its last step."""
+    total = 0
+    for group, Jf, delta in _sequence_cases():
+        case = (group.type_tag, delta.perm, sorted(Jf))
+        accepted = []
+        for steps in _candidate_sequences(group, Jf, delta):
+            w = _accepts(reference_bedard_inverse, group, Jf, delta, steps)
+            assert _accepts(bedard_inverse, group, Jf, delta, steps) == w, case
+            if w is not None:
+                assert bedard_sequence(group, Jf, delta, w).steps == steps, case
+                assert _accepts(bedard_inverse, group, Jf, delta, steps + steps[-1:]) is None
+                accepted.append(w)
+        assert sorted(accepted) == list(piece_indices(group, Jf, delta)), case
+        total += len(accepted)
+    assert total == 6_393
 
 
 # -- twisted normalizer -------------------------------------------------------

@@ -20,6 +20,7 @@ def oneshot():
 @pytest.mark.parametrize("row, expected", [
     ("covers_B5", {"covers": 24_612}),
     ("example_b4", {"exit": 0, "sha256": "15133641529513e3b880d2576c900a4f0987fb0bab131229c34744df76076254"}),
+    ("sequences_B5_J2", {"indices": 1_920}),
 ])
 def test_run_row_in_process(oneshot, row, expected):
     result = oneshot.run_row(row)

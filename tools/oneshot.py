@@ -15,6 +15,9 @@ turns going first, row by row.  The rows:
 - ``closure_hasse_B5_J2``: ``closure_hasse`` on a fresh B5 with J = {2}.
 - ``pieces_B5_J2``: ``pieces --type B5 --J 2 --format json`` through
   ``cli.main``, the import of the CLI included; ``sha256`` is its output's.
+- ``sequences_B5_J2``: ``bedard_sequence`` and then ``bedard_inverse`` of
+  its steps for every piece index of a fresh B5 with J = {2}, the indices
+  listed before the timer starts; ``indices`` is their number.
 - ``covers_B5``, ``covers_B6``: the coatom table of a fresh group and its
   total.
 - ``kl_table_B5``: ``kl_table`` on a fresh B5 whose masks are built before
@@ -24,6 +27,10 @@ turns going first, row by row.  The rows:
   ``load_kl_cache`` of the file, in a temporary directory; ``save_s`` and
   ``load_s`` time each, ``wall_s`` is their sum, and ``sha256`` is the
   file's.
+- ``canonical_basis_B5``: ``canonical_basis`` with ``validate=False`` of the
+  weighted algebra of a fresh B5 with L = (2, 1, 1, 1, 1), its masks built
+  before the timer starts; ``coefficients`` is the number of nonzero
+  p(t, z), the top terms included.
 - ``example_b4``: ``example-b4 --format json`` through ``cli.main``, the
   import of the CLI and the B4 KL table included; ``sha256`` is its
   output's.
@@ -79,6 +86,19 @@ def _cli(*argv: str) -> tuple[float, dict]:
     return wall, {"exit": code, "bytes": len(text), "sha256": hashlib.sha256(text).hexdigest()}
 
 
+def _sequences() -> tuple[float, dict]:
+    from heckepieces.coxeter import coxeter_group
+    from heckepieces.pieces import bedard_inverse, bedard_sequence, piece_indices
+    group = coxeter_group("B5")
+    delta = group.automorphism()
+    indices = piece_indices(group, {2}, delta)
+    start = time.perf_counter()
+    for w in indices:
+        if bedard_inverse(group, {2}, delta, bedard_sequence(group, {2}, delta, w).steps) != w:
+            raise AssertionError(f"bedard_inverse does not invert the sequence of {w}")
+    return time.perf_counter() - start, {"indices": len(indices)}
+
+
 def _covers(rank: int) -> tuple[float, dict]:
     from heckepieces.coxeter import coxeter_group
     group = coxeter_group(f"B{rank}")
@@ -87,13 +107,19 @@ def _covers(rank: int) -> tuple[float, dict]:
     return time.perf_counter() - start, {"covers": sum(map(len, coatoms))}
 
 
-def _b5_table() -> tuple[float, object]:
-    """A fresh B5's KL table, its masks built before the timer starts."""
+def _b5_with_masks():
+    """A fresh B5 with every Bruhat mask built."""
     from heckepieces.coxeter import coxeter_group
-    from heckepieces.hecke import kl_table
     group = coxeter_group("B5")
     for w in group.elements():
         group.bruhat_mask(w)
+    return group
+
+
+def _b5_table() -> tuple[float, object]:
+    """A fresh B5's KL table, its masks built before the timer starts."""
+    from heckepieces.hecke import kl_table
+    group = _b5_with_masks()
     start = time.perf_counter()
     table = kl_table(group)
     return time.perf_counter() - start, table
@@ -121,15 +147,28 @@ def _kl_cache() -> tuple[float, dict]:
                             "bytes": size, "sha256": digest}
 
 
+def _canonical_basis() -> tuple[float, dict]:
+    from heckepieces.hecke import HeckeAlgebra, WeightFunction, canonical_basis
+    group = _b5_with_masks()
+    weight = WeightFunction(group, {1: 2, 2: 1, 3: 1, 4: 1, 5: 1})
+    algebra = HeckeAlgebra(group, "weighted", weight)
+    start = time.perf_counter()
+    basis = canonical_basis(algebra, validate=False)
+    wall = time.perf_counter() - start
+    return wall, {"coefficients": sum(len(c.terms) for c in basis.vectors.values())}
+
+
 ROWS = {  # row name -> its run, in the order the rows are written
     "masks_B5": lambda: _masks(5),
     "masks_B6": lambda: _masks(6),
     "closure_hasse_B5_J2": _closure,
     "pieces_B5_J2": lambda: _cli("pieces", "--type", "B5", "--J", "2", "--format", "json"),
+    "sequences_B5_J2": _sequences,
     "covers_B5": lambda: _covers(5),
     "covers_B6": lambda: _covers(6),
     "kl_table_B5": _kl_table,
     "kl_cache_B5": _kl_cache,
+    "canonical_basis_B5": _canonical_basis,
     "example_b4": lambda: _cli("example-b4", "--format", "json"),
 }
 
