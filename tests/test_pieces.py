@@ -141,7 +141,9 @@ def test_padded_sequences_rejected(b4, b4_data):
 
 
 def reference_bedard_inverse(group, J, delta, steps):
-    """Validate a claimed stabilization sequence and return its piece index.
+    """Validate a claimed stabilization sequence and return its piece index,
+    by the rules ``bedard_inverse`` first checked; they also accept a
+    sequence that goes on past its first stable step.
 
     The conditions certifying that (J_n, w_n) arises from an index are:
 
