@@ -116,21 +116,17 @@ def _cache_blocks(table: KLTable) -> Iterator[str]:
     records per w by w-word, each block's records by y-word.  The one place
     that spells the record format and decides its order; each pool
     polynomial is rendered once and each record picks its text by pool
-    index.  The words are sorted once; a column sorts its ideal by each
-    element's integer rank in that order."""
+    index.  Each block's records are sorted as text, which is y-word order:
+    they differ first in their distinct y-words, and the tab after a word
+    sorts below every character a word holds (the digits 1-9 and "∅")."""
     group = table.group
     words = group._word_strs()
     texts = [_coefficient_text(_q_coefficients(p)) for p in table.pool]
-    by_word = sorted(group.elements(), key=words.__getitem__)
-    rank = [0] * len(by_word)
-    for i, w in enumerate(by_word):
-        rank[w] = i
     yield _cache_header(group) + "\n"
-    for w in by_word:
-        ideal = mask_bits(group.bruhat_mask(w))
-        column, tail = table.columns[w], f"\t{words[w]}\t"
-        order = sorted(range(len(ideal)), key=[rank[y] for y in ideal].__getitem__)
-        yield "".join(f"{words[ideal[i]]}{tail}{texts[column[i]]}\n" for i in order)
+    for w in sorted(group.elements(), key=words.__getitem__):
+        tail = f"\t{words[w]}\t"
+        yield "".join(sorted([f"{words[y]}{tail}{texts[i]}\n" for y, i in
+                              zip(mask_bits(group.bruhat_mask(w)), table.columns[w])]))
 
 
 def save_kl_cache(table: KLTable, path: str) -> None:

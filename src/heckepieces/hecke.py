@@ -130,12 +130,17 @@ class HeckeElement:
     def __hash__(self) -> int:
         return hash((id(self.algebra), frozenset(self.terms.items())))
 
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
+    def __add__(self, other: object) -> "HeckeElement":
+        if not isinstance(other, HeckeElement):
+            return NotImplemented
+        if other.algebra is not self.algebra:  # as ``multiply`` refuses it
+            raise ValueError("operands belong to a different algebra")
         return HeckeElement(self.algebra, add_into(dict(self.terms), other.terms.items()))
 
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        negated = ((w, -c) for w, c in other.terms.items())
-        return HeckeElement(self.algebra, add_into(dict(self.terms), negated))
+    def __sub__(self, other: object) -> "HeckeElement":
+        if not isinstance(other, HeckeElement):
+            return NotImplemented
+        return self + -other
 
     def __neg__(self) -> "HeckeElement":
         return HeckeElement(self.algebra, {w: -c for w, c in self.terms.items()})
@@ -198,7 +203,7 @@ class HeckeAlgebra:
             s: self.element({group.generator(s): b_inv, group.identity(): -(a * b_inv)})
             for s, (a, _) in quad.items()
         }
-        self._bar_basis: dict[Element, HeckeElement] = {}
+        self._bar_basis: dict[Element, HeckeElement] = {group.identity(): self.unit()}
         # Memo of ``pieces.mu_J`` on basis elements: one dict
         # {y: terms of mu(T_y)} per (J, δ), held here so that it is freed
         # together with the algebra.
@@ -232,13 +237,13 @@ class HeckeAlgebra:
     def _times_gen(self, terms: Mapping[Element, Laurent], s: int) -> dict[Element, Laurent]:
         """The terms of h · T_s, for h given by its terms: the only
         generator step."""
-        length, times_s = self.group._length, self.group._rmul[s]
+        times_s = self.group._rmul[s]
         a, b = self._quad[s]
         unit_b = b == ONE  # the weighted normalization: T_s^2 = a_s T_s + 1
         pairs = []
         for w, c in terms.items():
             ws = times_s[w]
-            if length[ws] > length[w]:
+            if ws > w:  # elements are numbered by length: l(ws) > l(w)
                 pairs.append((ws, c))
             else:
                 pairs += ((w, c * a), (ws, c if unit_b else c * b))
@@ -260,19 +265,13 @@ class HeckeAlgebra:
     # -- bar involution ----------------------------------------------------------
 
     def _bar_of_basis(self, w: Element) -> HeckeElement:
-        cached = self._bar_basis.get(w)
-        if cached is not None:
-            return cached
-        group = self.group
-        if w == group.identity():
-            result = self.unit()
-        else:
+        cached = self._bar_basis.get(w)  # seeded with bar(T_e) = T_e
+        if cached is None:
             # bar(T_w) = bar(T_ws) · bar(T_s), one generator step
-            s = min(group.right_descents(w))
-            rest = self._bar_of_basis(group.right_mult_gen(w, s))
-            result = self.multiply(rest, self._gen_bar[s])
-        self._bar_basis[w] = result
-        return result
+            s = min(self.group.right_descents(w))
+            rest = self._bar_of_basis(self.group.right_mult_gen(w, s))
+            cached = self._bar_basis[w] = self.multiply(rest, self._gen_bar[s])
+        return cached
 
     def bar(self, h: HeckeElement) -> HeckeElement:
         """The semilinear involution: bar(sum c_w T_w) = sum bar(c_w) bar(T_w)."""
@@ -457,10 +456,9 @@ def kl_table(group: CoxeterGroup) -> KLTable:
         column[w] = 0
         mus = []
         for y in ideal[-2::-1]:  # below w, downwards
-            ly = length[y]
             for step in steps:
                 u = step[y]
-                if length[u] > ly:
+                if u > y:  # elements are numbered by length: l(u) > l(y)
                     column[y] = column[u]
                     if u == w:
                         mus.append((y, 1))
@@ -484,7 +482,7 @@ def kl_table(group: CoxeterGroup) -> KLTable:
                     codes.append(val)
                     largest = max([largest] + [abs(c) for _, c in p.items()])
                 column[y] = i
-                d = lw - ly
+                d = lw - length[y]
                 if d % 2 == 1 and pool[i].coeff(d - 1):
                     mus.append((y, pool[i].coeff(d - 1)))
         columns.append(_frozen(map(column.__getitem__, ideal), pool))
@@ -594,7 +592,6 @@ def canonical_basis(algebra: HeckeAlgebra, validate: bool = True) -> CanonicalBa
         raise ValueError("canonical bases are defined here for the weighted normalization")
     group = algebra.group
     weight = algebra.weight
-    length = group._length
     pool: list[Laurent] = [ZERO, ONE]
     index: dict[Laurent, int] = {ZERO: 0, ONE: 1}
     strict = [True, False]  # pool[i].in_v_minus_strict()
@@ -623,7 +620,7 @@ def canonical_basis(algebra: HeckeAlgebra, validate: bool = True) -> CanonicalBa
             us = times_s[u]
             a, b = prev.get(us, 0), prev.get(u, 0)
             if a or b:
-                key = (a, b, L if length[us] < length[u] else -L)
+                key = (a, b, L if us < u else -L)  # numbered by length: l(us) < l(u)
                 i = sums.get(key)
                 if i is None:
                     i = sums[key] = intern(pool[a] + pool[b].shift(key[2]))

@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .coxeter import CoxeterGroup, DiagramAutomorphism, Element, mask_bits
 from .hecke import HeckeAlgebra, HeckeElement
-from .laurent import ONE, Laurent, add_into
+from .laurent import ONE, Laurent, _is_int, add_into
 
 
 def ad_indices(group: CoxeterGroup, w: Element, K: Iterable[int]) -> frozenset:
@@ -68,7 +68,8 @@ class BedardData:
 
     ``steps[n] = (J_n, w_n)`` for n = 0..n0, where n0 is the first index with
     J_{n0} = J_{n0+1}; the sequence is constant from n0 on, so ``J_at`` and
-    ``w_at`` clamp to the tail.
+    ``w_at`` clamp to the tail.  They refuse an n that is negative or not an
+    int, which would read the steps from the end.
     """
 
     group: CoxeterGroup
@@ -94,11 +95,16 @@ class BedardData:
         """δ(J_inf) — the parabolic that E-operators land in."""
         return self.delta.on_set(self.J_infinity)
 
+    def _step(self, n: int) -> tuple[frozenset, Element]:
+        if not _is_int(n) or n < 0:
+            raise ValueError(f"sequence index must be a nonnegative int, got {n!r}")
+        return self.steps[min(n, self.n0)]
+
     def J_at(self, n: int) -> frozenset:
-        return self.steps[min(n, self.n0)][0]
+        return self._step(n)[0]
 
     def w_at(self, n: int) -> Element:
-        return self.steps[min(n, self.n0)][1]
+        return self._step(n)[1]
 
     # -- the generator twist --------------------------------------------------
 
@@ -117,7 +123,15 @@ class BedardData:
     def tau_element(self, h: HeckeElement) -> HeckeElement:
         """tau applied basiswise, T_x ↦ T_{tau(x)} — an algebra map because
         tau permutes the generators of the target parabolic."""
+        _check_group(h, self)
         return HeckeElement(h.algebra, {self.tau(x): c for x, c in h.terms.items()})
+
+
+def _check_group(h: HeckeElement, data: BedardData | DiagramAutomorphism) -> None:
+    """Refuse a δ or a sequence of another group than h's algebra: its
+    elements would be read as elements of the wrong group."""
+    if data.group is not h.algebra.group:
+        raise ValueError("h belongs to an algebra of another group")
 
 
 def _validate_index(group: CoxeterGroup, J: frozenset, delta: DiagramAutomorphism,
@@ -328,8 +342,10 @@ def mu_J(h: HeckeElement, J: Iterable[int], delta: DiagramAutomorphism) -> Hecke
     one dict {y: terms of the image} per (J, δ), filled by ``_mu_on_basis``
     on first use; J is checked and the dict and δ(J) are found once per
     call, not once per term.  A coefficient ONE, of a term of h or of an
-    image T_b, is not multiplied.
+    image T_b, is not multiplied.  Raises ValueError if δ is of another
+    group than h's algebra.
     """
+    _check_group(h, delta)
     algebra = h.algebra
     Jf = algebra.group._check_subset(J)
     if not Jf:
@@ -354,7 +370,9 @@ def mu_J(h: HeckeElement, J: Iterable[int], delta: DiagramAutomorphism) -> Hecke
 
 def piece_projection(h: HeckeElement, data: BedardData) -> HeckeElement:
     """T_y ↦ T_{wy} when wy stays in W_{δ(J_inf)}, else 0, extended linearly
-    (w the piece index)."""
+    (w the piece index).  Raises ValueError if ``data`` is of another group
+    than h's algebra."""
+    _check_group(h, data)
     group = h.algebra.group
     K = data.target_parabolic
     # y ↦ wy is injective, so no two terms land on the same T and nothing sums

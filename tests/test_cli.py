@@ -267,6 +267,15 @@ def test_cache_write_is_streamed(b4_kl, tmp_path):
     assert peak < path.stat().st_size == 841_525
 
 
+def test_b4_cache_digest(b4_kl, tmp_path):
+    """The B4 cache's bytes are pinned: a change of record order, spelling
+    or line endings shows here."""
+    path = tmp_path / "b4.klcache"
+    save_kl_cache(b4_kl, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "02595fe3df6fbfaffb553f546458ad0a90d6645f61a4f8f95571c4b6662b4fd8"
+
+
 def test_cache_rejects_wrong_group(b2_cache, capsys):
     assert main(["kl", "--type", "B3", "--cache", str(b2_cache)]) == 2
     assert "bad cache header" in capsys.readouterr().err

@@ -148,6 +148,23 @@ def test_elements_come_in_sort_key_order(group):
     assert list(elements) == sorted(elements, key=group.sort_key)
 
 
+@pytest.mark.parametrize("spec", [
+    "B4", A3_MATRIX, CENSUS_CASES["D4"][0], CENSUS_CASES["H3"][0],
+    _coxeter_matrix(2, [(1, 2, 5)]),
+], ids=["B4", "matrix:A3", "matrix:D4", "matrix:H3", "matrix:I2(5)"])
+def test_one_generator_steps_compare_like_lengths(spec):
+    """A generator on either side changes the length by exactly one, and
+    elements are numbered by length, so ``u > y`` says l(u) > l(y) for
+    u = y·s and u = s·y: the one-generator steps of the Hecke layer
+    compare element numbers instead of lengths."""
+    group = coxeter_group(spec)
+    for y in group.elements():
+        for s in group.generators():
+            for u in (group.right_mult_gen(y, s), group.left_mult_gen(s, y)):
+                assert abs(group.length(u) - group.length(y)) == 1
+                assert (u > y) == (group.length(u) > group.length(y))
+
+
 @pytest.mark.parametrize("name", sorted(CENSUS_CASES))
 def test_order_of_census_cases(name):
     matrix = CENSUS_CASES[name][0]

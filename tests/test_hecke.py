@@ -1,6 +1,7 @@
 """Hecke algebras: relations, bar involution, KL tables, canonical bases."""
 
 import itertools
+import operator
 import random
 import tracemalloc
 
@@ -227,6 +228,22 @@ def test_element_refuses_malformed_terms(b2):
     h = algebra.element({1: v_power(2), top: ONE})
     assert algebra.bar(algebra.bar(h)) == h
     assert algebra.element({}) == algebra.zero()
+
+
+def test_sums_refuse_operands_of_another_algebra(b2):
+    """``+`` and ``-`` take only an element of the same algebra, as
+    ``multiply`` does: T_1 of two algebras are unequal, so their difference
+    is not 0, and a number is no operand at all."""
+    split, weighted = HeckeAlgebra(b2), HeckeAlgebra(b2, "weighted", split_weight(b2))
+    h = split.basis(1)
+    assert h != weighted.basis(1)
+    for op in (operator.add, operator.sub):
+        with pytest.raises(ValueError, match="operands belong to a different algebra"):
+            op(h, weighted.basis(1))
+        for other in (1, 0, ONE, None):
+            with pytest.raises(TypeError):
+                op(h, other)
+    assert h + h - h == h
 
 
 # -- bar involution ----------------------------------------------------------

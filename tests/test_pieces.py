@@ -24,6 +24,7 @@ from heckepieces.pieces import (
     mu_J,
     piece_dimension,
     piece_indices,
+    piece_projection,
     twisted_normalizer,
 )
 
@@ -62,6 +63,18 @@ def test_indices_partition_group(b4, b4_data):
         for u in WJ:
             seen.add(b4.product(u, w))
     assert len(seen) == 48 * 8 == len(b4.elements())
+
+
+def test_sequence_positions_refuse_negative_and_non_int_n(b4, b4_data):
+    """``J_at`` and ``w_at`` clamp n past n0 to the stable pair and refuse
+    an n that would read the steps from the end."""
+    data = b4_data[2][b4.parse_word("32")]
+    assert [data.J_at(n) for n in range(4)] == [J, {1}, set(), set()]
+    assert [data.w_at(n) for n in range(4)] == [step[1] for step in data.steps] + [data.w]
+    for n in (-1, -2, True, 1.0, "1", None):
+        for position in (data.J_at, data.w_at):
+            with pytest.raises(ValueError, match="nonnegative int"):
+                position(n)
 
 
 def test_stable_pair_properties(b4, b4_data):
@@ -621,6 +634,25 @@ def test_mu_cache_dies_with_its_algebra(b2):
     del algebra
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("operation", ["mu_J", "E_operator", "piece_projection",
+                                       "tau_element"])
+def test_operators_refuse_data_of_another_group(b3, b4, operation):
+    """An element of a B3 algebra is refused by a δ or a sequence of B4,
+    whose element numbers would be read as B3's."""
+    h = HeckeAlgebra(b3).basis(21)
+    delta = b4.automorphism()
+    data = bedard_sequence(b4, J, delta, 4)
+    assert data.n0 == 0
+    call = {
+        "mu_J": lambda: mu_J(h, J, delta),
+        "E_operator": lambda: E_operator(h, data, 0),
+        "piece_projection": lambda: piece_projection(h, data),
+        "tau_element": lambda: data.tau_element(h),
+    }[operation]
+    with pytest.raises(ValueError, match="another group"):
+        call()
 
 
 def test_projection_selects_coset(b4, b4_data):

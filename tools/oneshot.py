@@ -31,6 +31,10 @@ turns going first, row by row.  The rows:
   weighted algebra of a fresh B5 with L = (2, 1, 1, 1, 1), its masks built
   before the timer starts; ``coefficients`` is the number of nonzero
   p(t, z), the top terms included.
+- ``canonical_basis_B4_validated``: ``canonical_basis`` with
+  ``validate=True`` of the weighted algebra of a fresh B4 with
+  L = (2, 1, 1, 1), its masks built before the timer starts; ``coefficients``
+  as in ``canonical_basis_B5``.
 - ``example_b4``: ``example-b4 --format json`` through ``cli.main``, the
   import of the CLI and the B4 KL table included; ``sha256`` is its
   output's.
@@ -107,10 +111,10 @@ def _covers(rank: int) -> tuple[float, dict]:
     return time.perf_counter() - start, {"covers": sum(map(len, coatoms))}
 
 
-def _b5_with_masks():
-    """A fresh B5 with every Bruhat mask built."""
+def _with_masks(rank: int):
+    """A fresh B_rank with every Bruhat mask built."""
     from heckepieces.coxeter import coxeter_group
-    group = coxeter_group("B5")
+    group = coxeter_group(f"B{rank}")
     for w in group.elements():
         group.bruhat_mask(w)
     return group
@@ -119,7 +123,7 @@ def _b5_with_masks():
 def _b5_table() -> tuple[float, object]:
     """A fresh B5's KL table, its masks built before the timer starts."""
     from heckepieces.hecke import kl_table
-    group = _b5_with_masks()
+    group = _with_masks(5)
     start = time.perf_counter()
     table = kl_table(group)
     return time.perf_counter() - start, table
@@ -147,13 +151,13 @@ def _kl_cache() -> tuple[float, dict]:
                             "bytes": size, "sha256": digest}
 
 
-def _canonical_basis() -> tuple[float, dict]:
+def _canonical_basis(rank: int, validate: bool) -> tuple[float, dict]:
     from heckepieces.hecke import HeckeAlgebra, WeightFunction, canonical_basis
-    group = _b5_with_masks()
-    weight = WeightFunction(group, {1: 2, 2: 1, 3: 1, 4: 1, 5: 1})
+    group = _with_masks(rank)
+    weight = WeightFunction(group, {1: 2, **{i: 1 for i in range(2, rank + 1)}})
     algebra = HeckeAlgebra(group, "weighted", weight)
     start = time.perf_counter()
-    basis = canonical_basis(algebra, validate=False)
+    basis = canonical_basis(algebra, validate=validate)
     wall = time.perf_counter() - start
     return wall, {"coefficients": sum(len(c.terms) for c in basis.vectors.values())}
 
@@ -168,7 +172,8 @@ ROWS = {  # row name -> its run, in the order the rows are written
     "covers_B6": lambda: _covers(6),
     "kl_table_B5": _kl_table,
     "kl_cache_B5": _kl_cache,
-    "canonical_basis_B5": _canonical_basis,
+    "canonical_basis_B5": lambda: _canonical_basis(5, validate=False),
+    "canonical_basis_B4_validated": lambda: _canonical_basis(4, validate=True),
     "example_b4": lambda: _cli("example-b4", "--format", "json"),
 }
 
