@@ -50,10 +50,7 @@ from .pieces import piece_dimension
 
 def _pol(*terms: tuple[int, int]) -> Laurent:
     """Laurent polynomial from explicit (coefficient, exponent) pairs."""
-    out = ZERO
-    for c, e in terms:
-        out = out + Laurent({e: c})
-    return out
+    return Laurent(add_into({}, ((e, c) for c, e in terms)))
 
 
 # --------------------------------------------------------------------------
@@ -403,9 +400,8 @@ def check_restrictions(ctx: B4Context) -> CheckResult:
                 coeffs = restriction_coefficients(ctx, t, z, u)
                 got = {group.word_str(x): c for x, c in coeffs.items()
                        if c != ZERO}
-                want: dict[str, Laurent] = {}
-                for poly, target in EXACT_TABLES[fam][uw]:
-                    want[target] = want.get(target, ZERO) + poly
+                want = add_into({}, ((target, poly) for poly, target
+                                     in EXACT_TABLES[fam][uw]))
                 if fam in IMPLICIT_TOP_FAMILIES:
                     forced = ctx.kl.get(
                         group.product(group.inverse(t), top),
@@ -452,12 +448,11 @@ def check_chi(ctx: B4Context) -> CheckResult:
             zeta = v_power(group.length(t) - group.length(z))
             pattern = CHI_PATTERNS[family_of(tn, zn)]
             for src in BLOCK:
-                want = {dst: ZERO for dst in BLOCK}
-                for poly, dst in pattern[src]:
-                    want[dst] = want[dst] + zeta * poly
+                want = add_into({}, ((dst, poly) for poly, dst in pattern[src]),
+                                zeta)
                 for dst in BLOCK:
                     n_checked += 1
-                    if sol.chi_coeff(src, dst) != want[dst]:
+                    if sol.chi_coeff(src, dst) != want.get(dst, ZERO):
                         failures.append(f"chi ({tn},{zn}) {src}->{dst}")
     return _result("transition patterns", failures,
                    f"{n_checked} coordinates over 64 pairs, all unique")

@@ -359,15 +359,11 @@ def _probe_divisors(ctx: B4Context, z: Element) -> dict[str, Laurent]:
         return kept
     div: dict[str, Laurent] = {}
     for wd in PROBE_WORDS:
-        nd = boundary_dims(ctx, z, ctx.probes[wd])
-        pair = PROBE_SUPPORT[wd]
-        c0 = nd.get(pair[0], ZERO)
-        if not c0 or nd.get(pair[1], ZERO) != c0:
+        nd = boundary_dims(ctx, z, ctx.probes[wd])  # no zero values, no unit symbol
+        a, b = PROBE_SUPPORT[wd]
+        if nd.keys() != {a, b} or nd[a] != nd[b]:
             raise AssertionError("boundary data lost its two-point support")
-        for sym in NONUNIT:
-            if sym not in pair and nd.get(sym):
-                raise AssertionError("boundary data lost its two-point support")
-        div[wd] = c0
+        div[wd] = nd[a]
     ctx._divisors[z] = div
     return div
 
@@ -456,17 +452,13 @@ def cuspidal_scalar(sol: ChiSolution) -> Laurent:
     from the unit symbol; raises when the combination has a different shape.
     """
     comb: dict[str, Laurent] = {}
-    for coord in NONUNIT:
-        acc = ZERO
-        for C in BLOCK:
-            term = sol.chi_coeff(C, coord)
-            acc = acc + (term if IOTA[C] == 1 else -term)
-        comb[coord] = acc
-    if comb["S"]:
-        raise AssertionError("alternating combination has a cuspidal component")
-    X = comb["rho"]
     for C in BLOCK:
-        if comb[C] != (X if IOTA[C] == 1 else -X):
+        add_into(comb, sol.chi[C].items(), IOTA[C])
+    if "S" in comb:
+        raise AssertionError("alternating combination has a cuspidal component")
+    X = comb.get("rho", ZERO)
+    for C in BLOCK:
+        if comb.get(C, ZERO) != X * IOTA[C]:
             raise AssertionError("alternating combination is not a scalar multiple")
     return X
 

@@ -85,6 +85,8 @@ class WeightFunction:
         self.values = {i: values[i] for i in group.generators()}
 
     def __call__(self, i: int) -> int:
+        if not (_is_int(i) and i in self.values):
+            raise ValueError(f"no generator {i!r}")
         return self.values[i]
 
     def of(self, w: Element) -> int:
@@ -218,6 +220,7 @@ class HeckeAlgebra:
         return HeckeElement(self, {self.group.identity(): ONE})
 
     def basis(self, w: Element) -> HeckeElement:
+        self.group._check_element(w)
         return HeckeElement(self, {w: ONE})
 
     def element(self, terms: Mapping[Element, Laurent]) -> HeckeElement:
@@ -239,14 +242,13 @@ class HeckeAlgebra:
         generator step."""
         times_s = self.group._rmul[s]
         a, b = self._quad[s]
-        unit_b = b == ONE  # the weighted normalization: T_s^2 = a_s T_s + 1
         pairs = []
         for w, c in terms.items():
             ws = times_s[w]
             if ws > w:  # elements are numbered by length: l(ws) > l(w)
                 pairs.append((ws, c))
             else:
-                pairs += ((w, c * a), (ws, c if unit_b else c * b))
+                pairs += ((w, c * a), (ws, c * b))
         return add_into({}, pairs)
 
     def multiply(self, x: HeckeElement, y: HeckeElement) -> HeckeElement:
@@ -429,16 +431,12 @@ def kl_table(group: CoxeterGroup) -> KLTable:
     codes = [1]  # codes[i] = pool[i] at q = 2^k
     index: dict[int, int] = {1: 0}
     largest = 1  # the largest |coefficient| in the pool
-    columns: list[array] = []
-    mu_lists: dict[Element, tuple[tuple[Element, int], ...]] = {}
+    columns: list[array] = [_frozen([0], pool)]  # the identity: P_{e,e} = 1
+    mu_lists: dict[Element, tuple[tuple[Element, int], ...]] = {e: ()}
     column = [0] * len(elements)  # y -> pool index in the column that fills
     extremal = 0
 
-    for w in elements:
-        if w == e:
-            columns.append(_frozen([0], pool))
-            mu_lists[w] = ()
-            continue
+    for w in elements[1:]:
         s = min(ldesc[w])
         s_times = group._lmul[s]
         sw = s_times[w]
@@ -608,9 +606,7 @@ def canonical_basis(algebra: HeckeAlgebra, validate: bool = True) -> CanonicalBa
     heads: dict[int, int] = {}  # coefficient -> its bar-symmetric head
     e = group.identity()
     columns: dict[Element, dict[Element, int]] = {e: {e: 1}}
-    for z in group.elements():
-        if z == e:
-            continue
+    for z in group.elements()[1:]:
         s = min(group._rdesc[z])
         times_s, L = group._rmul[s], weight(s)
         prev = columns[times_s[z]]

@@ -383,11 +383,12 @@ def piece_projection(h: HeckeElement, data: BedardData) -> HeckeElement:
 def E_operator(h: HeckeElement, data: BedardData, n: int) -> HeckeElement:
     """The composite  project ∘ mu_{J_{n-1}} ∘ ··· ∘ mu_{J_0}  for n >= n0.
 
-    Raises ValueError when n < n0 (the sequence has not stabilized yet, so
-    the projection target is not defined).
+    Raises ValueError when n is not an int (a bool included) or n < n0 (the
+    sequence has not stabilized yet, so the projection target is not
+    defined).
     """
-    if n < data.n0:
-        raise ValueError(f"operator needs n >= {data.n0}, got {n}")
+    if not (_is_int(n) and n >= data.n0):
+        raise ValueError(f"operator needs n >= {data.n0}, got {n!r}")
     for k in range(n):
         h = mu_J(h, data.J_at(k), data.delta)
     return piece_projection(h, data)

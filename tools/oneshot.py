@@ -20,9 +20,10 @@ turns going first, row by row.  The rows:
   listed before the timer starts; ``indices`` is their number.
 - ``covers_B5``, ``covers_B6``: the coatom table of a fresh group and its
   total.
-- ``kl_table_B5``: ``kl_table`` on a fresh B5 whose masks are built before
-  the timer starts; ``pool`` is the number of distinct polynomials and
-  ``extremal`` the table's count of pairs that ran the recursion.
+- ``kl_table_B5``, ``kl_table_B6``: ``kl_table`` on a fresh group whose
+  masks are built before the timer starts; ``pool`` is the number of
+  distinct polynomials and ``extremal`` the table's count of pairs that ran
+  the recursion.  The B6 row takes minutes and about 1 GB.
 - ``kl_cache_B5``: ``save_kl_cache`` of that table and then
   ``load_kl_cache`` of the file, in a temporary directory; ``save_s`` and
   ``load_s`` time each, ``wall_s`` is their sum, and ``sha256`` is the
@@ -120,23 +121,33 @@ def _with_masks(rank: int):
     return group
 
 
-def _b5_table() -> tuple[float, object]:
-    """A fresh B5's KL table, its masks built before the timer starts."""
+def _table(rank: int) -> tuple[float, object]:
+    """A fresh B_rank's KL table, its masks built before the timer starts."""
     from heckepieces.hecke import kl_table
-    group = _with_masks(5)
+    group = _with_masks(rank)
     start = time.perf_counter()
     table = kl_table(group)
     return time.perf_counter() - start, table
 
 
-def _kl_table() -> tuple[float, dict]:
-    wall, table = _b5_table()
+def _kl_table(rank: int) -> tuple[float, dict]:
+    wall, table = _table(rank)
     return wall, {"pool": len(table.pool), "extremal": table.extremal}
+
+
+def sha256_file(path: str) -> str:
+    """The sha256 of a file, read in 1 MiB chunks: the B5 cache is about
+    95 MB."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _kl_cache() -> tuple[float, dict]:
     from heckepieces.cli import load_kl_cache, save_kl_cache
-    _, table = _b5_table()
+    _, table = _table(5)
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "B5.klcache")
         start = time.perf_counter()
@@ -144,8 +155,7 @@ def _kl_cache() -> tuple[float, dict]:
         saved = time.perf_counter()
         load_kl_cache(path, table.group)
         loaded = time.perf_counter()
-        with open(path, "rb") as handle:  # in chunks: the B5 file is about 95 MB
-            digest = hashlib.file_digest(handle, "sha256").hexdigest()
+        digest = sha256_file(path)
         size = os.path.getsize(path)
     return loaded - start, {"save_s": round(saved - start, 4), "load_s": round(loaded - saved, 4),
                             "bytes": size, "sha256": digest}
@@ -170,7 +180,8 @@ ROWS = {  # row name -> its run, in the order the rows are written
     "sequences_B5_J2": _sequences,
     "covers_B5": lambda: _covers(5),
     "covers_B6": lambda: _covers(6),
-    "kl_table_B5": _kl_table,
+    "kl_table_B5": lambda: _kl_table(5),
+    "kl_table_B6": lambda: _kl_table(6),
     "kl_cache_B5": _kl_cache,
     "canonical_basis_B5": lambda: _canonical_basis(5, validate=False),
     "canonical_basis_B4_validated": lambda: _canonical_basis(4, validate=True),
