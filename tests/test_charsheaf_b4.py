@@ -26,6 +26,7 @@ from heckepieces.charsheaf_b4 import (
     ChiSolution,
     _det4,
     _normalizer_mirror,
+    _probe_divisors,
     boundary_dims,
     build_context,
     conjecture_report,
@@ -414,6 +415,50 @@ def test_cuspidal_scalar_shapes(ctx):
             assert cuspidal_scalar(solve_chi(ctx, t, z)) == ZERO
 
 
+def test_cuspidal_scalar_refuses_other_shapes():
+    """An S coordinate left in the alternating combination, or a block
+    coordinate off the scalar multiple, raises; S parts that cancel in the
+    combination do not."""
+    def scalar(chi):
+        return cuspidal_scalar(ChiSolution(0, 0, chi, True, ()))
+
+    identity = {C: {C: ONE} for C in BLOCK}
+    assert scalar(identity) == ONE
+    assert scalar({C: {} for C in BLOCK}) == ZERO
+    # rho and sigma enter with opposite signs, so equal S parts cancel
+    assert scalar({**identity, "rho": {"rho": ONE, "S": ONE},
+                   "sigma": {"sigma": ONE, "S": ONE}}) == ONE
+    with pytest.raises(AssertionError, match="cuspidal component"):
+        scalar({**identity, "rho": {"rho": ONE, "S": v_power(2)}})
+    with pytest.raises(AssertionError, match="not a scalar multiple"):
+        scalar({**{C: {} for C in BLOCK}, "rho": {"rho": ONE}})
+
+
+@pytest.mark.parametrize("fault", ["third symbol", "unequal pair", "one point"])
+def test_probe_divisors_refuse_other_supports(b4_kl, monkeypatch, fault):
+    """The boundary data of each probe word must be one coefficient on the
+    two block sheaves of its support and nothing else."""
+    fresh = build_context(kl=b4_kl)
+    z = fresh.by_name["efe"]
+    word_of = {u: wd for wd, u in fresh.probes.items()}
+    real = charsheaf_b4.boundary_dims
+    assert _probe_divisors(build_context(kl=b4_kl), z) == {
+        wd: real(fresh, z, fresh.probes[wd])[PROBE_SUPPORT[wd][0]] for wd in PROBE_WORDS}
+
+    def altered(ctx, z, u):
+        nd = real(ctx, z, u)
+        a, b = PROBE_SUPPORT[word_of[u]]
+        if fault == "third symbol":
+            return {**nd, "S": ONE}
+        if fault == "unequal pair":
+            return {**nd, a: nd[a] + ONE}
+        return {a: nd[a]}
+
+    monkeypatch.setattr(charsheaf_b4, "boundary_dims", altered)
+    with pytest.raises(AssertionError, match="two-point support"):
+        _probe_divisors(fresh, z)
+
+
 def test_family_partition():
     assert sum(len(p) for p in FAMILY_PAIRS.values()) == 33
     names = tuple(NORMALIZER_WORDS)
@@ -436,6 +481,54 @@ def test_group_facts_check_reads_piece_dimensions(ctx, monkeypatch):
     assert not failed.passed
     assert failed.failures == ("dimension of piece 4 != 26",)
     assert failed.summary == passed.summary
+
+
+def test_restriction_check_reads_the_expansion_tables(ctx, monkeypatch):
+    """One altered frozen polynomial fails each pair of its family at its
+    probe word, one line each; the polynomial split into two terms on the
+    same target still passes."""
+    passed = check_restrictions(ctx)
+    assert passed.passed and passed.failures == ()
+    tables = {fam: dict(rows) for fam, rows in b4_example.EXACT_TABLES.items()}
+    v2, v4 = v_power(2), v_power(4)
+    assert tables["step"]["212"] == ((v4, "2"), (ONE, "1212"))
+    monkeypatch.setattr(b4_example, "EXACT_TABLES", tables)
+    tables["step"]["212"] = ((v2, "2"), (v4 - v2, "2"), (ONE, "1212"))
+    assert check_restrictions(ctx) == passed
+    tables["step"]["212"] = ((v_power(6), "2"), (ONE, "1212"))
+    failed = check_restrictions(ctx)
+    assert not failed.passed
+    assert failed.failures == tuple(f"expansion ({tn},{zn},212)"
+                                    for tn, zn in FAMILY_PAIRS["step"])
+    assert failed.summary == passed.summary
+
+
+def test_chi_check_reads_the_transition_patterns(ctx, monkeypatch):
+    """One altered frozen pattern polynomial fails each pair of its family
+    at that coordinate, one line each, and a moved target fails at both
+    coordinates; the polynomial split into two terms on the same target
+    still passes."""
+    passed = check_chi(ctx)
+    assert passed.passed and passed.failures == ()
+    frozen = b4_example.CHI_PATTERNS
+    patterns = {fam: dict(p) for fam, p in frozen.items()}
+    v2 = v_power(2)
+    assert patterns["step"]["rho"] == ((v2, "sigma"),)
+    monkeypatch.setattr(b4_example, "CHI_PATTERNS", patterns)
+    patterns["step"]["rho"] = ((ONE, "sigma"), (v2 - ONE, "sigma"))
+    assert check_chi(ctx) == passed
+    patterns["step"]["rho"] = ((v_power(4), "sigma"),)
+    failed = check_chi(ctx)
+    assert not failed.passed
+    names = [(ctx.name_of[t], ctx.name_of[z]) for t in ctx.N for z in ctx.N]
+    assert failed.failures == tuple(f"chi ({tn},{zn}) rho->sigma" for tn, zn in names
+                                    if family_of(tn, zn) == "step")
+    assert failed.summary == passed.summary
+    patterns["step"] = frozen["step"]
+    assert FAMILY_PAIRS["deep-defect"] == (("1", "fef"),)
+    patterns["deep-defect"] = {**patterns["deep-defect"],
+                               "rho": ((v_power(4), "rho"), (v_power(6), "theta"))}
+    assert check_chi(ctx).failures == ("chi (1,fef) rho->sigma'", "chi (1,fef) rho->theta")
 
 
 def test_report_header_reads_the_context(ctx):

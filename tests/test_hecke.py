@@ -204,6 +204,16 @@ def test_weight_function_validation(b3):
     assert L.of(b3.from_word((1, 2, 1))) == 12
 
 
+def test_weight_refuses_what_is_not_a_generator(b2):
+    """L(i) reads only a generator: an int outside the range, a bool and a
+    float are refused with one error, not read as a generator."""
+    L = WeightFunction(b2, {1: 1, 2: 3})
+    assert (L(1), L(2)) == (1, 3)
+    for i in (0, 3, -1, True, 1.0, "1", None):
+        with pytest.raises(ValueError, match="no generator"):
+            L(i)
+
+
 def test_normalization_validation(b2):
     with pytest.raises(ValueError):
         HeckeAlgebra(b2, "weighted")
@@ -228,6 +238,16 @@ def test_element_refuses_malformed_terms(b2):
     h = algebra.element({1: v_power(2), top: ONE})
     assert algebra.bar(algebra.bar(h)) == h
     assert algebra.element({}) == algebra.zero()
+
+
+def test_basis_refuses_what_is_not_an_element(b2):
+    """``basis`` checks its element as ``element`` does: -1 would read as
+    the longest element and True as 1."""
+    algebra = HeckeAlgebra(b2)
+    for w in (-1, len(b2.elements()), True, 0.0, None):
+        with pytest.raises(ValueError, match="no element"):
+            algebra.basis(w)
+    assert algebra.basis(0) == algebra.unit()
 
 
 def test_sums_refuse_operands_of_another_algebra(b2):

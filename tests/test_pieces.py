@@ -698,6 +698,18 @@ def test_e_operator_rejects_unstable_count(b4, b4_data):
         E_operator(algebra.unit(), data, 1)
 
 
+def test_e_operator_refuses_non_int_counts(b4, b4_data):
+    """n is an int: True is not read as 1, and a float or a string raises
+    the same ValueError as an n below n0."""
+    data = b4_data[2][b4.parse_word("4")]
+    assert data.n0 == 0
+    h = HeckeAlgebra(b4).unit()
+    E_operator(h, data, 1)
+    for n in (True, 1.0, "1", None):
+        with pytest.raises(ValueError, match="operator needs n >= 0"):
+            E_operator(h, data, n)
+
+
 def test_e_operator_lands_in_target(b4, b4_data):
     _, _, datas = b4_data
     algebra = HeckeAlgebra(b4)

@@ -1,6 +1,7 @@
 """The one-shot timing tool: rows run in-process and report the same
 counts and digests on every machine."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -15,6 +16,16 @@ def oneshot():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_sha256_file_reads_in_chunks(oneshot, tmp_path):
+    """The file digest equals hashlib's digest of the whole content, for an
+    empty file and for one just past a chunk boundary."""
+    for size in (0, (1 << 20) + 3):
+        data = bytes(i % 251 for i in range(size))
+        path = tmp_path / f"f{size}"
+        path.write_bytes(data)
+        assert oneshot.sha256_file(str(path)) == hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("row, expected", [
