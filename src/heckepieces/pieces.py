@@ -383,8 +383,8 @@ def piece_projection(h: HeckeElement, data: BedardData) -> HeckeElement:
 def E_operator(h: HeckeElement, data: BedardData, n: int) -> HeckeElement:
     """The composite  project ∘ mu_{J_{n-1}} ∘ ··· ∘ mu_{J_0}  for n >= n0.
 
-    Raises ValueError when n is not an int (a bool included) or n < n0 (the
-    sequence has not stabilized yet, so the projection target is not
+    Raises ValueError unless n is an int, not a bool, with n >= n0 (below
+    n0 the sequence has not stabilized, so the projection target is not
     defined).
     """
     if not (_is_int(n) and n >= data.n0):

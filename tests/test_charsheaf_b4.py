@@ -447,7 +447,7 @@ def test_probe_divisors_refuse_other_supports(b4_kl, monkeypatch, fault):
 
     def altered(ctx, z, u):
         nd = real(ctx, z, u)
-        a, b = PROBE_SUPPORT[word_of[u]]
+        a = PROBE_SUPPORT[word_of[u]][0]
         if fault == "third symbol":
             return {**nd, "S": ONE}
         if fault == "unequal pair":
