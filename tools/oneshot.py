@@ -3,12 +3,15 @@
 side for several checkouts, written to one JSON file.
 
     python3 tools/oneshot.py --side parent=../parent --side change=. --out BENCH_<n>.json
+    python3 tools/oneshot.py --side ... --row kl_table_B5 --row example_b4 --out ...
 
 Each ``--side NAME=DIR`` names a checkout whose ``src/`` holds the package.
 Every row runs once per side, each run in a fresh interpreter with that
 ``src/`` first on ``sys.path``, and reports its wall time and the peak RSS
 of its own process (``resource.getrusage``, ``ru_maxrss``).  Sides take
-turns going first, row by row.  The rows:
+turns going first, row by row.  ``--row NAME``, given once per row, runs
+only the rows named, in the order below; without it every row runs.  The
+rows:
 
 - ``masks_B5``, ``masks_B6``: every ``bruhat_mask`` of a freshly built group
   (the group build is not timed); ``pairs`` is the total of their bits.
@@ -31,18 +34,21 @@ turns going first, row by row.  The rows:
 - ``canonical_basis_B5``: ``canonical_basis`` with ``validate=False`` of the
   weighted algebra of a fresh B5 with L = (2, 1, 1, 1, 1), its masks built
   before the timer starts; ``coefficients`` is the number of nonzero
-  p(t, z), the top terms included.
-- ``canonical_basis_B4_validated``: ``canonical_basis`` with
-  ``validate=True`` of the weighted algebra of a fresh B4 with
-  L = (2, 1, 1, 1), its masks built before the timer starts; ``coefficients``
-  as in ``canonical_basis_B5``.
+  p(t, z), the top terms included, and ``sha256`` a digest of every
+  (t, p(t, z)) in element order, hashed after the timer stops, so that
+  sides that built the same basis show the same digest.
+- ``canonical_basis_B4_validated``, ``canonical_basis_B5_validated``:
+  ``canonical_basis`` with ``validate=True`` of the weighted algebra of a
+  fresh B4 with L = (2, 1, 1, 1) or B5 with L = (2, 1, 1, 1, 1), its masks
+  built before the timer starts; ``coefficients`` and ``sha256`` as in
+  ``canonical_basis_B5``.  The B5 row takes about a minute.
 - ``example_b4``: ``example-b4 --format json`` through ``cli.main``, the
   import of the CLI and the B4 KL table included; ``sha256`` is its
   output's.
 
 The file also records each side's git revision (with a flag for
-uncommitted changes), the Python version and ``nproc``.  Standard library
-only.
+uncommitted changes to the side's ``src/``, the only code a row runs), the
+Python version and ``nproc``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -169,7 +175,12 @@ def _canonical_basis(rank: int, validate: bool) -> tuple[float, dict]:
     start = time.perf_counter()
     basis = canonical_basis(algebra, validate=validate)
     wall = time.perf_counter() - start
-    return wall, {"coefficients": sum(len(c.terms) for c in basis.vectors.values())}
+    digest = hashlib.sha256()
+    for z in group.elements():
+        terms = basis.vectors[z].terms
+        digest.update(repr([(t, list(terms[t].items())) for t in sorted(terms)]).encode())
+    return wall, {"coefficients": sum(len(c.terms) for c in basis.vectors.values()),
+                  "sha256": digest.hexdigest()}
 
 
 ROWS = {  # row name -> its run, in the order the rows are written
@@ -185,6 +196,7 @@ ROWS = {  # row name -> its run, in the order the rows are written
     "kl_cache_B5": _kl_cache,
     "canonical_basis_B5": lambda: _canonical_basis(5, validate=False),
     "canonical_basis_B4_validated": lambda: _canonical_basis(4, validate=True),
+    "canonical_basis_B5_validated": lambda: _canonical_basis(5, validate=True),
     "example_b4": lambda: _cli("example-b4", "--format", "json"),
 }
 
@@ -197,13 +209,14 @@ def run_row(row: str) -> dict:
 
 
 def revision(root: Path) -> dict:
-    """The checkout's commit and whether it has uncommitted changes."""
+    """The checkout's commit and whether its ``src/`` has uncommitted
+    changes to tracked files."""
     def git(*args: str) -> str:
         done = subprocess.run(["git", "-C", str(root), *args],
                               capture_output=True, text=True, check=False)
         return done.stdout.strip() if done.returncode == 0 else ""
     return {"commit": git("rev-parse", "HEAD") or None,
-            "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+            "dirty": bool(git("status", "--porcelain", "--untracked-files=no", "--", "src"))}
 
 
 def main() -> int:
@@ -213,6 +226,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--side", action="append", default=[], metavar="NAME=DIR",
                         help="a checkout to time; give it once per side")
+    parser.add_argument("--row", action="append", choices=list(ROWS), metavar="NAME",
+                        help="a row to run; give it once per row (default: every row)")
     parser.add_argument("--out", type=Path, required=True, help="the JSON file to write")
     args = parser.parse_args()
 
@@ -227,7 +242,7 @@ def main() -> int:
         parser.error("give at least one --side")
 
     results = []
-    for i, row in enumerate(ROWS):
+    for i, row in enumerate(r for r in ROWS if args.row is None or r in args.row):
         order = list(sides.items())
         if i % 2:
             order.reverse()
