@@ -49,7 +49,9 @@ c_z of length at least 2 must satisfy c_z = c_{zs} · c_s - sum gamma_t c_t
 over t < z with bar-symmetric gamma_t.  Bar being a ring involution, this
 gives bar(c_z) = c_z from the earlier elements, and by unitriangularity every
 bar-invariant c_z has such an expansion (Lusztig 2003, §5-6), so the
-certificate accepts exactly when the bar check does.
+certificate accepts exactly when the bar check does.  It runs on integer
+codes, as the KL recursion does, and raises OverflowError where their
+coefficients could reach 2^63.
 """
 
 from __future__ import annotations
@@ -121,6 +123,16 @@ class HeckeElement:
         self.algebra = algebra
         self.terms = {w: c for w, c in terms.items() if c}
 
+    @staticmethod
+    def _raw(algebra: "HeckeAlgebra", terms: dict[Element, Laurent]) -> "HeckeElement":
+        """The element with these terms, which must already be free of
+        zeros: the constructor without its filter, for arithmetic that
+        cannot make a zero coefficient."""
+        h = HeckeElement.__new__(HeckeElement)
+        h.algebra = algebra
+        h.terms = terms
+        return h
+
     def coeff(self, w: Element) -> Laurent:
         return self.terms.get(w, ZERO)
 
@@ -143,7 +155,7 @@ class HeckeElement:
             return NotImplemented
         if other.algebra is not self.algebra:  # as ``multiply`` refuses it
             raise ValueError("operands belong to a different algebra")
-        return HeckeElement(self.algebra, add_into(dict(self.terms), other.terms.items()))
+        return HeckeElement._raw(self.algebra, add_into(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: object) -> "HeckeElement":
         if not isinstance(other, HeckeElement):
@@ -151,7 +163,7 @@ class HeckeElement:
         return self + -other
 
     def __neg__(self) -> "HeckeElement":
-        return HeckeElement(self.algebra, {w: -c for w, c in self.terms.items()})
+        return HeckeElement._raw(self.algebra, {w: -c for w, c in self.terms.items()})
 
     def scale(self, c: Laurent | int) -> "HeckeElement":
         return HeckeElement(self.algebra, {w: c * x for w, x in self.terms.items()})
@@ -268,7 +280,7 @@ class HeckeAlgebra:
             for s in self.group.reduced_word(w):
                 terms = self._times_gen(terms, s)
             add_into(out, terms.items(), None if c == ONE else c)
-        return HeckeElement(self, out)
+        return HeckeElement._raw(self, out)
 
     # -- bar involution ----------------------------------------------------------
 
@@ -286,7 +298,7 @@ class HeckeAlgebra:
         out: dict[Element, Laurent] = {}
         for w, c in h.terms.items():
             add_into(out, self._bar_of_basis(w).terms.items(), c.bar())
-        return HeckeElement(self, out)
+        return HeckeElement._raw(self, out)
 
 
 # -- Kazhdan-Lusztig tables ------------------------------------------------------
@@ -368,23 +380,28 @@ class KLTable:
         return [(y, w) for w in self.group.elements() for y in mask_bits(masks[w])]
 
 
-def _decode(code: int, k: int) -> Laurent:
-    """The polynomial P in q = v^2 with P(2^k) = code and every coefficient
-    in [-2^(k-1), 2^(k-1)): the balanced base-2^k digits of code, lowest
-    first.  Only one polynomial has both properties, so the caller must
-    know that the P it evaluated has coefficients that small.
+def _decode(code: int, k: int, step: int = 2, offset: int = 0) -> Laurent:
+    """The polynomial sum_j c_j v^(offset + step·j) with
+    sum_j c_j 2^(k·j) = code and every c_j in [-2^(k-1), 2^(k-1)): the
+    balanced base-2^k digits of code, lowest first.  Only one polynomial
+    has both properties, so the caller must know that the one it evaluated
+    has coefficients that small.  The defaults read a polynomial in
+    q = v^2 from its value at q = 2^k; step -1 and offset m read
+    v^m P(v) from its value at v = 2^-k.
 
     >>> _decode(3 - (2 << 64) + (1 << 128), 64).text()
     '3 - 2v^2 + v^4'
+    >>> _decode(3 - (2 << 64) + (1 << 128), 64, -1, 1).text()
+    'v^-1 - 2 + 3v'
     """
-    terms, digit, half, e = {}, (1 << k) - 1, 1 << (k - 1), 0
+    terms, digit, half, e = {}, (1 << k) - 1, 1 << (k - 1), offset
     while code:
         c = code & digit
         if c >= half:
             c -= 1 << k
         terms[e] = c
         code = (code - c) >> k
-        e += 2
+        e += step
     return Laurent(terms)
 
 
@@ -612,17 +629,23 @@ def canonical_basis(algebra: HeckeAlgebra, validate: bool = True) -> CanonicalBa
     z, every other p(t, z) in v^-1 Z[v^-1] and bar(c_z) = c_z.  Bar
     invariance is certified without expanding bar(c_z): bar(c_s) = c_s is
     checked for each generator, and for z of length at least 2 with
-    s = min DR(z), d = c_{zs} · c_s - c_z, formed with the general
-    ``multiply``, must peel to 0 from the top by subtracting gamma · c_t with
-    t < z and gamma bar-symmetric.  Then c_z = c_{zs} · c_s - sum gamma · c_t
-    with every factor already certified, so bar(c_z) = c_z, bar being a
-    ring involution.  Conversely, if c_z is bar-invariant, so is d, and a
-    bar-invariant element has a bar-symmetric coefficient at each
-    Bruhat-maximal term of its support, since bar(T_t) is T_t plus terms
-    below t; so the peeling goes through, and the certificate accepts
-    exactly when bar(c_z) = c_z (Lusztig 2003, §5-6).  On B4 with
-    L = (2, 1, 1, 1) it expands bar 4 times, where a bar check of every c_z
-    would make 383 expansions."""
+    s = min DR(z), d = c_{zs} · c_s - c_z, formed from the terms of c_s by
+    the one-letter rule of ``_times_gen`` and not by the closed form above,
+    so that it does not share the walk's arithmetic, must peel to 0 from
+    the top by subtracting gamma · c_t with t < z and gamma bar-symmetric.
+    Then c_z = c_{zs} · c_s - sum gamma · c_t with every factor already
+    certified, so bar(c_z) = c_z, bar being a ring involution.
+    Conversely, if c_z is bar-invariant, so is d, and a bar-invariant
+    element has a bar-symmetric coefficient at each Bruhat-maximal term of
+    its support, since bar(T_t) is T_t plus terms below t; so the peeling
+    goes through, and the certificate accepts exactly when bar(c_z) = c_z
+    (Lusztig 2003, §5-6).  On B4 with L = (2, 1, 1, 1) it expands bar 4
+    times, where a bar check of every c_z would make 383 expansions.  The
+    products and the peeling run on integer codes, as ``kl_table``'s
+    recursion does, and only each gamma is decoded, once per peel step
+    (503 times on that B4); where a running bound cannot keep the
+    coefficients below 2^63, the certificate raises OverflowError,
+    accepting and refusing nothing."""
     if algebra.normalization != "weighted":
         raise ValueError("canonical bases are defined here for the weighted normalization")
     group = algebra.group
@@ -711,8 +734,11 @@ def canonical_basis(algebra: HeckeAlgebra, validate: bool = True) -> CanonicalBa
         columns[z] = column
     # Each c_z is built once the walk is done, popping its column as it
     # goes, so the index and value copies of a column never coexist in full.
-    vectors = {z: HeckeElement(algebra, {u: pool[i] for u, i in columns.pop(z).items()})
-               for z in elements}
+    vectors = {}
+    for z in elements:
+        column = columns.pop(z)
+        values = map(pool.__getitem__, column.values())
+        vectors[z] = HeckeElement._raw(algebra, dict(zip(column, values)))
     if validate:
         _certify(algebra, vectors)
     return CanonicalBasis(algebra, vectors)
@@ -722,31 +748,98 @@ def _certify(algebra: HeckeAlgebra, vectors: Mapping[Element, HeckeElement]) -> 
     """Raise AssertionError unless ``vectors`` is the canonical basis of
     ``algebra``, by the certificate that ``canonical_basis`` states,
     element by element in the order of the group so that every c_t it
-    reads is already certified."""
+    reads is already certified.
+
+    A polynomial P is coded as 2^(k·m) P(2^-k), k = ``_K``, an integer
+    when no exponent of P exceeds m.  Each coefficient object is encoded
+    once, keyed by ``id`` (the vectors keep it alive), after its vector has
+    passed the checks, which leave no exponent above 0.  c_{zs} · c_s comes
+    from the terms of c_s and the one-letter rule of ``_times_gen``:
+    T_w · c_s = f T_w + g T_ws, with (f, g) fixed by s and by whether
+    ws > w, and m is the largest exponent of any f or g (at least 0).  d
+    is kept at 2m and no exponent in it exceeds m, so each gamma is decoded
+    at 2m and encoded again at m.  A code stands for its polynomial only
+    while every coefficient lies below 2^(k-1) in absolute value.  With M
+    the largest coefficient of the vectors and F the coefficient sum of
+    the f and g of s, M (F + 1) bounds d's coefficients, and each
+    gamma · c_t adds M times gamma's coefficient sum; the bound is checked
+    before d's zeros are dropped and before each subtraction."""
     group = algebra.group
-    length = group._length
-    # c_s as the walk made it: T_s + v^-L(s), or T_s when L(s) = 0
+    length, rdesc, rmul = group._length, group._rdesc, group._rmul
+    k = _K
     gens = {s: vectors[group.generator(s)] for s in group.generators()}
     for c_s in gens.values():
         if algebra.bar(c_s) != c_s:
             raise AssertionError("canonical basis element is not bar-invariant")
+    # (f, g) of T_w · c_s = f T_w + g T_ws when ws > w, and when ws < w;
+    # c_s has no other terms, or fails its checks before any product reads it
+    factors = {}
+    for s, c_s in gens.items():
+        a, b = algebra._quad[s]
+        top, low = c_s.coeff(group.generator(s)), c_s.coeff(group.identity())
+        factors[s] = ((low, top), (low + top * a, top * b))
+    m = max([0] + [p.max_exp() for up_down in factors.values() for pair in up_down
+                   for p in pair if p])
+
+    def encode(p: Laurent) -> int:
+        return sum(c << k * (m - e) for e, c in p.items())
+
+    def norm(p: Laurent) -> int:
+        return sum(abs(c) for _, c in p.items())
+
+    spread = {s: sum(norm(p) for pair in up_down for p in pair)
+              for s, up_down in factors.items()}
+    factors = {s: tuple(tuple(map(encode, pair)) for pair in up_down)
+               for s, up_down in factors.items()}
+    one, shift, half = 1 << k * m, k * m, 1 << (k - 1)
+    codes: dict[int, int] = {}  # id(p) -> code, for every p(t, z) with t < z checked so far
+    largest = 1  # the largest |coefficient| of the checked vectors
     for z in group.elements():
         x = vectors[z]
         if x.coeff(z) != ONE:
             raise AssertionError("canonical basis element lost its top term")
         ideal = group.bruhat_mask(z)
+        d = {}  # -c_z, then c_{zs} · c_s - c_z, at 2m
         for t, p in x.terms.items():
             if not ideal >> t & 1:
                 raise AssertionError("canonical basis support leaked above z")
-            if t != z and not p.in_v_minus_strict():
-                raise AssertionError("canonical basis coefficient is not in v^-1 Z[v^-1]")
+            if t == z:
+                c = one
+            else:
+                c = codes.get(id(p))
+                if c is None:
+                    if not p.in_v_minus_strict():
+                        raise AssertionError("canonical basis coefficient is not in v^-1 Z[v^-1]")
+                    c = codes[id(p)] = encode(p)
+                    largest = max([largest] + [abs(a) for _, a in p.items()])
+            d[t] = -c << shift
         if length[z] < 2:
             continue
-        s = min(group._rdesc[z])
-        d = (algebra.multiply(vectors[group._rmul[s][z]], gens[s]) - x).terms
+        s = min(rdesc[z])
+        times_s = rmul[s]
+        up, down = factors[s]
+        for w, p in vectors[times_s[z]].terms.items():
+            c = codes.get(id(p), one)  # the top term 1 is the only one not in codes
+            ws = times_s[w]
+            f, g = up if ws > w else down
+            d[w] = d.get(w, 0) + c * f
+            d[ws] = d.get(ws, 0) + c * g
+        bound = largest * (spread[s] + 1)
+        if bound >= half:
+            raise _overflow(group, z, k)
+        d = {u: c for u, c in d.items() if c}
         while d:
             t = max(d)  # elements are numbered by length: t is Bruhat-maximal in d
-            gamma = d[t]
+            gamma = _decode(d[t], k, -1, 2 * m)
             if t == z or not ideal >> t & 1 or not gamma.is_bar_symmetric():
                 raise AssertionError("canonical basis element is not bar-invariant")
-            add_into(d, vectors[t].terms.items(), -gamma)
+            bound += largest * norm(gamma)
+            if bound >= half:
+                raise _overflow(group, z, k)
+            add_into(d, ((u, codes.get(id(p), one)) for u, p in vectors[t].terms.items()),
+                     -encode(gamma))
+
+
+def _overflow(group: CoxeterGroup, z: Element, k: int) -> OverflowError:
+    return OverflowError(f"the certificate of {group.word_str(z)} may meet coefficients "
+                         f"of 2^{k - 1} or more, which base-2^{k} codes cannot decode")

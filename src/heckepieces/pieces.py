@@ -124,7 +124,7 @@ class BedardData:
         """tau applied basiswise, T_x ↦ T_{tau(x)} — an algebra map because
         tau permutes the generators of the target parabolic."""
         _check_group(h, self)
-        return HeckeElement(h.algebra, {self.tau(x): c for x, c in h.terms.items()})
+        return HeckeElement._raw(h.algebra, {self.tau(x): c for x, c in h.terms.items()})
 
 
 def _check_group(h: HeckeElement, data: BedardData | DiagramAutomorphism) -> None:
@@ -365,7 +365,7 @@ def mu_J(h: HeckeElement, J: Iterable[int], delta: DiagramAutomorphism) -> Hecke
             # ``is`` finds the shared ONE of the T_b images without a
             # comparison; an equal copy is multiplied, which is only slower
             add_into(out, [(x, c if p is ONE else c * p) for x, p in image.items()])
-    return HeckeElement(algebra, out)
+    return HeckeElement._raw(algebra, out)
 
 
 def piece_projection(h: HeckeElement, data: BedardData) -> HeckeElement:
@@ -377,7 +377,7 @@ def piece_projection(h: HeckeElement, data: BedardData) -> HeckeElement:
     K = data.target_parabolic
     # y ↦ wy is injective, so no two terms land on the same T and nothing sums
     moved = ((group._product(data.w, y), c) for y, c in h.terms.items())
-    return HeckeElement(h.algebra, {y1: c for y1, c in moved if group._in_parabolic(y1, K)})
+    return HeckeElement._raw(h.algebra, {y1: c for y1, c in moved if group._in_parabolic(y1, K)})
 
 
 def E_operator(h: HeckeElement, data: BedardData, n: int) -> HeckeElement:

@@ -860,6 +860,49 @@ def bar_oracle(algebra, vectors):
                for z, x in vectors.items())
 
 
+def reference_certify(algebra, vectors):
+    """The certificate on Laurent values, the oracle of ``_certify``:
+    the same checks in the same order with the same messages, with
+    c_{zs} · c_s formed by the general ``multiply`` and the peeling done
+    in Laurent arithmetic."""
+    group = algebra.group
+    length = group._length
+    # c_s as the walk made it: T_s + v^-L(s), or T_s when L(s) = 0
+    gens = {s: vectors[group.generator(s)] for s in group.generators()}
+    for c_s in gens.values():
+        if algebra.bar(c_s) != c_s:
+            raise AssertionError("canonical basis element is not bar-invariant")
+    for z in group.elements():
+        x = vectors[z]
+        if x.coeff(z) != ONE:
+            raise AssertionError("canonical basis element lost its top term")
+        ideal = group.bruhat_mask(z)
+        for t, p in x.terms.items():
+            if not ideal >> t & 1:
+                raise AssertionError("canonical basis support leaked above z")
+            if t != z and not p.in_v_minus_strict():
+                raise AssertionError("canonical basis coefficient is not in v^-1 Z[v^-1]")
+        if length[z] < 2:
+            continue
+        s = min(group._rdesc[z])
+        d = (algebra.multiply(vectors[group._rmul[s][z]], gens[s]) - x).terms
+        while d:
+            t = max(d)  # elements are numbered by length: t is Bruhat-maximal in d
+            gamma = d[t]
+            if t == z or not ideal >> t & 1 or not gamma.is_bar_symmetric():
+                raise AssertionError("canonical basis element is not bar-invariant")
+            add_into(d, vectors[t].terms.items(), -gamma)
+
+
+def verdict(certify, algebra, vectors):
+    """None if ``certify`` accepts, else the message of its AssertionError."""
+    try:
+        certify(algebra, vectors)
+    except AssertionError as error:
+        return str(error)
+    return None
+
+
 def valid_weights(group):
     """Every weight function with values in {0, 1, 2, 3}."""
     out = []
@@ -1005,14 +1048,93 @@ def test_certificate_refuses_a_mutated_basis(kind):
     assert bar_oracle(algebra, mutated) is not bar_broke
 
 
+def perturbed_bases():
+    """B3 (2, 1, 1) bases, each with one coefficient p(t, z) changed by
+    v^-1, 2v^-3 or -v^-2, at one seeded t <= z for every z, t = z
+    included; and, where t < z, set to the ``ONE`` object that the top
+    terms share, which the certificate must not take for a top term."""
+    group = coxeter_group("B3")
+    algebra = HeckeAlgebra(group, "weighted", WeightFunction(group, {1: 2, 2: 1, 3: 1}))
+    vectors = canonical_basis(algebra).vectors
+    rng = random.Random(30)
+    for z in group.elements():
+        t = rng.choice(mask_bits(group.bruhat_mask(z)))
+        changed = [vectors[z] + algebra.element({t: change})
+                   for change in (v_power(-1), Laurent({-3: 2}), -v_power(-2))]
+        if t != z:
+            assert vectors[z].coeff(z) is ONE
+            changed.append(algebra.element({**vectors[z].terms, t: ONE}))
+        for c_z in changed:
+            yield algebra, {**vectors, z: c_z}
+
+
+def test_certificate_on_codes_agrees_with_the_certificate_on_values():
+    """``_certify`` and ``reference_certify`` accept the same bases and
+    refuse the others with the same message: every valid weight in
+    {0, ..., 3} of the six groups, B4 (2, 1, 1, 1), every mutation, and
+    187 single-coefficient perturbations of B3 (2, 1, 1)."""
+    cases = []
+    for spec, _ in CERTIFY_GROUPS.values():
+        group = coxeter_group(spec)
+        for weight in valid_weights(group):
+            algebra = HeckeAlgebra(group, "weighted", weight)
+            cases.append((algebra, canonical_basis(algebra, validate=False).vectors))
+    group = coxeter_group("B4")
+    algebra = HeckeAlgebra(group, "weighted", WeightFunction(group, {1: 2, 2: 1, 3: 1, 4: 1}))
+    cases.append((algebra, canonical_basis(algebra, validate=False).vectors))
+    accepted = len(cases)
+    group = coxeter_group("B3")
+    algebra = HeckeAlgebra(group, "weighted", WeightFunction(group, {1: 2, 2: 1, 3: 1}))
+    vectors = canonical_basis(algebra).vectors
+    cases += [(algebra, mutate(algebra, vectors, kind)) for kind in sorted(MUTATIONS)]
+    cases += list(perturbed_bases())
+    verdicts = [verdict(_certify, *case) for case in cases]
+    assert verdicts == [verdict(reference_certify, *case) for case in cases]
+    assert verdicts[:accepted] == [None] * accepted
+    assert set(verdicts[accepted:]) == {
+        "canonical basis element is not bar-invariant",
+        "canonical basis element lost its top term",
+        "canonical basis support leaked above z",
+        "canonical basis coefficient is not in v^-1 Z[v^-1]"}
+
+
+@pytest.mark.parametrize("spec, values, k", [("B3", (2, 1, 1), k) for k in (2, 3, 4, 5)] + [
+    (((1, 2), (2, 1)), (1, 2), 2)])
+def test_certificate_refuses_codes_too_small_for_its_coefficients(monkeypatch, spec, values, k):
+    """On a correct B3 (2, 1, 1) basis the running bound of the
+    certificate reaches 2^(k-1) for these k, so it raises OverflowError
+    before it decodes or drops a code that base 2^k may not hold: it
+    neither accepts nor refuses the basis.  On A1 x A1 no peel step runs,
+    and the bound is checked before d is first formed."""
+    group = coxeter_group(spec)
+    weight = WeightFunction(group, dict(zip(group.generators(), values)))
+    algebra = HeckeAlgebra(group, "weighted", weight)
+    vectors = canonical_basis(algebra).vectors
+    monkeypatch.setattr(hecke, "_K", k)
+    with pytest.raises(OverflowError):
+        _certify(algebra, vectors)
+
+
+def test_certificate_codes_in_base_2_to_the_6_suffice_for_b3(monkeypatch):
+    """The bound stays below 2^5 on B3 (2, 1, 1), so base 2^6 certifies it."""
+    group = coxeter_group("B3")
+    algebra = HeckeAlgebra(group, "weighted", WeightFunction(group, {1: 2, 2: 1, 3: 1}))
+    vectors = canonical_basis(algebra).vectors
+    monkeypatch.setattr(hecke, "_K", 6)
+    _certify(algebra, vectors)
+
+
 def test_validation_bars_only_the_generators(monkeypatch):
     """Validated B4 (2, 1, 1, 1) expands bar once per generator, where a
-    bar check of every c_z would make 383 expansions, and forms one product
-    c_{zs} · c_s with ``multiply`` for each of the 379 elements of length
-    at least 2.  Products that bar folds inside itself are not counted."""
-    counts = {"bar": 0, "multiply": 0}
+    bar check of every c_z would make 383 expansions.  It calls
+    ``multiply`` only inside bar: c_{zs} · c_s is formed on integer codes,
+    where the certificate on values formed it with ``multiply`` for each
+    of the 379 elements of length at least 2.  It decodes once per peel
+    step, 503 times, the number of gamma_t that ``reference_certify``
+    subtracts."""
+    counts = {"bar": 0, "multiply": 0, "decode": 0}
     in_bar = False
-    bar, multiply = HeckeAlgebra.bar, HeckeAlgebra.multiply
+    bar, multiply, decode = HeckeAlgebra.bar, HeckeAlgebra.multiply, hecke._decode
 
     def counted_bar(self, h):
         nonlocal in_bar
@@ -1027,12 +1149,17 @@ def test_validation_bars_only_the_generators(monkeypatch):
         counts["multiply"] += not in_bar
         return multiply(self, x, y)
 
+    def counted_decode(*args):
+        counts["decode"] += 1
+        return decode(*args)
+
     monkeypatch.setattr(HeckeAlgebra, "bar", counted_bar)
     monkeypatch.setattr(HeckeAlgebra, "multiply", counted_multiply)
+    monkeypatch.setattr(hecke, "_decode", counted_decode)
     group = coxeter_group("B4")
     algebra = HeckeAlgebra(group, "weighted", WeightFunction(group, {1: 2, 2: 1, 3: 1, 4: 1}))
     canonical_basis(algebra)
-    assert counts == {"bar": 4, "multiply": 379}
+    assert counts == {"bar": 4, "multiply": 0, "decode": 503}
 
 
 def test_canonical_basis_keeps_each_term_once():

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from heckepieces.coxeter import coxeter_group
-from heckepieces.hecke import HeckeAlgebra, WeightFunction
+from heckepieces.hecke import HeckeAlgebra, WeightFunction, canonical_basis
 from heckepieces.laurent import Laurent, ONE
 from heckepieces.pieces import (
     E_operator,
@@ -687,6 +687,42 @@ def test_e_operator_shift_identity(b4, b4_data):
             lhs = E_operator(h, data, data.n0 + 1)
             rhs = data.tau_element(E_operator(h, data, data.n0))
             assert lhs == rhs
+
+
+def test_internal_results_hold_no_zero_coefficient(b3, b4):
+    """``HeckeElement._raw`` skips the constructor's zero filter, so every
+    operation that builds its result with it must leave no zero behind:
+    on seeded B3 and B4 elements in both normalizations, with sums and
+    differences that cancel terms, no result of +, -, ``multiply``,
+    ``bar``, ``mu_J``, ``piece_projection``, ``tau_element`` or
+    ``canonical_basis`` holds a zero coefficient."""
+    rng = random.Random(30)
+    coeffs = [ONE, -ONE, Laurent({-1: 1}), Laurent({-1: -1}), Laurent({-1: 1, 1: 1}),
+              Laurent({0: 2, 2: -1})]
+    results = []
+    for group in (b3, b4):
+        elements = group.elements()
+        delta = group.automorphism()
+        datas = [bedard_sequence(group, J, delta, w) for w in piece_indices(group, J, delta)]
+        weight = WeightFunction(group, {i: 2 if i == 1 else 1 for i in group.generators()})
+        weighted = HeckeAlgebra(group, "weighted", weight)
+        results += canonical_basis(weighted, validate=False).vectors.values()
+        for algebra in (HeckeAlgebra(group), weighted):
+            for _ in range(12):
+                support = rng.sample(elements, 8)
+                x = algebra.element({w: rng.choice(coeffs) for w in support})
+                y = algebra.element({w: rng.choice(coeffs) for w in rng.sample(elements, 6)})
+                y = y + algebra.element({w: x.coeff(w) for w in support[:3]})
+                short = algebra.element({w: rng.choice(coeffs)
+                                         for w in rng.sample(elements[:8], 3)})
+                data = rng.choice(datas)
+                projected = piece_projection(x - y, data)
+                results += [x + y, x - y, -x, x + -x, algebra.multiply(x, short),
+                            algebra.multiply(x - y, x + y - short), algebra.bar(x - y),
+                            mu_J(x - y, rng.sample(group.generators(), 2), delta), projected,
+                            data.tau_element(projected)]
+    for h in results:
+        assert all(h.terms.values())
 
 
 def test_e_operator_rejects_unstable_count(b4, b4_data):
