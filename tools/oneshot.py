@@ -41,7 +41,7 @@ rows:
   ``canonical_basis`` with ``validate=True`` of the weighted algebra of a
   fresh B4 with L = (2, 1, 1, 1) or B5 with L = (2, 1, 1, 1, 1), its masks
   built before the timer starts; ``coefficients`` and ``sha256`` as in
-  ``canonical_basis_B5``.  The B5 row takes about 8 s.
+  ``canonical_basis_B5``.  The B5 row takes about 9 s.
 - ``example_b4``: ``example-b4 --format json`` through ``cli.main``, the
   import of the CLI and the B4 KL table included; ``sha256`` is its
   output's.
