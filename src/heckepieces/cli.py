@@ -416,29 +416,27 @@ def _piece_payload(group: CoxeterGroup, J: frozenset,
     indices = piece_indices(group, J, delta)
     normalizer = twisted_normalizer(group, J, delta)
     dims_available = group.type_tag.startswith("B")
+    words = group._word_strs()  # every element below is from the group's tables
     entries = []
     for w in indices:
         data = bedard_sequence(group, J, delta, w)
         entry = {
-            "word": group.word_str(w),
+            "word": words[w],
             "n0": data.n0,
             "index_sets": [sorted(Jn) for Jn, _ in data.steps],
-            "coset_minima": [group.word_str(wn) for _, wn in data.steps],
+            "coset_minima": [words[wn] for _, wn in data.steps],
             "stable_set": sorted(data.J_infinity),
-            "stable_minimum": group.word_str(data.w_infinity),
+            "stable_minimum": words[data.w_infinity],
         }
         if dims_available:
             entry["dimension"] = piece_dimension(group, J, w, delta)
         entries.append(entry)
-    hasse = [
-        [group.word_str(a), group.word_str(b)]
-        for a, b in closure_hasse(group, J, delta)
-    ]
+    hasse = [[words[a], words[b]] for a, b in closure_hasse(group, J, delta)]
     return {
         "type": group.type_tag,
         "J": sorted(J),
         "piece_indices": entries,
-        "normalizer": [group.word_str(w) for w in normalizer],
+        "normalizer": [words[w] for w in normalizer],
         "closure_covers": hasse,
     }
 

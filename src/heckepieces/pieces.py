@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .coxeter import CoxeterGroup, DiagramAutomorphism, Element, mask_bits
+from .coxeter import CoxeterGroup, DiagramAutomorphism, Element
 from .hecke import HeckeAlgebra, HeckeElement
 from .laurent import ONE, Laurent, _is_int, add_into
 
@@ -134,9 +134,18 @@ def _check_group(h: HeckeElement, data: BedardData | DiagramAutomorphism) -> Non
         raise ValueError("h belongs to an algebra of another group")
 
 
-def _validate_index(group: CoxeterGroup, J: frozenset, delta: DiagramAutomorphism,
-                    w: Element) -> None:
-    if not group.is_left_min(w, delta.on_set(J)):
+def _twisted(group: CoxeterGroup, J: Iterable[int],
+             delta: DiagramAutomorphism) -> tuple[frozenset, frozenset]:
+    """J, checked as a set of generators, and δ(J).  Refuses a δ of another
+    group than ``group``: its generators would be read as the group's."""
+    if delta.group is not group:
+        raise ValueError("delta is a diagram automorphism of another group")
+    Jf = group._check_subset(J)
+    return Jf, delta.on_set(Jf)
+
+
+def _validate_index(group: CoxeterGroup, dJ: frozenset, w: Element) -> None:
+    if not group.is_left_min(w, dJ):
         raise ValueError(
             f"{group.word_str(w)} has a left descent in δ(J); not a piece index"
         )
@@ -146,11 +155,11 @@ def bedard_sequence(group: CoxeterGroup, J: Iterable[int],
                     delta: DiagramAutomorphism, w: Element) -> BedardData:
     """Compute the stabilization sequence of a piece index w.
 
-    Raises ValueError if w has a left descent in δ(J).
+    Raises ValueError if w has a left descent in δ(J), or if δ is of
+    another group.
     """
-    Jf = group._check_subset(J)
-    _validate_index(group, Jf, delta, w)
-    dJ = delta.on_set(Jf)
+    Jf, dJ = _twisted(group, J, delta)
+    _validate_index(group, dJ, w)
     steps: list[tuple[frozenset, Element]] = []
     Jn = Jf
     while True:
@@ -192,7 +201,7 @@ def bedard_inverse(group: CoxeterGroup, J: Iterable[int],
 def piece_indices(group: CoxeterGroup, J: Iterable[int],
                   delta: DiagramAutomorphism) -> tuple[Element, ...]:
     """All piece indices: elements with no left descent in δ(J), sorted."""
-    dJ = delta.on_set(group._check_subset(J))
+    _, dJ = _twisted(group, J, delta)
     ldesc = group._ldesc
     return tuple(w for w in group.elements() if not ldesc[w] & dJ)
 
@@ -201,8 +210,7 @@ def twisted_normalizer(group: CoxeterGroup, J: Iterable[int],
                        delta: DiagramAutomorphism) -> tuple[Element, ...]:
     """{w minimal in its double coset : w J w^{-1} = δ(J)} — the indices
     whose stabilization sequence is constant at (J, w), sorted."""
-    Jf = group._check_subset(J)
-    dJ = delta.on_set(Jf)
+    Jf, dJ = _twisted(group, J, delta)
     return tuple(
         w for w in group.double_coset_reps(dJ, Jf)
         if conjugates_set_to(group, w, Jf, dJ)
@@ -240,9 +248,9 @@ def closure_leq(group: CoxeterGroup, J: Iterable[int], delta: DiagramAutomorphis
                 w1: Element, w2: Element) -> bool:
     """w1 ≤ w2 in the closure order: δ(u) w1 u^{-1} ≤ w2 (Bruhat) for some
     u in W_J."""
-    Jf = group._check_subset(J)
-    _validate_index(group, Jf, delta, w1)
-    _validate_index(group, Jf, delta, w2)
+    Jf, dJ = _twisted(group, J, delta)
+    _validate_index(group, dJ, w1)
+    _validate_index(group, dJ, w2)
     ideal = group.bruhat_mask(w2)
     return any(ideal >> x & 1 for x in next(_orbits(group, Jf, delta, [w1])))
 
@@ -250,15 +258,16 @@ def closure_leq(group: CoxeterGroup, J: Iterable[int], delta: DiagramAutomorphis
 def closure_hasse(group: CoxeterGroup, J: Iterable[int],
                   delta: DiagramAutomorphism) -> tuple[tuple[Element, Element], ...]:
     """Covering pairs (a, b), a strictly below b with nothing between, of the
-    closure order on all piece indices, sorted by the positions of a and b.
-    Raises if the computed relation is not antisymmetric (it is a partial
-    order for genuine stabilization data).
-
-    Index i lies below index j iff the orbit of idx[i] meets the Bruhat
-    ideal of idx[j].  That ideal is idx[j] together with the ideals of its
-    coatoms (the subword property, Björner–Brenti, GTM 231, §2.2), so the
-    positions whose orbit meets the ideal of x are found for every x in
-    element order, one OR per Bruhat cover, and no ideal is built."""
+    closure order on all piece indices, sorted by the positions of a and b;
+    raises if the relation is not antisymmetric.  Index i lies below j iff the
+    orbit of idx[i] meets the Bruhat ideal of idx[j]: idx[j] and the ideals of
+    its coatoms (Björner–Brenti, GTM 231, §2.2), so reach is built in element
+    order, one OR per Bruhat cover.  A piece index w has no left descent in
+    δ(J), so l(δ(u)·w·u^{-1}) >= l(w), and i below j forces l(idx[i]) <=
+    l(idx[j]), equal only when each lies in the other's orbit, the refused
+    case.  Positions follow element numbers, and so length: the highest
+    position left below j is a cover, and peeling it clears all below it, one
+    OR per cover (Aho, Garey and Ullman, SIAM J. Comput. 1, 1972)."""
     Jf = group._check_subset(J)
     idx = piece_indices(group, Jf, delta)
     # reach[x]: the positions whose orbit meets the ideal of x, as a bitmask;
@@ -272,16 +281,15 @@ def closure_hasse(group: CoxeterGroup, J: Iterable[int],
         for c in coatoms:
             r |= reach[c]
         reach[x] = r
-    # below[j]: the positions i != j with idx[i] < idx[j]
-    below = [reach[w] & ~(1 << j) for j, w in enumerate(idx)]
-    covers = []
-    for j, under in enumerate(below):
-        between = 0  # the positions below some position below j
-        for k in mask_bits(under):
-            between |= below[k]
-        if between >> j & 1:
+    length, covers = group._length, []
+    for j, w in enumerate(idx):
+        under = reach[w] ^ 1 << j  # the positions below j
+        if under and length[idx[under.bit_length() - 1]] >= length[w]:
             raise AssertionError("closure relation is not antisymmetric")
-        covers += ((i, j) for i in mask_bits(under & ~between))
+        while under:
+            i = under.bit_length() - 1
+            covers.append((i, j))
+            under &= ~reach[idx[i]]
     return tuple((idx[i], idx[j]) for i, j in sorted(covers))
 
 
@@ -301,10 +309,10 @@ def piece_dimension(group: CoxeterGroup, J: Iterable[int], w: Element,
     """
     if not group.type_tag.startswith("B"):
         raise ValueError("piece dimensions are defined here for type B only")
-    Jf = group._check_subset(J)
     if delta is None:
         delta = group.automorphism()
-    _validate_index(group, Jf, delta, w)
+    Jf, dJ = _twisted(group, J, delta)
+    _validate_index(group, dJ, w)
     return (group.length(w) + group.length(group.longest_element()) + group.rank
             + group.length(group.longest_in_parabolic(Jf)))
 

@@ -9,7 +9,8 @@ from collections import Counter
 
 import pytest
 
-from heckepieces.coxeter import coxeter_group
+from heckepieces import pieces
+from heckepieces.coxeter import coxeter_group, mask_bits
 from heckepieces.hecke import HeckeAlgebra, WeightFunction, canonical_basis
 from heckepieces.laurent import Laurent, ONE
 from heckepieces.pieces import (
@@ -190,7 +191,7 @@ def reference_bedard_inverse(group, J, delta, steps):
     stable = frozenset(i for i in J_last if delta(i) in ad)
     if stable != J_last:
         raise ValueError("sequence has not stabilized; more steps are required")
-    _validate_index(group, Jf, delta, w_last)
+    _validate_index(group, delta.on_set(Jf), w_last)
     return w_last
 
 
@@ -386,6 +387,83 @@ def test_closure_hasse_matches_reference():
             reference_closure_hasse(group, frozenset(Jsub), delta), (group.type_tag, Jsub)
 
 
+def reference_transitive_reduction(group, J, delta):
+    """The covers as ``closure_hasse`` found them before it peeled: the same
+    reach masks, then a full transitive reduction, which for each j ORs the
+    masks of every position below j, one OR per related pair.  The orbits
+    are read through ``pieces._orbits`` at call time, so a test can patch
+    them."""
+    Jf = frozenset(J)
+    idx = piece_indices(group, Jf, delta)
+    reach = [0] * len(group.elements())
+    for i, orbit in enumerate(pieces._orbits(group, Jf, delta, idx)):
+        for x in orbit:
+            reach[x] |= 1 << i
+    for x, coatoms in enumerate(group._coatoms()[:idx[-1] + 1]):
+        r = reach[x]
+        for c in coatoms:
+            r |= reach[c]
+        reach[x] = r
+    below = [reach[w] & ~(1 << j) for j, w in enumerate(idx)]
+    covers = []
+    for j, under in enumerate(below):
+        between = 0  # the positions below some position below j
+        for k in mask_bits(under):
+            between |= below[k]
+        if between >> j & 1:
+            raise AssertionError("closure relation is not antisymmetric")
+        covers += ((i, j) for i in mask_bits(under & ~between))
+    return tuple((idx[i], idx[j]) for i, j in sorted(covers))
+
+
+def _automorphisms(group):
+    """Every diagram automorphism of the group: the permutations of the
+    generators that the constructor accepts."""
+    gens = list(group.generators())
+    out = []
+    for image in itertools.permutations(gens):
+        try:
+            out.append(group.automorphism(dict(zip(gens, image))))
+        except ValueError:
+            pass
+    return out
+
+
+def test_closure_hasse_matches_the_transitive_reduction():
+    """The peel against the full reduction on B2, B3, B4, A4 and D4 under
+    each of their diagram automorphisms (2, 1, 1, 2 and 6 of them) and
+    every nonempty J: 148 cases."""
+    cases = 0
+    for spec in ("B2", "B3", "B4", A4_MATRIX, D4_MATRIX):
+        group = coxeter_group(spec)
+        for delta in _automorphisms(group):
+            for Jsub in _subsets(group)[1:]:
+                assert closure_hasse(group, Jsub, delta) == \
+                    reference_transitive_reduction(group, Jsub, delta), \
+                    (group.type_tag, sorted(Jsub), delta.perm)
+                cases += 1
+    assert cases == 148
+
+
+def test_closure_hasse_refuses_an_order_that_is_not_antisymmetric(b4, monkeypatch):
+    """With the orbits of the B4 J = {2} indices 1 and 3 each given the
+    other, each lies below the other.  The pair is added to both orbits,
+    as real orbits are symmetric, and both covers computations refuse."""
+    delta = b4.automorphism()
+    a, b = b4.parse_word("1"), b4.parse_word("3")
+    other, real = {a: b, b: a}, pieces._orbits
+
+    def orbits(group, Jf, delta, ws):
+        for orbit in real(group, Jf, delta, ws):
+            yield orbit + [other[orbit[0]]] if orbit[0] in other else orbit
+
+    monkeypatch.setattr(pieces, "_orbits", orbits)
+    assert closure_leq(b4, {2}, delta, a, b) and closure_leq(b4, {2}, delta, b, a)
+    for covers in (closure_hasse, reference_transitive_reduction):
+        with pytest.raises(AssertionError, match="closure relation is not antisymmetric"):
+            covers(b4, {2}, delta)
+
+
 def test_closure_hasse_builds_no_bruhat_ideal():
     group = coxeter_group("B4")
     assert closure_hasse(group, {2}, group.automorphism())
@@ -393,8 +471,13 @@ def test_closure_hasse_builds_no_bruhat_ideal():
 
 
 def test_closure_hasse_b5_cover_count():
+    """The cover counts on B5, and the covers equal the full reduction's."""
     group = coxeter_group("B5")
-    assert len(closure_hasse(group, {2}, group.automorphism())) == 11_088
+    delta = group.automorphism()
+    for Jsub, count in (({2}, 11_088), ({1, 2}, 2_068)):
+        covers = closure_hasse(group, Jsub, delta)
+        assert len(covers) == count
+        assert covers == reference_transitive_reduction(group, Jsub, delta)
 
 
 def test_closure_rejects_non_indices(b4):
@@ -653,6 +736,30 @@ def test_operators_refuse_data_of_another_group(b3, b4, operation):
     }[operation]
     with pytest.raises(ValueError, match="another group"):
         call()
+
+
+@pytest.mark.parametrize("entry", ["piece_indices", "twisted_normalizer", "bedard_sequence",
+                                   "bedard_inverse", "closure_leq", "closure_hasse",
+                                   "piece_dimension"])
+def test_entry_points_refuse_a_delta_of_another_group(b3, b4, entry):
+    """B4 refuses the A4 flip, which is not even a diagram automorphism of
+    B4 (m(1,2) = 4 but m(4,3) = 3), and the identity of B3: their generator
+    indices would be read as B4's."""
+    e, w = b4.identity(), b4.parse_word("4")
+    steps = bedard_sequence(b4, {2}, b4.automorphism(), w).steps
+    call = {
+        "piece_indices": lambda d: piece_indices(b4, {2}, d),
+        "twisted_normalizer": lambda d: twisted_normalizer(b4, {2}, d),
+        "bedard_sequence": lambda d: bedard_sequence(b4, {2}, d, w),
+        "bedard_inverse": lambda d: bedard_inverse(b4, {2}, d, steps),
+        "closure_leq": lambda d: closure_leq(b4, {2}, d, e, w),
+        "closure_hasse": lambda d: closure_hasse(b4, {2}, d),
+        "piece_dimension": lambda d: piece_dimension(b4, {2}, w, d),
+    }[entry]
+    flip = coxeter_group(A4_MATRIX).automorphism({1: 4, 2: 3, 3: 2, 4: 1})
+    for delta in (flip, b3.automorphism()):
+        with pytest.raises(ValueError, match="another group"):
+            call(delta)
 
 
 def test_projection_selects_coset(b4, b4_data):

@@ -38,6 +38,9 @@ def test_sha256_file_reads_in_chunks(oneshot, tmp_path):
     ("canonical_basis_B4_validated", {
         "coefficients": 40_249,
         "sha256": "42696ebb6667088da7c452c1cc672a2db1525db1ed77a2e6a1c7e96aa3446eb1"}),
+    ("closure_hasse_B5_J2", {
+        "covers": 11_088,
+        "sha256": "cb7a006a1f78f3aa3a056cfa4ae761717aebfff191bba7038ed9a2a6267fd8dd"}),
 ])
 def test_run_row_in_process(oneshot, row, expected):
     result = oneshot.run_row(row)

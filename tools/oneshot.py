@@ -15,9 +15,12 @@ rows:
 
 - ``masks_B5``, ``masks_B6``: every ``bruhat_mask`` of a freshly built group
   (the group build is not timed); ``pairs`` is the total of their bits.
-- ``closure_hasse_B5_J2``: ``closure_hasse`` on a fresh B5 with J = {2}.
-- ``pieces_B5_J2``: ``pieces --type B5 --J 2 --format json`` through
-  ``cli.main``, the import of the CLI included; ``sha256`` is its output's.
+- ``closure_hasse_B5_J2``, ``closure_hasse_B6_J2``: ``closure_hasse`` on a
+  fresh B5 or B6 with J = {2}; ``covers`` is their number and ``sha256`` a
+  digest of the ``repr`` of the covers, hashed after the timer stops.
+- ``pieces_B5_J2``, ``pieces_B6_J2``: ``pieces --type B5 --J 2 --format
+  json`` (or B6) through ``cli.main``, the import of the CLI included;
+  ``sha256`` is its output's.
 - ``sequences_B5_J2``: ``bedard_sequence`` and then ``bedard_inverse`` of
   its steps for every piece index of a fresh B5 with J = {2}, the indices
   listed before the timer starts; ``indices`` is their number.
@@ -76,13 +79,14 @@ def _masks(rank: int) -> tuple[float, dict]:
     return wall, {"pairs": sum(m.bit_count() for m in masks)}
 
 
-def _closure() -> tuple[float, dict]:
+def _closure(rank: int) -> tuple[float, dict]:
     from heckepieces.coxeter import coxeter_group
     from heckepieces.pieces import closure_hasse
-    group = coxeter_group("B5")
+    group = coxeter_group(f"B{rank}")
     start = time.perf_counter()
     covers = closure_hasse(group, {2}, group.automorphism())
-    return time.perf_counter() - start, {"covers": len(covers)}
+    wall = time.perf_counter() - start
+    return wall, {"covers": len(covers), "sha256": hashlib.sha256(repr(covers).encode()).hexdigest()}
 
 
 def _cli(*argv: str) -> tuple[float, dict]:
@@ -186,8 +190,10 @@ def _canonical_basis(rank: int, validate: bool) -> tuple[float, dict]:
 ROWS = {  # row name -> its run, in the order the rows are written
     "masks_B5": lambda: _masks(5),
     "masks_B6": lambda: _masks(6),
-    "closure_hasse_B5_J2": _closure,
+    "closure_hasse_B5_J2": lambda: _closure(5),
+    "closure_hasse_B6_J2": lambda: _closure(6),
     "pieces_B5_J2": lambda: _cli("pieces", "--type", "B5", "--J", "2", "--format", "json"),
+    "pieces_B6_J2": lambda: _cli("pieces", "--type", "B6", "--J", "2", "--format", "json"),
     "sequences_B5_J2": _sequences,
     "covers_B5": lambda: _covers(5),
     "covers_B6": lambda: _covers(6),
