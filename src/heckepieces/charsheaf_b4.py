@@ -378,8 +378,13 @@ def solve_chi(ctx: B4Context, t: Element, z: Element) -> ChiSolution:
         chi[rho]   + chi[sigma'] = r_2,     chi[rho]   + chi[sigma] = r_1,
 
     after dividing by the common boundary coefficient (``_probe_divisors``);
-    consistency requires r_1 + r_121 = r_2 + r_212, and the kernel direction
-    (+1,-1,-1,+1) is fixed as documented on ChiSolution.
+    consistency requires r_1 + r_121 = r_2 + r_212.  The kernel of the
+    system is spanned by ``IOTA``, whose entries are ±1, so off the
+    boundary every solution is x0 + k·IOTA for the particular solution x0
+    with chi[theta] = 0, and coefficientwise nonnegativity bounds each
+    coefficient of k from below by the symbols with IOTA = +1 and from
+    above by those with IOTA = -1; ChiSolution documents the choice when
+    the bounds leave a range.
 
     The context keeps each (t, z) solution once it is solved, so the report
     and ``check_chi`` solve each pair once; every call returns a fresh
@@ -398,7 +403,6 @@ def _solve(ctx: B4Context, t: Element, z: Element) -> ChiSolution:
 
     chi: dict[str, dict[str, Laurent]] = {C: {} for C in BLOCK}
     witnesses: list[tuple[str, int, int, int]] = []
-    unique = True
     for coord in NONUNIT:
         r = {wd: rhs[wd].get(coord, ZERO).exact_div(div[wd]) for wd in PROBE_WORDS}
         if r["1"] + r["121"] != r["2"] + r["212"]:
@@ -415,24 +419,18 @@ def _solve(ctx: B4Context, t: Element, z: Element) -> ChiSolution:
             exps = sorted(set().union(*(x.support() for x in x0.values())))
             kterms = {}
             for e in exps:
-                lo = max(-x0["rho"].coeff(e), -x0["theta"].coeff(e))
-                hi = min(x0["sigma"].coeff(e), x0["sigma'"].coeff(e))
+                lo = max([-x0[C].coeff(e) for C in BLOCK if IOTA[C] > 0])
+                hi = min([x0[C].coeff(e) for C in BLOCK if IOTA[C] < 0])
                 if lo > hi:
                     raise AssertionError(
                         f"no nonnegative solution at coordinate {coord}, exponent {e}"
                     )
                 if lo < hi:
-                    unique = False
                     witnesses.append((coord, e, lo, hi))
                 if lo:
                     kterms[e] = lo
             k = Laurent(kterms)
-        sol = {
-            "rho": x0["rho"] + k,
-            "sigma": x0["sigma"] - k,
-            "sigma'": x0["sigma'"] - k,
-            "theta": x0["theta"] + k,
-        }
+        sol = {C: x0[C] + k if IOTA[C] > 0 else x0[C] - k for C in BLOCK}
         if t == z:
             expected = {C: (ONE if C == coord else ZERO) for C in BLOCK}
             if sol != expected:
@@ -444,7 +442,7 @@ def _solve(ctx: B4Context, t: Element, z: Element) -> ChiSolution:
         for C in BLOCK:
             if sol[C]:
                 chi[C][coord] = sol[C]
-    return ChiSolution(t, z, chi, unique, tuple(witnesses))
+    return ChiSolution(t, z, chi, not witnesses, tuple(witnesses))
 
 
 def cuspidal_scalar(sol: ChiSolution) -> Laurent:

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping, Union
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)  # bool is a subclass of int
+    return type(x) is int  # refuses bool, a subclass of int
 
 
 def _raw(terms: dict) -> "Laurent":

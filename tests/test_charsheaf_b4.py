@@ -354,6 +354,41 @@ def test_all_solutions_unique(ctx):
         assert sol.witnesses == ()
 
 
+def test_free_offset_takes_the_low_end_and_breaks_the_pattern(b4_kl, monkeypatch):
+    """B4 has no ambiguous pair, so the probe data is replaced: at t = z
+    the identity transition, elsewhere rho-coordinate data whose solutions
+    at v^-1 are rho = theta = k, sigma = sigma' = 2 - k for k in 0..2, and
+    at v^-2 theta = 1 alone.  The solver records the range, takes k = 0,
+    and the report finds a combination that is no scalar multiple."""
+    fresh = build_context(kl=b4_kl)
+    word_of = {u: wd for wd, u in fresh.probes.items()}
+    free = {"121": Laurent({-1: 2, -2: 1}), "212": Laurent({-1: 2, -2: 1}),
+            "2": Laurent({-1: 2}), "1": Laurent({-1: 2})}
+
+    def restriction(ctx, t, z, u):
+        if t == z:
+            return {C: ONE for C in PROBE_SUPPORT[word_of[u]]}
+        return {"rho": free[word_of[u]]}
+
+    monkeypatch.setattr(charsheaf_b4, "normalized_restriction", restriction)
+    monkeypatch.setattr(charsheaf_b4, "_probe_divisors",
+                        lambda ctx, z: {wd: ONE for wd in PROBE_WORDS})
+    t, z = fresh.by_name["e"], fresh.by_name["efe"]
+    sol = solve_chi(fresh, t, z)
+    assert sol.witnesses == (("rho", -1, 0, 2),)
+    assert sol.unique is False
+    assert sol.chi == {"rho": {}, "sigma": {"rho": Laurent({-1: 2})},
+                       "sigma'": {"rho": Laurent({-1: 2})}, "theta": {"rho": Laurent({-2: 1})}}
+    assert solve_chi(fresh, z, z).chi == {C: {C: ONE} for C in BLOCK}
+
+    report = conjecture_report(fresh)
+    off = [r for r in report.pairs if r.t_name != r.z_name]
+    assert len(off) == 56
+    assert all(r.unique is False and r.pattern_ok is False and r.X == ZERO for r in off)
+    assert all(r.unique and r.pattern_ok for r in report.pairs if r.t_name == r.z_name)
+    assert not report.all_unique and not report.cuspidal_pattern and not report.all_pass
+
+
 def test_boundary_transition_is_identity(ctx):
     for z in ctx.N:
         sol = solve_chi(ctx, z, z)

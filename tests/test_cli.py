@@ -154,6 +154,13 @@ def test_kl_stats_text(capsys):
     assert capsys.readouterr().out == B2_KL_TEXT
 
 
+def test_kl_stats_csv_b2(capsys):
+    assert main(["kl", "--type", "B2", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (
+        "statistic,value\ntype,B2\norder,8\nstored_pairs,33\n"
+        "nontrivial_pairs,0\nmax_q_degree,0\n")
+
+
 def test_kl_stats_json_b3(capsys):
     assert main(["kl", "--type", "B3", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == {
@@ -171,8 +178,13 @@ def test_kl_pair_text(capsys):
 
 
 def test_kl_pair_incomparable(capsys):
-    assert main(["kl", "--type", "B2", "--pair", "121", "1"]) == 0
-    assert capsys.readouterr().out == "0\n"
+    """P = 0 in each format; JSON and CSV spell its q-coefficients [0]."""
+    for fmt, out in (("text", "0\n"),
+                     ("json", '{\n  "y": "121",\n  "w": "1",\n  "q_coefficients": [\n'
+                              '    0\n  ],\n  "text": "0"\n}\n'),
+                     ("csv", "y,w,q_coefficients\n121,1,0\n")):
+        assert main(["kl", "--type", "B2", "--pair", "121", "1", "--format", fmt]) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_kl_pair_json_csv(capsys):

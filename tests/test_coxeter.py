@@ -833,6 +833,16 @@ def test_automorphism_validation():
         b4.automorphism({1: 4, 2: 3, 3: 2, 4: 1})  # breaks the labels
 
 
+def test_automorphism_equality_and_hash(b2):
+    """Automorphisms compare by group identity and permutation."""
+    swap = b2.automorphism({1: 2, 2: 1})
+    again = b2.automorphism({1: 2, 2: 1})
+    assert swap == again and hash(swap) == hash(again) and len({swap, again}) == 1
+    assert swap != b2.automorphism()
+    assert swap != coxeter_group("B2").automorphism({1: 2, 2: 1})  # another group
+    assert swap != {1: 2, 2: 1}
+
+
 def test_b2_swap_automorphism(b2):
     delta = b2.automorphism({1: 2, 2: 1})
     assert delta.apply(b2.generator(1)) == b2.generator(2)

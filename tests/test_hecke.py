@@ -266,6 +266,34 @@ def test_sums_refuse_operands_of_another_algebra(b2):
     assert h + h - h == h
 
 
+def test_equality_hash_and_product_contracts(b2):
+    """Equal weights and equal elements hash alike; ``*`` is ``multiply``,
+    which refuses an operand of another algebra even when the weights
+    agree; and 0 prints as 0."""
+    L = WeightFunction(b2, {1: 1, 2: 3})
+    same = WeightFunction(b2, {1: 1, 2: 3})
+    assert L == same and hash(L) == hash(same) and len({L, same}) == 1
+    assert L != WeightFunction(b2, {1: 1, 2: 1})
+    assert L != WeightFunction(coxeter_group("B2"), {1: 1, 2: 3})  # another group
+    assert L != {1: 1, 2: 3}
+
+    algebra, other = HeckeAlgebra(b2, "weighted", L), HeckeAlgebra(b2, "weighted", same)
+    x, y = algebra.basis(b2.generator(1)), algebra.basis(b2.generator(2))
+    xy = algebra.basis(b2.product(b2.generator(1), b2.generator(2)))
+    assert x * y == algebra.multiply(x, y) == xy  # length-additive
+    assert hash(x * y) == hash(xy) and len({x * y, xy}) == 1
+    assert x * x == algebra.element({b2.generator(1): v_power(1) - v_power(-1),
+                                     b2.identity(): ONE})
+    for a, b in ((x, other.basis(b2.generator(2))), (other.basis(b2.generator(1)), y)):
+        with pytest.raises(ValueError, match="operands belong to a different algebra"):
+            algebra.multiply(a, b)
+    with pytest.raises(ValueError, match="operands belong to a different algebra"):
+        x * other.basis(b2.generator(2))
+    with pytest.raises(TypeError):
+        x * 2
+    assert algebra.zero().text() == "0" and not algebra.zero()
+
+
 # -- bar involution ----------------------------------------------------------
 
 def test_bar_is_involution_exhaustive_b2(b2):
@@ -520,14 +548,19 @@ def test_kl_mu_reads_lengths_from_the_table(b4, b4_kl, monkeypatch):
 
 def test_kl_get_refuses_elements_outside_the_group(b3):
     """What ``group.length`` refuses, ``get`` refuses: a negative w would
-    otherwise read a column from the end.  Bools are ints, as there."""
+    otherwise read a column from the end, and a bool is no element."""
     table = kl_table(b3)
     top = len(b3.elements()) - 1
     for y, w in ((-1, top), (0, top + 1), (top + 1, top), (0, -1),
                  (0.0, 5), (0, 5.0), (None, 5), (0, None)):
         with pytest.raises(ValueError):
             table.get(y, w)
-    assert table.get(True, top) is table.get(1, top)
+    with pytest.raises(ValueError):
+        b3.length(True)
+    for y, w in ((True, top), (0, True), (False, top)):
+        for read in (table.get, table.mu):
+            with pytest.raises(ValueError):
+                read(y, w)
 
 
 @pytest.mark.parametrize("name", ["B2", "B3", "B4", "matrix:D4", "matrix:H3"])
@@ -820,9 +853,9 @@ def test_canonical_basis_takes_one_step_per_element(monkeypatch):
     along c_s took one ``_times_gen`` step per element and c_s · c_{sz}
     took 163,128.  The walk runs only where a correction can land, 5,092
     of the 40,249 positions, and each distinct correction (current,
-    gamma_t, p(u, t)) forms its product once: 1,782 Laurent products, where
-    the walk over every position formed 4,917 and the walk on values
-    34,102."""
+    gamma_t, p(u, t)) forms its product once: 1,778 Laurent products, and
+    the algebra's four generator inverses four more, where the walk over
+    every position formed 4,917 and the walk on values 34,102."""
     calls = []
     products = 0
     mul = Laurent.__mul__

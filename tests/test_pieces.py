@@ -92,6 +92,25 @@ def test_stable_pair_properties(b4, b4_data):
             assert b4.in_parabolic(b4.product(b4.inverse(wp), wn), Jp)
 
 
+def test_stable_pair_conjugates_onto_the_twisted_subset(b4, b4_data):
+    """w_inf s_j w_inf^{-1} for j in J_inf, formed with ``group.product``
+    and not with ``ad_indices``, are exactly the generators of
+    δ(J_inf): every piece index of B4 with J = {1, 2}, and of D4 under each
+    of its six diagram automorphisms and every nonempty J (4,038 cases)."""
+    cases = [(b4, J, b4_data[0], data) for data in b4_data[2].values()]
+    d4 = coxeter_group(D4_MATRIX)
+    for delta in _automorphisms(d4):
+        for Jsub in _subsets(d4)[1:]:
+            cases += [(d4, Jsub, delta, bedard_sequence(d4, Jsub, delta, w))
+                      for w in piece_indices(d4, Jsub, delta)]
+    for group, Jsub, delta, data in cases:
+        w, Jinf = data.w_infinity, data.J_infinity
+        images = {group.product(w, group.generator(j), group.inverse(w)) for j in Jinf}
+        assert images == {group.generator(i) for i in delta.on_set(Jinf)}, \
+            (group.type_tag, sorted(Jsub), delta.perm, group.word_str(w))
+    assert len(cases) == 48 + 4_038
+
+
 def test_sequence_trace_single_generator(b4, b4_data):
     _, _, datas = b4_data
     w = b4.parse_word("3")
