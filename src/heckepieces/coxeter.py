@@ -172,6 +172,10 @@ class CoxeterGroup:
     def __init__(self, matrix: Sequence[Sequence[int]], type_tag: str = "matrix"):
         self.matrix = _validate_matrix(matrix)
         self.rank = len(self.matrix)
+        # the tag names the group in cache headers and gates type-B formulas
+        if type_tag != "matrix" and (type_tag != f"B{self.rank}"
+                                     or self.matrix != type_b_matrix(self.rank)):
+            raise ValueError(f"type tag {type_tag!r} does not name this matrix")
         self.type_tag = type_tag
         order = coxeter_order(self.matrix)
         if order is None:

@@ -6,9 +6,10 @@ automorphism δ.  The pieces are indexed by the set of elements with no left
 descents in δ(J).  Each index w carries a stabilization sequence
 
     J_0 = J,   w_n = the minimal element of  W_{δ(J)} · w · W_{J_n},
-    J_{n+1} = {i in J_n : δ(i) is the index of w_n s_j w_n^{-1} for some j in J_n},
+    J_{n+1} = {i in J_n : s_{δ(i)} · w_n = w_n · s_j for some j in J_n},
 
-which becomes constant after finitely many steps; the stable pair
+that is, s_{δ(i)} = w_n s_j w_n^{-1}, both products read off the group's
+tables.  It becomes constant after finitely many steps; the stable pair
 (J_inf, w_inf) satisfies w_inf J_inf w_inf^{-1} = δ(J_inf) as generator sets,
 and w_inf equals the original w.  ``bedard_sequence`` computes the sequence;
 ``bedard_inverse`` accepts exactly the sequences it computes and returns their
@@ -40,26 +41,6 @@ from typing import Iterable, Iterator, Sequence
 from .coxeter import CoxeterGroup, DiagramAutomorphism, Element
 from .hecke import HeckeAlgebra, HeckeElement
 from .laurent import ONE, Laurent, _is_int, add_into
-
-
-def ad_indices(group: CoxeterGroup, w: Element, K: Iterable[int]) -> frozenset:
-    """{k : s_k = w s_j w^{-1} for some j in K} — conjugates of K-generators
-    by w that remain generators (others are dropped)."""
-    length, words, w_inv = group._length, group._words, group.inverse(w)
-    out = set()
-    for j in group._check_subset(K):
-        g = group._product(group._rmul[j][w], w_inv)
-        if length[g] == 1:
-            out.add(words[g][0])
-    return frozenset(out)
-
-
-def conjugates_set_to(group: CoxeterGroup, w: Element, J: Iterable[int],
-                      K: Iterable[int]) -> bool:
-    """Whether w J w^{-1} = K as sets of generators (conjugation is
-    injective, so no element of J is dropped when the sizes agree)."""
-    Jf, Kf = frozenset(J), frozenset(K)
-    return len(Jf) == len(Kf) and ad_indices(group, w, Jf) == Kf
 
 
 @dataclass(frozen=True)
@@ -127,49 +108,60 @@ class BedardData:
         return HeckeElement._raw(h.algebra, {self.tau(x): c for x, c in h.terms.items()})
 
 
-def _check_group(h: HeckeElement, data: BedardData | DiagramAutomorphism) -> None:
-    """Refuse a δ or a sequence of another group than h's algebra: its
-    elements would be read as elements of the wrong group."""
+def _check_group(h: HeckeElement, data: BedardData) -> None:
+    """Refuse a sequence of another group than h's algebra: its elements
+    would be read as elements of the wrong group."""
     if data.group is not h.algebra.group:
         raise ValueError("h belongs to an algebra of another group")
 
 
-def _twisted(group: CoxeterGroup, J: Iterable[int],
-             delta: DiagramAutomorphism) -> tuple[frozenset, frozenset]:
-    """J, checked as a set of generators, and δ(J).  Refuses a δ of another
-    group than ``group``: its generators would be read as the group's."""
+def _twisted(group: CoxeterGroup, J: Iterable[int], delta: DiagramAutomorphism,
+             *indices: Element) -> tuple[frozenset, frozenset]:
+    """J, checked as a set of generators, and δ(J), after checking each of
+    ``indices`` as a piece index.  Refuses a δ of another group than
+    ``group``, whose generators would be read as the group's, and an index
+    that is not an element or has a left descent in δ(J)."""
     if delta.group is not group:
         raise ValueError("delta is a diagram automorphism of another group")
     Jf = group._check_subset(J)
-    return Jf, delta.on_set(Jf)
+    dJ = delta.on_set(Jf)
+    for w in indices:
+        group._check_element(w)
+        if group._ldesc[w] & dJ:
+            raise ValueError(
+                f"{group.word_str(w)} has a left descent in δ(J); not a piece index")
+    return Jf, dJ
 
 
-def _validate_index(group: CoxeterGroup, dJ: frozenset, w: Element) -> None:
-    if not group.is_left_min(w, dJ):
-        raise ValueError(
-            f"{group.word_str(w)} has a left descent in δ(J); not a piece index"
-        )
+def _int_subset(Jf: frozenset) -> frozenset:
+    """Jf, refused if a member is not an int.  True and 1.0 equal 1, so they
+    pass a subset check, but a sequence would keep them as they are."""
+    for i in Jf:
+        if not _is_int(i):
+            raise ValueError(f"generator indices must be integers, not {i!r}")
+    return Jf
 
 
 def bedard_sequence(group: CoxeterGroup, J: Iterable[int],
                     delta: DiagramAutomorphism, w: Element) -> BedardData:
     """Compute the stabilization sequence of a piece index w.
 
-    Raises ValueError if w has a left descent in δ(J), or if δ is of
-    another group.
+    Raises ValueError if w has a left descent in δ(J), if J holds a
+    generator index that is not an int, or if δ is of another group.
     """
-    Jf, dJ = _twisted(group, J, delta)
-    _validate_index(group, dJ, w)
+    Jf, dJ = _twisted(group, J, delta, w)
+    _int_subset(Jf)
+    lmul, rmul = group._lmul, group._rmul
     steps: list[tuple[frozenset, Element]] = []
     Jn = Jf
     while True:
         wn = group.min_double_coset(dJ, Jn, w)
         steps.append((Jn, wn))
-        ad = ad_indices(group, wn, Jn)
-        Jnext = frozenset(i for i in Jn if delta(i) in ad)
+        right = {rmul[j][wn] for j in Jn}  # w_n s_j for j in J_n
+        Jnext = frozenset(i for i in Jn if lmul[delta(i)][wn] in right)
         if Jnext == Jn:
-            # every δ(i), i in J_n, lies in ad, which has at most |J_n|
-            # members: w_n conjugates J_n onto δ(J_n) exactly
+            # every s_{δ(i)} w_n, i in J_n, is some w_n s_j, and both sides
+            # have |J_n| members: w_n conjugates J_n onto δ(J_n) exactly
             break
         Jn = Jnext
     return BedardData(group, Jf, delta, w, tuple(steps))
@@ -184,7 +176,7 @@ def bedard_inverse(group: CoxeterGroup, J: Iterable[int],
     ``bedard_sequence(group, J, delta, w).steps`` for its last element w,
     which is returned; anything else raises ValueError.
     """
-    norm = tuple((group._check_subset(Jn), wn) for Jn, wn in steps)
+    norm = tuple((_int_subset(group._check_subset(Jn)), wn) for Jn, wn in steps)
     for _, wn in norm:
         group._check_element(wn)
     if not norm:
@@ -208,9 +200,11 @@ def twisted_normalizer(group: CoxeterGroup, J: Iterable[int],
     """{w minimal in its double coset : w J w^{-1} = δ(J)} — the indices
     whose stabilization sequence is constant at (J, w), sorted."""
     Jf, dJ = _twisted(group, J, delta)
+    lmul, rmul = group._lmul, group._rmul
+    # w J w^{-1} = δ(J) exactly when {w s_j : j in J} = {s_k w : k in δ(J)}
     return tuple(
         w for w in group.double_coset_reps(dJ, Jf)
-        if conjugates_set_to(group, w, Jf, dJ)
+        if {rmul[j][w] for j in Jf} == {lmul[k][w] for k in dJ}
     )
 
 
@@ -245,9 +239,7 @@ def closure_leq(group: CoxeterGroup, J: Iterable[int], delta: DiagramAutomorphis
                 w1: Element, w2: Element) -> bool:
     """w1 ≤ w2 in the closure order: δ(u) w1 u^{-1} ≤ w2 (Bruhat) for some
     u in W_J."""
-    Jf, dJ = _twisted(group, J, delta)
-    _validate_index(group, dJ, w1)
-    _validate_index(group, dJ, w2)
+    Jf, _ = _twisted(group, J, delta, w1, w2)
     ideal = group.bruhat_mask(w2)
     return any(ideal >> x & 1 for x in next(_orbits(group, Jf, delta, [w1])))
 
@@ -308,8 +300,7 @@ def piece_dimension(group: CoxeterGroup, J: Iterable[int], w: Element,
         raise ValueError("piece dimensions are defined here for type B only")
     if delta is None:
         delta = group.automorphism()
-    Jf, dJ = _twisted(group, J, delta)
-    _validate_index(group, dJ, w)
+    Jf, _ = _twisted(group, J, delta, w)
     return (group.length(w) + group.length(group.longest_element()) + group.rank
             + group.length(group.longest_in_parabolic(Jf)))
 
@@ -350,15 +341,13 @@ def mu_J(h: HeckeElement, J: Iterable[int], delta: DiagramAutomorphism) -> Hecke
     image T_b, is not multiplied.  Raises ValueError if δ is of another
     group than h's algebra.
     """
-    _check_group(h, delta)
     algebra = h.algebra
-    Jf = algebra.group._check_subset(J)
+    Jf, dJ = _twisted(algebra.group, J, delta)
     if not Jf:
         return h
     images = algebra.mu_cache.get((Jf, delta))
     if images is None:
         images = algebra.mu_cache[Jf, delta] = {}
-    dJ = delta.on_set(Jf)
     out: dict = {}
     for y, c in h.terms.items():
         image = images.get(y)

@@ -47,6 +47,19 @@ def test_factory_validation():
         coxeter_group([[2, 3], [3, 1]])  # bad diagonal
 
 
+def test_type_tag_must_name_the_matrix():
+    """A tag is ``matrix``, or ``B<n>`` on the matrix of type B_n.  A B4 tag
+    on A3 would gate type-B piece dimensions and write a ``B4`` cache
+    header, and a newline in a tag would split that header line."""
+    b4 = type_b_matrix(4)
+    for matrix, tag in ((A3_MATRIX, "B3"), (A3_MATRIX, "B4"), (b4, "B3"), (b4, "B4\nx"),
+                        (b4, " B4"), (b4, "B04"), (b4, "A4"), (b4, None)):
+        with pytest.raises(ValueError, match="does not name this matrix"):
+            CoxeterGroup(matrix, tag)
+    assert CoxeterGroup(type_b_matrix(3), "B3").type_tag == "B3"
+    assert CoxeterGroup(type_b_matrix(3)).type_tag == CoxeterGroup(A3_MATRIX).type_tag == "matrix"
+
+
 @pytest.mark.parametrize("entry", [3.5, "3", True, None])
 def test_matrix_entries_must_be_integers(entry):
     """No entry is coerced: 3.5 used to build A2, "3" read as 3 and True as

@@ -15,13 +15,10 @@ from heckepieces.hecke import HeckeAlgebra, WeightFunction, canonical_basis
 from heckepieces.laurent import Laurent, ONE
 from heckepieces.pieces import (
     E_operator,
-    _validate_index,
-    ad_indices,
     bedard_inverse,
     bedard_sequence,
     closure_hasse,
     closure_leq,
-    conjugates_set_to,
     mu_J,
     piece_dimension,
     piece_indices,
@@ -36,6 +33,24 @@ J = frozenset({1, 2})
 A3_MATRIX = ((1, 3, 2), (3, 1, 3), (2, 3, 1))
 A4_MATRIX = ((1, 3, 2, 2), (3, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1))
 D4_MATRIX = ((1, 3, 2, 2), (3, 1, 3, 3), (2, 3, 1, 2), (2, 3, 2, 1))
+
+
+def ad_indices(group, w, K):
+    """{k : s_k = w s_j w^{-1} for some j in K}, the conjugates of the
+    K-generators by w that are generators, formed by multiplying along
+    w^{-1}'s reduced word as ``pieces`` once did."""
+    length, words, w_inv = group._length, group._words, group.inverse(w)
+    out = set()
+    for j in group._check_subset(K):
+        g = group._product(group._rmul[j][w], w_inv)
+        if length[g] == 1:
+            out.add(words[g][0])
+    return frozenset(out)
+
+
+def _validate_index(group, dJ, w):
+    if not group.is_left_min(w, dJ):
+        raise ValueError(f"{group.word_str(w)} has a left descent in δ(J); not a piece index")
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +109,7 @@ def test_stable_pair_properties(b4, b4_data):
 
 def test_stable_pair_conjugates_onto_the_twisted_subset(b4, b4_data):
     """w_inf s_j w_inf^{-1} for j in J_inf, formed with ``group.product``
-    and not with ``ad_indices``, are exactly the generators of
+    and not read off the product tables, are exactly the generators of
     δ(J_inf): every piece index of B4 with J = {1, 2}, and of D4 under each
     of its six diagram automorphisms and every nonempty J (4,038 cases)."""
     cases = [(b4, J, b4_data[0], data) for data in b4_data[2].values()]
@@ -130,9 +145,18 @@ def test_invalid_index_rejected(b4):
         bedard_sequence(b4, J, delta, b4.parse_word("12"))  # left descent in J
 
 
-def test_conjugates_set_to_refuses_non_generators(b3):
+def test_twisted_normalizer_refuses_non_generators(b3):
     with pytest.raises(ValueError, match="not a subset of generators"):
-        conjugates_set_to(b3, b3.identity(), {99}, {99})
+        twisted_normalizer(b3, {99}, b3.automorphism())
+
+
+@pytest.mark.parametrize("Jsub", [{1.0}, {True, 2}, {2.0, 1}])
+def test_sequences_refuse_generator_indices_that_are_not_ints(b4, Jsub):
+    """True and 1.0 equal 1, so they pass the subset check, but a sequence
+    would keep them in its steps as they are."""
+    delta, w = b4.automorphism(), b4.parse_word("3")
+    with pytest.raises(ValueError, match="generator indices must be integers"):
+        bedard_sequence(b4, Jsub, delta, w)
 
 
 def test_sequence_round_trip(b4, b4_data):
@@ -160,6 +184,10 @@ def test_tampered_sequences_rejected(b4, b4_data):
     with pytest.raises(ValueError):  # not a minimal double coset representative
         bad = [(J, b4.parse_word("12"))]
         bedard_inverse(b4, J, delta, bad)
+    w3 = b4.parse_word("3")  # steps: (J, 3), ({1}, 3)
+    for one in (True, 1.0):  # equal to 1, but a sequence would keep them
+        with pytest.raises(ValueError, match="generator indices must be integers"):
+            bedard_inverse(b4, J, delta, [datas[w3].steps[0], ({one}, w3)])
 
 
 def test_padded_sequences_rejected(b4, b4_data):
@@ -292,6 +320,27 @@ def test_twisted_normalizer_b4(b4):
         "∅", "4", "32123", "321234", "432123", "4321234",
         "32123432123", "321234321234",
     ]
+
+
+def test_twisted_normalizer_matches_the_product_form(b4):
+    """The table test {w s_j} = {s_k w} against w J w^{-1} = δ(J) formed by
+    multiplying along w^{-1}'s word (``ad_indices``), over the double coset
+    representatives: B4 with J = {1, 2}, D4 under each of its six diagram
+    automorphisms and every nonempty J, and B5 with J = {1, 2}."""
+    d4 = coxeter_group(D4_MATRIX)
+    cases = [(b4, J, None), (coxeter_group("B5"), J, None)]
+    cases += [(d4, Jsub, delta.perm) for delta in _automorphisms(d4)
+              for Jsub in _subsets(d4)[1:]]
+    sizes = []
+    for group, Jsub, mapping in cases:
+        delta = group.automorphism(mapping)
+        dJ = delta.on_set(Jsub)
+        expected = tuple(w for w in group.double_coset_reps(dJ, Jsub)
+                         if ad_indices(group, w, Jsub) == dJ)
+        assert twisted_normalizer(group, Jsub, delta) == expected, \
+            (group.type_tag, sorted(Jsub), delta.perm)
+        sizes.append(len(expected))
+    assert sizes[:2] == [8, 48] and len(sizes) == 2 + 6 * 15
 
 
 def test_twisted_normalizer_matches_brute_force():
@@ -500,9 +549,20 @@ def test_closure_hasse_b5_cover_count():
 
 
 def test_closure_rejects_non_indices(b4):
-    delta = b4.automorphism()
-    with pytest.raises(ValueError):
-        closure_leq(b4, J, delta, b4.parse_word("12"), b4.identity())
+    """Every index that ``closure_leq``, ``bedard_sequence`` and
+    ``piece_dimension`` take is checked: 12 has the left descent 1 in
+    δ(J), and -1, True and 1.0 are not elements."""
+    delta, e = b4.automorphism(), b4.identity()
+    calls = (lambda x: closure_leq(b4, J, delta, x, e),
+             lambda x: closure_leq(b4, J, delta, e, x),
+             lambda x: bedard_sequence(b4, J, delta, x),
+             lambda x: piece_dimension(b4, J, x, delta))
+    for call in calls:
+        with pytest.raises(ValueError, match="not a piece index"):
+            call(b4.parse_word("12"))
+        for x in (-1, True, 1.0):
+            with pytest.raises(ValueError, match="no element"):
+                call(x)
 
 
 # -- dimensions ----------------------------------------------------------------
