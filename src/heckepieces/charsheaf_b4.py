@@ -1,11 +1,17 @@
-"""The rank-4 verification pipeline: restricting piece basis elements to the
-boundary and solving for the character-sheaf transition data.
+"""The character-sheaf verification pipeline: restricting piece basis
+elements to the boundary and solving for the character-sheaf transition
+data.
 
-Setting: W = B_4 with J = {1, 2} and trivial diagram twist.  The twisted
-normalizer N of J is the Coxeter group of type B_2 on its atoms e = 4 and
-f = 32123, derived from the group's tables (``_normalizer_mirror``), with a
-weight (e ↦ 1, f ↦ 3) and a sign character ε (ε(e) = +1, ε(f) = -1).  The
-parabolic W_J is of type B_2 and supports six character sheaves labelled
+Setting: W = B_n (n >= 4; the paper's example and the default is B_4) with
+J = {1, 2} and trivial diagram twist.  The twisted normalizer N of J is the
+Coxeter group of its atoms, derived from the group's tables
+(``_normalizer_mirror``), lettered e, f, g, ... in atom order.  One rule
+gives N its weight and its sign character ε: an atom that is a simple
+reflection of W weighs 1 with ε = +1, and the one atom that is not (32123)
+weighs 3 with ε = -1.  On B_4, N is of type B_2 on e = 4 and f = 32123
+(e ↦ 1, f ↦ 3), the paper's case; on B_n with n >= 5, N is of type B_{n-2}
+and the rule is the hypothesis that the report tests.  The parabolic W_J is
+of type B_2 and supports six character sheaves labelled
 
     1, rho, sigma, sigma', theta, S,
 
@@ -39,18 +45,18 @@ nonnegativity does not pin it down.
 
     chi(rho) - chi(sigma) - chi(sigma') + chi(theta) = X · (rho - sigma - sigma' + theta),
 
-and ``conjecture_report`` checks, over all 64 pairs (t, z):
+and ``conjecture_report`` checks, over all pairs (t, z) of N (64 on B4):
 
   1. the alternating combination has the displayed shape with zero S-part
      and X in Z[v^-1];
   2. the 4x4 block transition matrix is nondegenerate whenever t <= z;
   3. X = ε(z) ε(t) p(t, z), where p is the unequal-parameter canonical
-     basis coefficient of the weighted dihedral Hecke algebra of N.
+     basis coefficient of the weighted Hecke algebra of N.
 
 The context does each piece of work once.  It keeps every restriction
 expansion (the report and the checks ask for 384 triples (t, z, u) on B4),
-the probe divisors of each z (8 maps of 4 entries, from 32
-``boundary_dims`` calls) and every ``solve_chi`` solution (64), so the
+the probe divisors of each z (8 maps of 4 entries on B4, from 32
+``boundary_dims`` calls) and every ``solve_chi`` solution (64 on B4), so the
 report and the frozen checks of ``b4_example`` share them.  All three grow
 with the normalizer; on B6 (|N| = 384) they must be dropped z by z, which
 is safe because ``pairs()`` walks z in the outer loop.
@@ -71,7 +77,7 @@ from .hecke import (
     inverse_kl,
     kl_table,
 )
-from .laurent import Laurent, ONE, ZERO, add_into
+from .laurent import Laurent, ONE, ZERO, _is_int, add_into
 from .pieces import twisted_normalizer
 
 NONUNIT = ("rho", "sigma", "sigma'", "theta", "S")
@@ -79,7 +85,8 @@ BLOCK = ("rho", "sigma", "sigma'", "theta")
 IOTA = {"rho": 1, "sigma": -1, "sigma'": -1, "theta": 1}
 GLYPH = {"1": "1", "rho": "ρ", "sigma": "σ", "sigma'": "σ'", "theta": "θ", "S": "S"}
 
-# weights of the two dihedral atoms of the twisted normalizer
+# the weight of an atom of the twisted normalizer that is a simple
+# reflection of W, and of the one atom that is not
 ATOM_WEIGHTS = (1, 3)
 
 # probing elements of W_J used by the solver, and the two block sheaves
@@ -118,7 +125,7 @@ CS_TABLE_BY_WORD: dict[str, dict[str, Laurent]] = {
 @dataclass
 class B4Context:
     """Everything the pipeline needs, built once: the group, its KL data,
-    the inverse KL data of W_J, the twisted normalizer with its dihedral
+    the inverse KL data of W_J, the twisted normalizer with its Coxeter
     mirror, weights, signs, and canonical basis coefficients."""
 
     group: CoxeterGroup
@@ -152,13 +159,22 @@ class B4Context:
         default_factory=dict, init=False, repr=False, compare=False)
 
     def n_leq(self, t: Element, z: Element) -> bool:
-        """t <= z inside the dihedral normalizer (its own Bruhat order,
-        not the closure order of the ambient group)."""
-        return self.mirror.bruhat_leq(self.to_mirror[t], self.to_mirror[z])
+        """t <= z inside the normalizer (its own Bruhat order, not the
+        closure order of the ambient group)."""
+        return self.mirror.bruhat_leq(self._in_mirror(t), self._in_mirror(z))
 
     def p(self, t: Element, z: Element) -> Laurent:
-        """Canonical basis coefficient of the weighted dihedral algebra."""
-        return self.pbasis.p(self.to_mirror[t], self.to_mirror[z])
+        """Canonical basis coefficient of the weighted Hecke algebra of N."""
+        return self.pbasis.p(self._in_mirror(t), self._in_mirror(z))
+
+    def _in_mirror(self, z: Element) -> Element:
+        """z as an element of the mirror.  Refuses what is not an element
+        of N, as ``CanonicalBasis.p`` refuses what is not an element: a
+        bool would otherwise read as 0 or 1."""
+        x = self.to_mirror.get(z) if _is_int(z) else None
+        if x is None:
+            raise ValueError(f"no element {z!r} of the normalizer")
+        return x
 
     def pairs(self) -> list[tuple[Element, Element]]:
         return [(t, z) for z in self.N for t in self.N]
@@ -198,26 +214,32 @@ def _normalizer_mirror(group: CoxeterGroup, J: frozenset) -> tuple:
 
 
 def build_context(kl: KLTable | None = None) -> B4Context:
+    """The context of a KL table of B_n, n >= 4 (by default a fresh B4
+    table), with J = {1, 2}."""
     if kl is None:
-        group = coxeter_group("B4")
-        kl = kl_table(group)
-    else:
-        if kl.group.type_tag != "B4":
-            raise ValueError("context needs a KL table of the rank-4 group")
-        group = kl.group
+        kl = kl_table(coxeter_group("B4"))
+    group = kl.group
+    if group.type_tag != f"B{group.rank}" or group.rank < 4:
+        raise ValueError("context needs a KL table of a type-B group of rank 4 or more")
     J = frozenset({1, 2})
     WJ = group.parabolic_elements(J)
 
     N, atoms, mirror, to_mirror = _normalizer_mirror(group, J)
-    if len(atoms) != len(ATOM_WEIGHTS):
-        raise AssertionError(f"the normalizer has {len(atoms)} atoms, not {len(ATOM_WEIGHTS)}")
-    dihedral_word = {z: "".join("ef"[i - 1] for i in mirror.reduced_word(to_mirror[z])) for z in N}
-    name_of = {z: dihedral_word[z] or "1" for z in N}
+    # the rule of the module docstring: the one atom c that is not a simple
+    # reflection of W weighs ATOM_WEIGHTS[1] with sign -1, the others
+    # ATOM_WEIGHTS[0] with sign +1
+    cuspidal = [i for i in mirror.generators() if group.length(atoms[i - 1]) != 1]
+    if len(cuspidal) != 1:
+        raise AssertionError(f"{len(cuspidal)} atoms of N are not simple reflections, not 1")
+    (c,) = cuspidal
+    weight = WeightFunction(mirror, {i: ATOM_WEIGHTS[1] if i == c else ATOM_WEIGHTS[0]
+                                     for i in mirror.generators()})
+    words = {z: mirror.reduced_word(to_mirror[z]) for z in N}
+    name_of = {z: "".join(chr(ord("e") + i - 1) for i in word) or "1" for z, word in words.items()}
     by_name = {nm: z for z, nm in name_of.items()}
-    weight = WeightFunction(mirror, dict(zip(mirror.generators(), ATOM_WEIGHTS)))
     pbasis = canonical_basis(HeckeAlgebra(mirror, "weighted", weight))
     weight_L = {z: weight.of(to_mirror[z]) for z in N}
-    eps = {z: (-1) ** dihedral_word[z].count("f") for z in N}
+    eps = {z: (-1) ** word.count(c) for z, word in words.items()}
 
     cs_table = {group.parse_word(wd): vec for wd, vec in CS_TABLE_BY_WORD.items()}
     if set(cs_table) != set(WJ):
@@ -505,7 +527,7 @@ class ConjectureReport:
 
     @property
     def canonical_basis_match(self) -> bool:
-        """X = ε(z)ε(t) p(t,z) over all 64 pairs."""
+        """X = ε(z)ε(t) p(t,z) over all pairs (64 on B4)."""
         return all(r.canonical_match for r in self.pairs)
 
     @property

@@ -189,14 +189,19 @@ class Laurent:
             raise TypeError(f"shift exponent must be an int, not {exp!r}")
         return _raw({e + exp: c for e, c in self._terms.items()})
 
-    def exact_div(self, other: "Laurent") -> "Laurent":
+    def exact_div(self, other: Union["Laurent", int]) -> "Laurent":
         """Exact quotient self/other in Z[v,v^-1]; ValueError if not divisible.
+        An int divisor is the constant it stands for, as in ``+`` and ``*``.
 
         >>> (v_power(-1) + v_power(1)).exact_div(v_power(-1) + v_power(1)).text()
         '1'
         >>> (ONE + v_power(2)).exact_div(v_power(1)).text()
         'v^-1 + v'
         """
+        if isinstance(other, int):
+            other = _const(other)
+        elif not isinstance(other, Laurent):
+            raise TypeError(f"cannot divide by {other!r}")
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:

@@ -36,8 +36,8 @@ from heckepieces.charsheaf_b4 import (
     restriction_coefficients,
     solve_chi,
 )
-from heckepieces.coxeter import coxeter_group
-from heckepieces.hecke import KLTable, WeightFunction, inverse_kl
+from heckepieces.coxeter import CoxeterGroup, coxeter_group, type_b_matrix
+from heckepieces.hecke import KLTable, WeightFunction, inverse_kl, kl_table
 from heckepieces.laurent import Laurent, ONE, ZERO, v_power
 from heckepieces.pieces import twisted_normalizer
 
@@ -120,11 +120,14 @@ def test_derived_normalizer_matches_spelled_reference(b4_kl):
     (3, ["32123"], ((1,),)),
     (4, ["4", "32123"], ((1, 4), (4, 1))),
     (5, ["4", "5", "32123"], ((1, 3, 4), (3, 1, 2), (4, 2, 1))),
+    (6, ["4", "5", "6", "32123"],
+     ((1, 3, 2, 4), (3, 1, 3, 2), (2, 3, 1, 2), (4, 2, 2, 1))),
 ])
 def test_normalizer_mirror_on_other_ranks(rank, atom_words, matrix):
     """The derivation is not tied to rank 4: on B3 N has one atom, on B5 it
-    is of type B3 with |N| = 48 = |mirror|, and the atom words multiply to
-    the elements they name."""
+    is of type B3 with |N| = 48 = |mirror|, on B6 of type B4 with
+    |N| = 384, 32123 joined to 4 by m = 4 in both, and the atom words
+    multiply to the elements they name."""
     group = coxeter_group(f"B{rank}")
     N, atoms, mirror, to_mirror = _normalizer_mirror(group, frozenset({1, 2}))
     assert N == twisted_normalizer(group, frozenset({1, 2}), group.automorphism())
@@ -135,6 +138,54 @@ def test_normalizer_mirror_on_other_ranks(rank, atom_words, matrix):
     for z, x in to_mirror.items():
         assert group.product(0, *(atoms[i - 1] for i in mirror.reduced_word(x))) == z
         assert (mirror.length(x) == 1) == (z in atoms)  # generators are the atoms
+
+
+def test_build_context_refuses_other_tables(b3):
+    """Only a type-B table of rank 4 or more has the context: B3 is
+    refused, and so is a table of the B4 matrix without its type tag."""
+    for group in (b3, CoxeterGroup(type_b_matrix(4))):
+        with pytest.raises(ValueError, match="type-B group of rank 4 or more"):
+            build_context(kl=kl_table(group))
+
+
+def test_context_refuses_elements_outside_the_normalizer(ctx):
+    """``p`` and ``n_leq`` refuse what is not an element of N, as
+    ``CanonicalBasis.p`` refuses what is not an element: 5 is an element of
+    W outside N, and False would read as the identity."""
+    one = ctx.group.identity()
+    for bad in (5, -1, None, True, False):
+        for args in ((bad, one), (one, bad)):
+            with pytest.raises(ValueError, match="normalizer"):
+                ctx.p(*args)
+            with pytest.raises(ValueError, match="normalizer"):
+                ctx.n_leq(*args)
+    assert ctx.p(one, one) == ONE and ctx.n_leq(one, one)
+
+
+def test_report_on_b5():
+    """The report on B5, end to end: N has type B3 and the rule weighs and
+    signs its atoms.  Nonnegativity leaves two pairs ambiguous, and they
+    are exactly the pairs whose cuspidal pattern and canonical match fail;
+    these counts record a finding about the rule at rank 5, not frozen
+    data."""
+    b5 = build_context(kl=kl_table(coxeter_group("B5")))
+    assert len(b5.N) == 48
+    assert {nm: (b5.group.word_str(b5.by_name[nm]), b5.weight_L[b5.by_name[nm]],
+                 b5.eps[b5.by_name[nm]]) for nm in "efg"} == {
+        "e": ("4", 1, 1), "f": ("5", 1, 1), "g": ("32123", 3, -1)}
+    assert b5.group.word_str(b5.by_name["gefgeg"]) == "321234321235432123"
+    report = conjecture_report(b5)
+    assert len(report.pairs) == 2_304
+    assert sum(r.unique for r in report.pairs) == 2_302
+    ambiguous = [(r.t_name, r.z_name) for r in report.pairs if not r.unique]
+    assert ambiguous == [("1", "gefgeg"), ("g", "gefgeg")]
+    assert [(r.t_name, r.z_name) for r in report.pairs if not r.pattern_ok] == ambiguous
+    assert [(r.t_name, r.z_name) for r in report.pairs if not r.canonical_match] == ambiguous
+    comparable = [r for r in report.pairs if r.comparable]
+    assert len(comparable) == 847 and all(r.det for r in comparable)
+    off_diagonal = [r.p for r in report.pairs if r.t_name != r.z_name and r.p]
+    assert len(off_diagonal) == 799
+    assert sum(not p.has_nonneg_coeffs() for p in off_diagonal) == 118
 
 
 def test_cs_table_matches_independent_record(ctx):

@@ -88,6 +88,22 @@ def test_exact_div_frozen():
         ONE.exact_div(ZERO)
 
 
+def test_exact_div_takes_an_int_divisor():
+    """An int divisor is the constant it stands for, as in ``+`` and ``*``;
+    any other divisor that is not a Laurent polynomial is refused."""
+    p = poly((2, 0), (4, 2))
+    assert p.exact_div(2) == poly((1, 0), (2, 2))
+    assert p.exact_div(-2) == poly((-1, 0), (-2, 2))
+    assert p.exact_div(True) == p
+    with pytest.raises(ValueError):
+        p.exact_div(3)
+    with pytest.raises(ZeroDivisionError):
+        p.exact_div(0)
+    for divisor in ("2", 2.0, None):
+        with pytest.raises(TypeError):
+            p.exact_div(divisor)
+
+
 def test_predicates_frozen():
     assert poly((1, -2), (3, 0)).in_v_minus()
     assert not poly((1, -2), (3, 0)).in_v_minus_strict()

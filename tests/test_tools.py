@@ -41,6 +41,9 @@ def test_sha256_file_reads_in_chunks(oneshot, tmp_path):
     ("closure_hasse_B5_J2", {
         "covers": 11_088,
         "sha256": "cb7a006a1f78f3aa3a056cfa4ae761717aebfff191bba7038ed9a2a6267fd8dd"}),
+    ("charsheaf_report_B5", {
+        "pairs": 2_304, "ambiguous": [["1", "gefgeg"], ["g", "gefgeg"]],
+        "sha256": "a1f194571f17f788e3fd848fcfdff6aa0523ccf30ac362954d520a761a8d4b82"}),
 ])
 def test_run_row_in_process(oneshot, row, expected):
     result = oneshot.run_row(row)

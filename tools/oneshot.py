@@ -48,6 +48,12 @@ rows:
 - ``example_b4``: ``example-b4 --format json`` through ``cli.main``, the
   import of the CLI and the B4 KL table included; ``sha256`` is its
   output's.
+- ``charsheaf_report_B5``: a fresh B5 group, its KL table, ``build_context``
+  and ``conjecture_report``, all timed; ``pairs`` is the number of pairs
+  (t, z), ``ambiguous`` lists the names of those that nonnegativity left
+  unpinned, and ``sha256`` is the digest of ``cli._as_json`` of
+  ``report_as_dict``, hashed after the timer stops.  A checkout whose
+  ``build_context`` refuses B5 fails this row.
 
 The file also records each side's git revision (with a flag for
 uncommitted changes to the side's ``src/``, the only code a row runs), the
@@ -187,6 +193,21 @@ def _canonical_basis(rank: int, validate: bool) -> tuple[float, dict]:
                   "sha256": digest.hexdigest()}
 
 
+def _charsheaf_report() -> tuple[float, dict]:
+    from heckepieces.charsheaf_b4 import build_context, conjecture_report, report_as_dict
+    from heckepieces.cli import _as_json
+    from heckepieces.coxeter import coxeter_group
+    from heckepieces.hecke import kl_table
+    start = time.perf_counter()
+    ctx = build_context(kl=kl_table(coxeter_group("B5")))
+    report = conjecture_report(ctx)
+    wall = time.perf_counter() - start
+    text = _as_json(report_as_dict(ctx, report)).encode()
+    return wall, {"pairs": len(report.pairs),
+                  "ambiguous": [[r.t_name, r.z_name] for r in report.pairs if not r.unique],
+                  "sha256": hashlib.sha256(text).hexdigest()}
+
+
 ROWS = {  # row name -> its run, in the order the rows are written
     "masks_B5": lambda: _masks(5),
     "masks_B6": lambda: _masks(6),
@@ -204,6 +225,7 @@ ROWS = {  # row name -> its run, in the order the rows are written
     "canonical_basis_B4_validated": lambda: _canonical_basis(4, validate=True),
     "canonical_basis_B5_validated": lambda: _canonical_basis(5, validate=True),
     "example_b4": lambda: _cli("example-b4", "--format", "json"),
+    "charsheaf_report_B5": _charsheaf_report,
 }
 
 
