@@ -30,7 +30,12 @@ boundary stratum at t expands as
 with P the Kazhdan-Lusztig polynomials of W and P' the inverse KL
 polynomials of W_J (``restriction_coefficients``).  Normalizing by
 v^(-l(z)+l(t)-l(u)) makes the result a nonnegative v^{-1}-expansion away
-from the boundary point (``normalized_restriction``).
+from the boundary point (``normalized_restriction``).  Every P, P' and
+class-table value is a polynomial in q = v^2, so these sums run on the
+integer codes at q = 2^64 that ``KLTable.codes`` keeps: one product of
+ints per term, and one decode per returned coefficient, the v-shift of
+the normalization being the decode's offset.  ``build_context`` refuses
+by OverflowError a table whose coefficients could make a decode wrong.
 
 ``solve_chi`` inverts the resulting linear system to obtain the transition
 images chi_t(C_z) of the four block sheaves: probing with
@@ -54,10 +59,10 @@ and ``conjecture_report`` checks, over all pairs (t, z) of N (64 on B4):
      basis coefficient of the weighted Hecke algebra of N.
 
 The context does each piece of work once.  It keeps every restriction
-expansion (the report and the checks ask for 384 triples (t, z, u) on B4),
-the probe divisors of each z (8 maps of 4 entries on B4, from 32
-``boundary_dims`` calls) and every ``solve_chi`` solution (64 on B4), so the
-report and the frozen checks of ``b4_example`` share them.  All three grow
+expansion as codes (the report and the checks ask for 384 triples
+(t, z, u) on B4), the probe divisors of each z (8 maps of 4 entries on B4,
+from 32 ``boundary_dims`` calls) and every ``solve_chi`` solution (64 on
+B4), so the report and the frozen checks of ``b4_example`` share them.  All three grow
 with the normalizer; on B6 (|N| = 384) they must be dropped z by z, which
 is safe because ``pairs()`` walks z in the outer loop.
 """
@@ -69,10 +74,12 @@ from dataclasses import dataclass, field
 
 from .coxeter import CoxeterGroup, Element, coxeter_group
 from .hecke import (
+    _K,
     CanonicalBasis,
     HeckeAlgebra,
     KLTable,
     WeightFunction,
+    _decode,
     canonical_basis,
     inverse_kl,
     kl_table,
@@ -143,10 +150,14 @@ class B4Context:
     cs_table: dict[Element, dict[str, Laurent]]
     probes: dict[str, Element]
     # u' -> ((u'', P'_{u'',u'}) for every u'' <= u'): the inverse KL data of
-    # W_J grouped by its second index, so a restriction sum reads one column
-    ikl_columns: dict[Element, tuple[tuple[Element, Laurent], ...]]
-    # (t, z, u) -> the restriction_coefficients expansion, kept once computed
-    _expansions: dict[tuple[Element, Element, Element], dict[Element, Laurent]] = field(
+    # W_J grouped by its second index, so a restriction sum reads one
+    # column; each P' as its code at q = 2^_K, as ``KLTable.codes`` keeps P
+    ikl_columns: dict[Element, tuple[tuple[Element, int], ...]]
+    # u'' -> ((symbol, code of cs_table[u''][symbol]), ...)
+    cs_codes: dict[Element, tuple[tuple[str, int], ...]]
+    # (t, z, u) -> the codes of the restriction_coefficients expansion, kept
+    # once computed
+    _expansions: dict[tuple[Element, Element, Element], dict[Element, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     # z -> {probe word: the boundary coefficient every probe equation at z
     # is divided by}, kept once computed: 8 maps of 4 entries on B4
@@ -245,9 +256,20 @@ def build_context(kl: KLTable | None = None) -> B4Context:
     if set(cs_table) != set(WJ):
         raise AssertionError("character sheaf table does not cover W_J")
     probes = {wd: group.parse_word(wd) for wd in PROBE_WORDS}
-    ikl_columns: dict[Element, list[tuple[Element, Laurent]]] = {u1: [] for u1 in WJ}
-    for (u2, u1), pp in inverse_kl(kl, WJ).items():
-        ikl_columns[u1].append((u2, pp))
+    ikl = inverse_kl(kl, WJ)
+    # with M the largest coefficient of the pool, N' the largest
+    # sum_{u'} |P'_{u'',u'}|_1 and C the largest sum_{u''} |[u'']_sym|_1,
+    # every coefficient that a code of the restriction sums stands for lies
+    # below M N' C in absolute value
+    largest = max(abs(c) for p in kl.pool for _, c in p.items())
+    spread = add_into({}, ((u2, _norm(pp)) for (u2, _), pp in ikl.items()))
+    reach = add_into({}, ((sym, _norm(c)) for vec in cs_table.values() for sym, c in vec.items()))
+    if largest * max(spread.values()) * max(reach.values()) >= 1 << (_K - 1):
+        raise OverflowError(f"the restriction sums of {group.type_tag} may reach coefficients "
+                            f"of 2^{_K - 1} or more, which base-2^{_K} codes cannot decode")
+    ikl_columns: dict[Element, list[tuple[Element, int]]] = {u1: [] for u1 in WJ}
+    for (u2, u1), pp in ikl.items():
+        ikl_columns[u1].append((u2, _q_code(pp)))
 
     return B4Context(
         group=group, J=J, WJ=WJ, kl=kl, N=N,
@@ -255,52 +277,81 @@ def build_context(kl: KLTable | None = None) -> B4Context:
         mirror=mirror, to_mirror=to_mirror, pbasis=pbasis,
         weight_L=weight_L, eps=eps, cs_table=cs_table, probes=probes,
         ikl_columns={u1: tuple(col) for u1, col in ikl_columns.items()},
+        cs_codes={u2: tuple((sym, _q_code(c)) for sym, c in vec.items())
+                  for u2, vec in cs_table.items()},
     )
+
+
+def _norm(p: Laurent) -> int:
+    return sum(abs(c) for _, c in p.items())
+
+
+def _q_code(p: Laurent) -> int:
+    """p, a polynomial in q = v^2, at q = 2^_K, as ``KLTable.codes`` keeps
+    the pool; refuses a p that the code does not stand for."""
+    code = sum(c << _K * (e // 2) for e, c in p.items())
+    if _decode(code, _K) != p:
+        raise ValueError(f"{p.text()} is not a polynomial in v^2 with small coefficients")
+    return code
 
 
 # -- restriction ------------------------------------------------------------
 
 
+def _expansion(ctx: B4Context, t: Element, z: Element, u: Element) -> dict[Element, int]:
+    """The codes of the ``restriction_coefficients`` expansion of (t, z, u).
+
+    The sum runs over the u' with P_{t^{-1}u', z^{-1}u} nonzero only, each
+    adding the code of P times the column of P'_{u'',u'}; P is read from
+    the column of z^{-1}u as ``KLTable.get`` reads it.  The context keeps
+    each (t, z, u) expansion once it is computed, so the report and the
+    checks expand each triple once; the dict is shared and read only."""
+    kept = ctx._expansions.get((t, z, u))
+    if kept is not None:
+        return kept
+    group = ctx.group
+    zu = group.product(group.inverse(z), u)
+    t_inv = group.inverse(t)
+    below, column, codes = group.bruhat_mask(zu), ctx.kl.columns[zu], ctx.kl.codes
+    out: dict[Element, int] = {}
+    for u1, ikl_column in ctx.ikl_columns.items():
+        above = below >> group._product(t_inv, u1)  # u1 in W_J, from the group
+        if above & 1:
+            add_into(out, ikl_column, codes[column[-above.bit_count()]])
+    ctx._expansions[(t, z, u)] = out
+    return out
+
+
 def restriction_coefficients(ctx: B4Context, t: Element, z: Element,
                              u: Element) -> dict[Element, Laurent]:
     """Expansion coefficients of [z^{-1}u] restricted to the stratum at t,
-    over the classes [u'']_t for u'' in W_J.
+    over the classes [u'']_t for u'' in W_J: a fresh map without zero
+    values, each decoded from the kept codes of ``_expansion``."""
+    return {u2: _decode(c, _K) for u2, c in _expansion(ctx, t, z, u).items()}
 
-    The sum runs over the u' with P_{t^{-1}u', z^{-1}u} nonzero only, each
-    adding P times the column of P'_{u'',u'}.  The context keeps each
-    (t, z, u) expansion once it is computed, so the report and the checks
-    expand each triple once; every call returns a fresh dict."""
-    kept = ctx._expansions.get((t, z, u))
-    if kept is not None:
-        return dict(kept)
-    group, get = ctx.group, ctx.kl.get
-    zu = group.product(group.inverse(z), u)
-    t_inv = group.inverse(t)
-    out: dict[Element, Laurent] = {}
-    for u1, column in ctx.ikl_columns.items():
-        p = get(group._product(t_inv, u1), zu)  # u1 in W_J, from the group
-        if p:
-            add_into(out, column, p)
-    ctx._expansions[(t, z, u)] = out
-    return dict(out)
+
+def _pushed(ctx: B4Context, t: Element, z: Element, u: Element,
+            offset: int) -> dict[str, Laurent]:
+    """v^offset [z^{-1}u]_(t): the codes of the expansion pushed through
+    the codes of the character-sheaf table, each sum decoded once."""
+    out: dict[str, int] = {}
+    for u2, c in _expansion(ctx, t, z, u).items():
+        add_into(out, ctx.cs_codes[u2], c)
+    return {sym: _decode(c, _K, 2, offset) for sym, c in out.items()}
 
 
 def piece_restriction(ctx: B4Context, t: Element, z: Element,
                       u: Element) -> dict[str, Laurent]:
     """[z^{-1}u]_(t) pushed through the character-sheaf table: a fresh map
     symbol -> coefficient without zero values."""
-    out: dict[str, Laurent] = {}
-    for u2, c in restriction_coefficients(ctx, t, z, u).items():
-        add_into(out, ctx.cs_table[u2].items(), c)
-    return out
+    return _pushed(ctx, t, z, u, 0)
 
 
 def normalized_restriction(ctx: B4Context, t: Element, z: Element,
                            u: Element) -> dict[str, Laurent]:
     """v^(-l(z)+l(t)-l(u)) [z^{-1}u]_(t)."""
     group = ctx.group
-    shift = -group.length(z) + group.length(t) - group.length(u)
-    return {sym: c.shift(shift) for sym, c in piece_restriction(ctx, t, z, u).items()}
+    return _pushed(ctx, t, z, u, -group.length(z) + group.length(t) - group.length(u))
 
 
 def boundary_dims(ctx: B4Context, z: Element, u: Element) -> dict[str, Laurent]:
@@ -600,10 +651,11 @@ def report_text(ctx: B4Context, report: ConjectureReport) -> str:
         "pair results (t, z): scalar X, canonical p(t,z), sign, verdict",
         "-" * 72,
     ]
+    width = max(5, *map(len, ctx.name_of.values()))  # so every eps= lines up
     for r in report.pairs:
         verdict = "ok" if (r.pattern_ok and r.canonical_match and r.unique) else "FAIL"
         lines.append(
-            f"t={r.t_name:<5} z={r.z_name:<5} eps={r.eps:+d}  "
+            f"t={r.t_name:<{width}} z={r.z_name:<{width}} eps={r.eps:+d}  "
             f"X = {r.X.text():<24} p = {r.p.text():<24} {verdict}"
         )
     lines.append("-" * 72)

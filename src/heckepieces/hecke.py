@@ -61,7 +61,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .coxeter import CoxeterGroup, Element, mask_bits
-from .laurent import Laurent, ONE, ZERO, _is_int, add_into, bar_symmetric_head, v_power
+from .laurent import Laurent, ONE, ZERO, _is_int, _raw, add_into, bar_symmetric_head, v_power
 
 
 class WeightFunction:
@@ -323,16 +323,19 @@ class KLTable:
     P_{y,w} = pool[columns[w][-k]] with k the number of ideal bits at or
     above y, the popcount of ``bruhat_mask(w) >> y``
     (du Cloux, Experiment. Math. 11, 2002, keeps each KL row the same way).
-    P_{y,w} for incomparable pairs is 0 and is not stored.  ``get`` and
-    ``mu`` read one pair, and ``pairs`` lists the comparable ones.
+    P_{y,w} for incomparable pairs is 0 and is not stored.  ``codes[i]``
+    is ``pool[i]`` at q = 2^``_K``, the integer the recursion ran on: a
+    sum of products of entries can run on codes and ``_decode`` once.
+    ``get`` and ``mu`` read one pair, and ``pairs`` the comparable ones.
     ``extremal`` is the number of pairs off the diagonal that ran the
     recursion of ``kl_table``.  Tables compare and hash by identity.
     """
 
-    def __init__(self, group: CoxeterGroup, pool: list[Laurent], columns: list[array],
-                 extremal: int):
+    def __init__(self, group: CoxeterGroup, pool: list[Laurent], codes: list[int],
+                 columns: list[array], extremal: int):
         self.group = group
         self.pool = pool
+        self.codes = codes
         self.columns = columns
         self.extremal = extremal
         self._masks = group._masks  # every mask is built once a column exists
@@ -378,7 +381,8 @@ def _decode(code: int, k: int, step: int = 2, offset: int = 0) -> Laurent:
     has both properties, so the caller must know that the one it evaluated
     has coefficients that small.  The defaults read a polynomial in
     q = v^2 from its value at q = 2^k; step -1 and offset m read
-    v^m P(v) from its value at v = 2^-k.
+    v^m P(v) from its value at v = 2^-k, and offset m alone v^m P(v^2).
+    Zero digits add no term, so the result skips the constructor's checks.
 
     >>> _decode(3 - (2 << 64) + (1 << 128), 64).text()
     '3 - 2v^2 + v^4'
@@ -390,10 +394,11 @@ def _decode(code: int, k: int, step: int = 2, offset: int = 0) -> Laurent:
         c = code & digit
         if c >= half:
             c -= 1 << k
-        terms[e] = c
+        if c:
+            terms[e] = c
         code = (code - c) >> k
         e += step
-    return Laurent(terms)
+    return _raw(terms)
 
 
 def kl_table(group: CoxeterGroup) -> KLTable:
@@ -499,7 +504,7 @@ def kl_table(group: CoxeterGroup) -> KLTable:
                     mus.append((y, pool[i].coeff(d - 1)))
         columns.append(_frozen(map(column.__getitem__, ideal), pool))
         mu_lists[w] = tuple(mus)
-    return KLTable(group, pool, columns, extremal)
+    return KLTable(group, pool, codes, columns, extremal)
 
 
 def inverse_kl(table: KLTable, support: Iterable[Element]) -> dict[tuple[Element, Element], Laurent]:

@@ -26,5 +26,10 @@ def b4_kl(b4):
 
 
 @pytest.fixture(scope="session")
+def b5_kl():
+    return kl_table(coxeter_group("B5"))
+
+
+@pytest.fixture(scope="session")
 def ctx(b4_kl):
     return build_context(kl=b4_kl)

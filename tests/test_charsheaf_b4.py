@@ -32,13 +32,15 @@ from heckepieces.charsheaf_b4 import (
     conjecture_report,
     cuspidal_scalar,
     normalized_restriction,
+    piece_restriction,
     report_as_dict,
+    report_text,
     restriction_coefficients,
     solve_chi,
 )
 from heckepieces.coxeter import CoxeterGroup, coxeter_group, type_b_matrix
 from heckepieces.hecke import KLTable, WeightFunction, inverse_kl, kl_table
-from heckepieces.laurent import Laurent, ONE, ZERO, v_power
+from heckepieces.laurent import Laurent, ONE, ZERO, add_into, v_power
 from heckepieces.pieces import twisted_normalizer
 
 from expected_b4 import (
@@ -227,15 +229,70 @@ def reference_restriction_coefficients(ctx, t, z, u):
     return out
 
 
-def test_restriction_matches_reference(b4_kl):
-    """All 512 triples (t, z, u), each asked twice: once computed, once kept."""
-    fresh = build_context(kl=b4_kl)
+def reference_piece_restriction(ctx, t, z, u):
+    """``piece_restriction`` before the sums ran on integer codes: the
+    reference expansion pushed through the character-sheaf table with one
+    ``Laurent`` product per term."""
+    out = {}
+    for u2, c in reference_restriction_coefficients(ctx, t, z, u).items():
+        add_into(out, ctx.cs_table[u2].items(), c)
+    return out
+
+
+def assert_restrictions_match_references(ctx, triples):
+    """The three restriction maps of each triple equal the ``Laurent``
+    oracles, each triple asked twice: once computed, once kept."""
+    length = ctx.group.length
     for _ in range(2):
-        for t in fresh.N:
-            for z in fresh.N:
-                for u in fresh.WJ:
-                    assert restriction_coefficients(fresh, t, z, u) == \
-                        reference_restriction_coefficients(fresh, t, z, u)
+        for t, z, u in triples:
+            assert restriction_coefficients(ctx, t, z, u) == \
+                reference_restriction_coefficients(ctx, t, z, u)
+            pushed = reference_piece_restriction(ctx, t, z, u)
+            assert piece_restriction(ctx, t, z, u) == pushed
+            shift = -length(z) + length(t) - length(u)
+            assert normalized_restriction(ctx, t, z, u) == \
+                {sym: c.shift(shift) for sym, c in pushed.items()}
+
+
+def test_restriction_matches_reference(b4_kl):
+    """All 512 triples (t, z, u) of B4."""
+    fresh = build_context(kl=b4_kl)
+    assert_restrictions_match_references(
+        fresh, list(itertools.product(fresh.N, fresh.N, fresh.WJ)))
+
+
+def test_restriction_matches_reference_on_b5(b5_kl):
+    """1,000 seeded triples of the 18,432 of B5, whose pool reaches
+    coefficient 35 where B4's reaches 5; 377 of them have a nonzero
+    expansion."""
+    fresh = build_context(kl=b5_kl)
+    triples = list(itertools.product(fresh.N, fresh.N, fresh.WJ))
+    assert len(triples) == 18_432
+    sample = random.Random(35).sample(triples, 1_000)
+    assert_restrictions_match_references(fresh, sample)
+    assert sum(bool(restriction_coefficients(fresh, *triple)) for triple in sample) == 377
+
+
+def test_context_refuses_codes_it_cannot_decode():
+    """The restriction sums bound their coefficients by M N' C: M = 5 is
+    the largest coefficient of the B4 pool, N' = 8 the largest
+    sum_{u'} |P'_{u'',u'}|_1 and C = 29 the largest sum_{u''} |[u'']_sym|_1
+    (symbol 1).  A pool coefficient that lifts the bound to 2^63 makes
+    ``build_context`` refuse before any sum is formed; one less passes."""
+    table = kl_table(coxeter_group("B4"))
+    ikl = inverse_kl(table, table.group.parabolic_elements({1, 2}))
+    norm = lambda p: sum(abs(c) for _, c in p.items())
+    spread = add_into({}, ((u2, norm(pp)) for (u2, _), pp in ikl.items()))
+    reach = add_into({}, ((sym, norm(c)) for vec in charsheaf_b4.CS_TABLE_BY_WORD.values()
+                          for sym, c in vec.items()))
+    assert max(abs(c) for p in table.pool for _, c in p.items()) == 5
+    assert (max(spread.values()), max(reach.values()), reach["1"]) == (8, 29, 29)
+    top = -(-(1 << 63) // (8 * 29))  # the least M with M N' C >= 2^63
+    table.pool[-1] = Laurent({0: top - 1})
+    build_context(kl=table)
+    table.pool[-1] = Laurent({0: top})
+    with pytest.raises(OverflowError, match="restriction sums of B4"):
+        build_context(kl=table)
 
 
 def test_kept_restrictions_are_not_shared(ctx):
@@ -250,19 +307,29 @@ def test_kept_restrictions_are_not_shared(ctx):
 
 
 def test_report_and_checks_expand_each_triple_once(b4_kl, monkeypatch):
-    """The report and the four checks ask for 1,408 expansions of 384
-    distinct (t, z, u).  Each expansion reads 8 polynomials, and
-    ``check_restrictions`` reads 30 more on its own, so 384 · 8 + 30 =
-    3,102 lookups; expanding on every call made 11,294."""
+    """The report and the four checks ask for 870 expansions of 384
+    distinct (t, z, u), and the context computes and stores each once.
+    The expansions read the table's codes, not ``KLTable.get``:
+    ``check_restrictions`` makes the only 30 lookups, where reading each
+    expansion's 8 polynomials through ``get`` made 384 · 8 + 30 = 3,102."""
     fresh = build_context(kl=b4_kl)
-    calls = []
-    get = KLTable.get
+    stored, asked, calls = [], [], []
+
+    class Kept(dict):
+        def __setitem__(self, key, value):
+            stored.append(key)
+            super().__setitem__(key, value)
+
+    fresh._expansions = Kept()
+    expansion, get = charsheaf_b4._expansion, KLTable.get
+    monkeypatch.setattr(charsheaf_b4, "_expansion",
+                        lambda *args: asked.append(1) or expansion(*args))
     monkeypatch.setattr(KLTable, "get", lambda self, y, w: calls.append(1) or get(self, y, w))
     report = conjecture_report(fresh)
     checks = (check_group_facts(fresh), check_restrictions(fresh), check_chi(fresh),
               check_conjectures(fresh, report))
     assert all(check.passed for check in checks)
-    assert len(calls) <= 3102
+    assert (len(asked), len(stored), len(set(stored)), len(calls)) == (870, 384, 384, 30)
 
 
 def test_boundary_restrictions_are_dimensions(ctx):
@@ -615,6 +682,22 @@ def test_chi_check_reads_the_transition_patterns(ctx, monkeypatch):
     patterns["deep-defect"] = {**patterns["deep-defect"],
                                "rho": ((v_power(4), "rho"), (v_power(6), "theta"))}
     assert check_chi(ctx).failures == ("chi (1,fef) rho->sigma'", "chi (1,fef) rho->theta")
+
+
+def test_report_text_columns_line_up_on_b5(b5_kl, ctx):
+    """Names pad to the longest name of N, at least 5 letters, so every
+    pair line of the B5 report has ``eps=`` at one offset; B4's longest
+    name has 4 letters and keeps the 5-letter columns."""
+    b5 = build_context(kl=b5_kl)
+    longest = max(map(len, b5.name_of.values()))
+    assert longest == 9
+    lines = [ln for ln in report_text(b5, conjecture_report(b5)).splitlines()
+             if ln.startswith("t=")]
+    assert len(lines) == 2_304
+    assert {ln.index("eps=") for ln in lines} == {2 + longest + 3 + longest + 1}
+    assert max(map(len, ctx.name_of.values())) == 4
+    assert {ln.index("eps=") for ln in report_text(ctx, conjecture_report(ctx)).splitlines()
+            if ln.startswith("t=")} == {16}
 
 
 def test_report_header_reads_the_context(ctx):

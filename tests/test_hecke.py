@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from heckepieces import hecke
+from heckepieces.cli import load_kl_cache, save_kl_cache
 from heckepieces.coxeter import CoxeterGroup, coxeter_group, mask_bits
 from heckepieces.hecke import (
     HeckeAlgebra,
@@ -486,6 +487,7 @@ def test_decode_reads_balanced_digits():
     assert _decode(-(1 << 63), 64) == poly((-(1 << 63), 0))
     assert _decode(1 << 63, 64) == poly((-(1 << 63), 0), (1, 2))
     assert _decode(7 + (8 << 4), 4) == poly((7, 0), (-8, 2), (1, 4))
+    assert _decode(3 - (2 << 128), 64, 2, -3) == poly((3, -3), (-2, 1))  # v^-3 (3 - 2q^2)
 
 
 @given(k=st.integers(2, 70), data=st.data())
@@ -577,6 +579,27 @@ def test_kl_columns_match_reference(name):
         walked = [(y, table.pool[i]) for y, i in zip(ideal, table.columns[w], strict=True)]
         assert walked == sorted(by_column[w]), group.word_str(w)
     assert len(set(table.pool)) == len(table.pool) == len(set(reference.values()))
+
+
+# the D4 matrix with node i relabelled (2, 0, 3, 1)[i]: the branch node is last
+RELABELLED_D4 = tuple(tuple(KL_GROUPS["matrix:D4"][a][b] for b in (2, 0, 3, 1))
+                      for a in (2, 0, 3, 1))
+
+
+@pytest.mark.parametrize("spec", ["B3", "B4", RELABELLED_D4], ids=["B3", "B4", "relabelled-D4"])
+def test_kl_codes_are_the_pool_at_two_to_the_64(spec, tmp_path):
+    """``codes[i]`` is ``pool[i]`` at q = 2^64, evaluated here term by
+    term, on a fresh table and on one loaded from its cache file, which the
+    loader builds through ``kl_table``."""
+    fresh = kl_table(coxeter_group(spec))
+    path = tmp_path / "table.klcache"
+    save_kl_cache(fresh, str(path))
+    loaded = load_kl_cache(str(path), coxeter_group(spec))
+    assert loaded is not fresh and loaded.pool == fresh.pool
+    for table in (fresh, loaded):
+        assert all(e % 2 == 0 <= e for p in table.pool for e in p.support())
+        assert table.codes == [sum(c * (2 ** 64) ** (e // 2) for e, c in p.items())
+                               for p in table.pool]
 
 
 def test_kl_table_retains_little_memory():
